@@ -55,6 +55,37 @@ void BM_SgemmScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmScalar)->Arg(64)->Arg(128)->Arg(256);
 
+// Narrow products (n < 16 <= m), which sgemm runs transposed: Args are
+// {m, n, k, trans_a}. 64x4x576 is a vgg16 conv over a 2x2 output map at the
+// scaled width (64 filters, 64*3*3 patch rows); 576x4x64 with op(A) = W^T is
+// the same layer's backward dX GEMM.
+void sgemm_narrow_bench(benchmark::State& state) {
+  const auto m = state.range(0);
+  const auto n = state.range(1);
+  const auto k = state.range(2);
+  const bool trans_a = state.range(3) != 0;
+  ut::Rng rng(1);
+  const Tensor a = Tensor::randn(trans_a ? Shape{k, m} : Shape{m, k}, rng);
+  const Tensor b = Tensor::randn(Shape{k, n}, rng);
+  Tensor c = Tensor::zeros(Shape{m, n});
+  for (auto _ : state) {
+    sgemm(trans_a, false, m, n, k, 1.0f, a.data(), trans_a ? m : k, b.data(),
+          n, 0.0f, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+
+void BM_SgemmNarrow(benchmark::State& state) { sgemm_narrow_bench(state); }
+BENCHMARK(BM_SgemmNarrow)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
+
+void BM_SgemmNarrowScalar(benchmark::State& state) {
+  const kern::BackendGuard guard(kern::Backend::scalar);
+  sgemm_narrow_bench(state);
+}
+BENCHMARK(BM_SgemmNarrowScalar)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
+
 void BM_Conv2dForward(benchmark::State& state) {
   const auto ch = state.range(0);
   ut::Rng rng(2);

@@ -4,18 +4,17 @@
 // C[M,N] = alpha * op(A) * op(B) + beta * C
 //
 // Row-major layout throughout; op() is an optional transpose. The kernel is
-// cache-blocked and parallelised over row panels via the global thread pool.
+// cache-blocked and parallelised over 64-row blocks of C via the global
+// thread pool. Narrow products (N < 16 <= M with B not transposed, e.g. a
+// conv with a 2x2 output map) run transposed — C^T = op(B)^T * op(A)^T — so
+// the panel kernel's 16-column register tile spans M instead of N. Each
+// element keeps the same k-ordered multiply-add chain, so both orientations
+// give bit-identical results on every kernel backend.
 #pragma once
 
 #include <cstdint>
 
 namespace fitact {
-
-struct GemmDims {
-  std::int64_t m = 0;
-  std::int64_t n = 0;
-  std::int64_t k = 0;
-};
 
 /// Plain row-major SGEMM. lda/ldb/ldc are leading dimensions (row strides).
 void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,

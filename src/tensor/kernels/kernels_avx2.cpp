@@ -16,6 +16,8 @@
 
 #include <immintrin.h>
 
+#include <cmath>
+
 namespace fitact::kern {
 namespace {
 
@@ -62,7 +64,11 @@ inline void tile4x16(std::int64_t kb, float alpha, const float* ap,
 }
 
 /// Single-row edge tile: 8-wide vector loop with a scalar tail. Handles the
-/// bottom rows (mb % 4) and, with nb < 16, the right edge columns.
+/// bottom rows (mb % 4) and, with nb < 16, the right edge columns. The tail
+/// is an explicit fma, so every column gets the same single-rounding step
+/// as the vector lanes whatever the compiler's contraction setting — the
+/// narrow-product orientation in tensor/gemm.cpp relies on that to stay
+/// bit-identical to the row-panel path.
 inline void tile1xN(std::int64_t nb, std::int64_t kb, float alpha,
                     const float* arow, const float* b, std::int64_t ldb,
                     float* c) noexcept {
@@ -76,7 +82,7 @@ inline void tile1xN(std::int64_t nb, std::int64_t kb, float alpha,
           c + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j),
                                  _mm256_loadu_ps(c + j)));
     }
-    for (; j < nb; ++j) c[j] += aval * brow[j];
+    for (; j < nb; ++j) c[j] = std::fma(aval, brow[j], c[j]);
   }
 }
 

@@ -2,7 +2,9 @@
 // naive triple-loop reference across ~200 random shapes, transpose flags,
 // alpha/beta values, and padded leading dimensions, with exact per-element
 // tolerance accounting (a forward-error bound computed from each output
-// element's own |a||b| mass, not a one-size-fits-all epsilon).
+// element's own |a||b| mass, not a one-size-fits-all epsilon). Narrow
+// products, which sgemm runs in a transposed orientation, are held to a
+// stricter contract: bit-identity with the row-panel path.
 //
 // Thread counts: the global pool's width is fixed at first use, so CMake
 // registers this binary three times with FITACT_GEMM_FUZZ_THREADS=1/2/8;
@@ -10,9 +12,13 @@
 // test runs at the default pool width.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -205,52 +211,160 @@ TEST(GemmFuzz, EdgeCasesAgreeUnderBothKernelBackends) {
 // error bound, so the test compares IEEE classification element-wise.
 TEST(GemmFuzz, NonFiniteOperandsPropagateThroughPanelKernel) {
   ASSERT_TRUE(g_threads_pinned);
-  constexpr std::int64_t m = 9, n = 21, k = 17;
-  ut::Rng rng(20240903);
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
-  for (auto& x : a) x = rng.normal();
-  for (auto& x : b) x = rng.normal();
-  // Zero out two full A columns; the old skip made these positions inert.
-  for (std::int64_t i = 0; i < m; ++i) {
-    a[static_cast<std::size_t>(i * k + 3)] = 0.0f;
-    a[static_cast<std::size_t>(i * k + 11)] = 0.0f;
+  struct Dims {
+    std::int64_t m, n, k;
+  };
+  // The second shape (n < 16 <= m) runs in sgemm's transposed
+  // narrow-product orientation, where B becomes the packed panel.
+  for (const auto& [m, n, k] : {Dims{9, 21, 17}, Dims{20, 14, 17}}) {
+    const std::string shape = "m=" + std::to_string(m) +
+                              " n=" + std::to_string(n) +
+                              " k=" + std::to_string(k);
+    ut::Rng rng(20240903);
+    std::vector<float> a(static_cast<std::size_t>(m * k));
+    std::vector<float> b(static_cast<std::size_t>(k * n));
+    for (auto& x : a) x = rng.normal();
+    for (auto& x : b) x = rng.normal();
+    // Zero out two full A columns; the old skip made these positions inert.
+    for (std::int64_t i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(i * k + 3)] = 0.0f;
+      a[static_cast<std::size_t>(i * k + 11)] = 0.0f;
+    }
+    // Non-finite B values reachable *only* through the zeroed A columns.
+    b[static_cast<std::size_t>(3 * n + 5)] = std::nanf("");
+    b[static_cast<std::size_t>(11 * n + 13)] = HUGE_VALF;  // +Inf
+    for (const kern::Backend backend :
+         {kern::Backend::scalar, kern::avx2_supported()
+                                     ? kern::Backend::avx2
+                                     : kern::Backend::scalar}) {
+      const kern::BackendGuard guard(backend);
+      const std::string context =
+          shape + " backend " + kern::backend_name(backend);
+      std::vector<float> c_fast(static_cast<std::size_t>(m * n), 0.5f);
+      std::vector<float> c_ref = c_fast;
+      sgemm(false, false, m, n, k, 2.0f, a.data(), k, b.data(), n, 0.0f,
+            c_fast.data(), n);
+      sgemm_reference(false, false, m, n, k, 2.0f, a.data(), k, b.data(), n,
+                      0.0f, c_ref.data(), n);
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const float got = c_fast[static_cast<std::size_t>(i * n + j)];
+          const float want = c_ref[static_cast<std::size_t>(i * n + j)];
+          EXPECT_EQ(std::isnan(got), std::isnan(want))
+              << context << " element (" << i << ", " << j << "): got "
+              << got << " want " << want;
+          if (std::isfinite(want)) {
+            EXPECT_TRUE(std::isfinite(got))
+                << context << " element (" << i << ", " << j << "): got "
+                << got << " want " << want;
+          }
+        }
+      }
+      // Columns 5 (through the NaN) and 13 (through the Inf) must be
+      // poisoned: 0 * NaN = NaN and 0 * Inf = NaN reach every output row.
+      for (std::int64_t i = 0; i < m; ++i) {
+        EXPECT_TRUE(std::isnan(c_fast[static_cast<std::size_t>(i * n + 5)]))
+            << context << " row " << i;
+        EXPECT_TRUE(std::isnan(c_fast[static_cast<std::size_t>(i * n + 13)]))
+            << context << " row " << i;
+      }
+    }
   }
-  // Non-finite B values reachable *only* through the zeroed A columns.
-  b[static_cast<std::size_t>(3 * n + 5)] = std::nanf("");
-  b[static_cast<std::size_t>(11 * n + 13)] = HUGE_VALF;  // +Inf
+}
+
+// Narrow products (n < 16 <= m) run transposed, C^T = op(B)^T * op(A)^T
+// (tensor/gemm.cpp). That orientation's contract is bit-identity, not an
+// error bound: every element must equal, bit for bit, the same element of
+// the row-panel product with B zero-padded to 16 columns — under both
+// backends and at every pool width this binary is registered with — and the
+// ldc slack beyond column n must stay untouched.
+TEST(GemmFuzz, NarrowProductsMatchZeroPaddedRowPanelBitForBit) {
+  ASSERT_TRUE(g_threads_pinned);
+  constexpr std::int64_t kWide = 16;
+  constexpr std::int64_t kSlack = 3;
+  constexpr float kSentinel = -1234.5f;
+  const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
   for (const kern::Backend backend :
        {kern::Backend::scalar,
         kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
     const kern::BackendGuard guard(backend);
-    std::vector<float> c_fast(static_cast<std::size_t>(m * n), 0.5f);
-    std::vector<float> c_ref = c_fast;
-    sgemm(false, false, m, n, k, 2.0f, a.data(), k, b.data(), n, 0.0f,
-          c_fast.data(), n);
-    sgemm_reference(false, false, m, n, k, 2.0f, a.data(), k, b.data(), n,
-                    0.0f, c_ref.data(), n);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float got = c_fast[static_cast<std::size_t>(i * n + j)];
-        const float want = c_ref[static_cast<std::size_t>(i * n + j)];
-        EXPECT_EQ(std::isnan(got), std::isnan(want))
-            << "backend " << kern::backend_name(backend) << " element (" << i
-            << ", " << j << "): got " << got << " want " << want;
-        if (std::isfinite(want)) {
-          EXPECT_TRUE(std::isfinite(got))
-              << "backend " << kern::backend_name(backend) << " element ("
-              << i << ", " << j << "): got " << got << " want " << want;
+    ut::Rng rng(20240904);
+    int cases = 0;
+    int failed = 0;
+    for (const std::int64_t m : {16, 17, 64, 65, 130}) {
+      for (const std::int64_t k : {1, 27, 256, 257, 576}) {
+        for (const bool trans_a : {false, true}) {
+          // One draw of op(A), a 16-column B and C serves every n, alpha
+          // and beta of this (m, k, trans_a).
+          const std::int64_t lda = trans_a ? m : k;
+          std::vector<float> a(static_cast<std::size_t>(m * k));
+          std::vector<float> b_wide(static_cast<std::size_t>(k * kWide));
+          std::vector<float> c_init(static_cast<std::size_t>(m * kWide));
+          for (auto& x : a) x = rng.normal();
+          for (auto& x : b_wide) x = rng.normal();
+          for (auto& x : c_init) x = rng.normal();
+          for (std::int64_t n = 1; n < kWide; ++n) {
+            std::vector<float> b(static_cast<std::size_t>(k * n));
+            std::vector<float> b_pad(static_cast<std::size_t>(k * kWide),
+                                     0.0f);
+            for (std::int64_t p = 0; p < k; ++p) {
+              for (std::int64_t j = 0; j < n; ++j) {
+                const float v = b_wide[static_cast<std::size_t>(p * kWide + j)];
+                b[static_cast<std::size_t>(p * n + j)] = v;
+                b_pad[static_cast<std::size_t>(p * kWide + j)] = v;
+              }
+            }
+            const std::int64_t ldc = n + kSlack;
+            for (const float alpha : {1.0f, -1.5f}) {
+              for (const float beta : {0.0f, 1.0f, 0.5f}) {
+                std::vector<float> c_narrow(static_cast<std::size_t>(m * ldc));
+                for (std::int64_t i = 0; i < m; ++i) {
+                  for (std::int64_t j = 0; j < ldc; ++j) {
+                    c_narrow[static_cast<std::size_t>(i * ldc + j)] =
+                        j < n ? c_init[static_cast<std::size_t>(i * kWide + j)]
+                              : kSentinel;
+                  }
+                }
+                std::vector<float> c_pad = c_init;
+                sgemm(trans_a, false, m, n, k, alpha, a.data(), lda, b.data(),
+                      n, beta, c_narrow.data(), ldc);
+                sgemm(trans_a, false, m, kWide, k, alpha, a.data(), lda,
+                      b_pad.data(), kWide, beta, c_pad.data(), kWide);
+                ++cases;
+                std::string mismatch;
+                for (std::int64_t i = 0; i < m && mismatch.empty(); ++i) {
+                  for (std::int64_t j = 0; j < ldc && mismatch.empty(); ++j) {
+                    const float got =
+                        c_narrow[static_cast<std::size_t>(i * ldc + j)];
+                    const float want =
+                        j < n ? c_pad[static_cast<std::size_t>(i * kWide + j)]
+                              : kSentinel;
+                    if (bits(got) != bits(want)) {
+                      std::ostringstream os;
+                      os << (j < n ? "element (" : "ldc slack (") << i << ", "
+                         << j << "): got " << std::setprecision(9) << got
+                         << " want " << want;
+                      mismatch = os.str();
+                    }
+                  }
+                }
+                if (!mismatch.empty() && ++failed <= 10) {
+                  ADD_FAILURE()
+                      << "backend " << kern::backend_name(backend) << " m=" << m
+                      << " n=" << n << " k=" << k << " tA=" << trans_a
+                      << " alpha=" << alpha << " beta=" << beta << " "
+                      << mismatch;
+                }
+              }
+            }
+          }
         }
       }
     }
-    // Columns 5 (through the NaN) and 13 (through the Inf) must be
-    // poisoned: 0 * NaN = NaN and 0 * Inf = NaN reach every output row.
-    for (std::int64_t i = 0; i < m; ++i) {
-      EXPECT_TRUE(std::isnan(c_fast[static_cast<std::size_t>(i * n + 5)]))
-          << "backend " << kern::backend_name(backend) << " row " << i;
-      EXPECT_TRUE(std::isnan(c_fast[static_cast<std::size_t>(i * n + 13)]))
-          << "backend " << kern::backend_name(backend) << " row " << i;
-    }
+    EXPECT_EQ(cases, 15 * 5 * 5 * 2 * 2 * 3);
+    EXPECT_EQ(failed, 0) << "backend " << kern::backend_name(backend) << ": "
+                         << failed << " of " << cases
+                         << " narrow products differ from the padded product";
   }
 }
 

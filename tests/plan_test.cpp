@@ -540,21 +540,25 @@ TEST(PlanServe, PlannedLanesMatchEagerLanesBitForBit) {
 // Acceptance contract: steady-state execute performs zero heap
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
 // pack buffer is thread_local), then eight measured executes must leave
-// the global allocation counter untouched.
+// the global allocation counter untouched. tinycnn's GEMMs all take the
+// row-panel path; vgg16's convs over 2x2 maps (n = 4 < 16) take the
+// transposed narrow-product path at every batch size.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
-  const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 11);
-  const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
-  ut::Rng rng(5);
-  const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
-  std::memcpy(plan->input_view(4).data(), x.data(),
-              sizeof(float) * static_cast<std::size_t>(x.numel()));
-  (void)plan->execute(4);
-  (void)plan->execute(4);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 8; ++i) (void)plan->execute(4);
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "steady-state execute allocated " << (after - before) << " times";
+  for (const char* name : {"tinycnn", "vgg16"}) {
+    const auto model = zoo_model(name, core::Scheme::clip_act, 11);
+    const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
+    ut::Rng rng(5);
+    const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+    std::memcpy(plan->input_view(4).data(), x.data(),
+                sizeof(float) * static_cast<std::size_t>(x.numel()));
+    (void)plan->execute(4);
+    (void)plan->execute(4);
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 8; ++i) (void)plan->execute(4);
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << name << ": steady-state execute allocated "
+                                  << (after - before) << " times";
+  }
 }
 #endif  // FITACT_COUNT_ALLOCS
 
