@@ -26,7 +26,8 @@ namespace {
 using namespace fitact;
 
 // The dispatched-vs-scalar pairs below (BM_Sgemm / BM_SgemmScalar, the
-// activation family / BM_ActivationClipActScalar, BM_ModelForwardPlanned /
+// activation family / BM_ActivationClipActScalar and
+// BM_ActivationFitReluScalar, BM_ModelForwardPlanned /
 // BM_ModelForwardPlannedScalar) are the kernel-dispatch A/B: the unsuffixed
 // form runs whatever backend the process resolved (AVX2 where supported),
 // the Scalar form pins the portable backend for the duration of the
@@ -141,12 +142,17 @@ void BM_ActivationClipActScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   activation_bench(state, core::Scheme::clip_act);
 }
+void BM_ActivationFitReluScalar(benchmark::State& state) {
+  const kern::BackendGuard guard(kern::Backend::scalar);
+  activation_bench(state, core::Scheme::fitrelu);
+}
 BENCHMARK(BM_ActivationRelu);
 BENCHMARK(BM_ActivationClipAct);
 BENCHMARK(BM_ActivationClipActScalar);
 BENCHMARK(BM_ActivationRanger);
 BENCHMARK(BM_ActivationFitReluNaive);
 BENCHMARK(BM_ActivationFitRelu);
+BENCHMARK(BM_ActivationFitReluScalar);
 
 // Whole-model inference A/B: the eager forward (fresh tensors per op, graph
 // bookkeeping) vs the recorded plan (pre-planned arena, zero steady-state

@@ -14,13 +14,13 @@
 // Kernels write through raw pointers (eager ops pass freshly allocated
 // Tensors, plans pass arena offsets) and never allocate.
 //
-// The hot inner loops (ReLU, bound-clamp with event counting, elementwise
-// add, bias adds, and the GEMM behind linear/conv) dispatch through the
-// runtime kernel layer (tensor/kernels/kernels.h): AVX2/FMA on hosts that
-// have it, the portable scalar backend otherwise. The elementwise kernels
-// are bit-identical across backends, so the plan-vs-eager output contract
-// is unaffected by dispatch; forcing the scalar backend (FITACT_KERNELS=
-// scalar) A/Bs the whole forward path on any host.
+// The hot inner loops (ReLU, bound-clamp with event counting, FitReLU,
+// elementwise add, bias adds, and the GEMM behind linear/conv) dispatch
+// through the runtime kernel layer (tensor/kernels/kernels.h): AVX2/FMA on
+// hosts that have it, the portable scalar backend otherwise. The elementwise
+// kernels are bit-identical across backends, so the plan-vs-eager output
+// contract is unaffected by dispatch; forcing the scalar backend
+// (FITACT_KERNELS=scalar) A/Bs the whole forward path on any host.
 #pragma once
 
 #include <cmath>
@@ -119,24 +119,16 @@ inline std::uint64_t clipped_relu_forward(const float* x, const float* bound,
 }
 
 /// Trainable FitReLU forward (paper Eq. 6): y = max(0, x*sigmoid(k*(l-x))).
-/// Clamp counting fuses in exactly as for clipped_relu_forward.
+/// Clamp counting fuses in exactly as for clipped_relu_forward. The
+/// dispatched kernel's sigmoid gives stable_sigmoid's values (see
+/// kern::fitrelu), which the backward pass keeps using.
 inline std::uint64_t fitrelu_forward(const float* x, const float* lambda,
                                      std::int64_t lambda_numel,
                                      const FeatureBroadcast& fb, float k,
                                      float* o, std::int64_t n,
                                      bool count = false) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    const float li = lambda[fb.map(i % fb.feat, lambda_numel)];
-    if (count) events += xi > li;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-      continue;
-    }
-    o[i] = xi * stable_sigmoid(k * (li - xi));
-  }
-  return events;
+  return kern::fitrelu(x, lambda, lambda_numel, fb.feat, fb.hw, k, o, n,
+                       count);
 }
 
 // ---- linear algebra --------------------------------------------------------

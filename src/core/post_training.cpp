@@ -38,6 +38,33 @@ double clean_accuracy(nn::Module& model, const data::Dataset& ds,
                    : 0.0;
 }
 
+/// Turns requires_grad off, for its lifetime, on every model parameter
+/// that is not one of `keep` and restores those flags on exit, including
+/// when post-training throws. Frozen weights then cost no gradient work in
+/// the backward pass (the conv backward skips dW and db) and no gradient
+/// storage that would outlive the run.
+class FreezeAllBut {
+ public:
+  FreezeAllBut(const nn::Module& model, const std::vector<Variable>& keep) {
+    for (const auto& p : model.named_parameters()) {
+      const bool kept =
+          std::any_of(keep.begin(), keep.end(),
+                      [&p](const Variable& k) { return k.is_same(p.var); });
+      if (kept || !p.var.requires_grad()) continue;
+      frozen_.push_back(p.var);
+      frozen_.back().set_requires_grad(false);
+    }
+  }
+  ~FreezeAllBut() {
+    for (auto& v : frozen_) v.set_requires_grad(true);
+  }
+  FreezeAllBut(const FreezeAllBut&) = delete;
+  FreezeAllBut& operator=(const FreezeAllBut&) = delete;
+
+ private:
+  std::vector<Variable> frozen_;
+};
+
 double bound_energy(const std::vector<Variable>& lambdas) {
   double acc = 0.0;
   for (const auto& l : lambdas) {
@@ -95,8 +122,10 @@ PostTrainReport post_train_bounds(nn::Module& model,
       clean_accuracy(model, val, config.val_samples, config.batch_size);
   report.initial_bound_energy = bound_energy(lambdas);
 
-  // Theta_A stays frozen: only lambdas enter the optimiser, and the model
-  // runs in eval mode so BatchNorm statistics are not perturbed.
+  // Theta_A stays frozen: only lambdas enter the optimiser, no other
+  // parameter records gradients, and the model runs in eval mode so
+  // BatchNorm statistics are not perturbed.
+  const FreezeAllBut freeze(model, lambdas);
   model.set_training(false);
   nn::Adam adam(lambdas, config.lr);
   const float reg_scale = config.zeta / static_cast<float>(bound_n);

@@ -59,7 +59,9 @@ struct PostTrainReport {
 /// Run resilience post-training over the fitrelu bounds of `model`.
 /// `baseline_accuracy` is A(Theta_A), the clean accuracy of the model before
 /// protection (the constraint reference in Eq. 9). The model must already be
-/// protected with Scheme::fitrelu (see core/protection.h).
+/// protected with Scheme::fitrelu (see core/protection.h). Only the bounds
+/// record gradients: every other parameter has requires_grad turned off for
+/// the run, and its flag restored on return or throw.
 PostTrainReport post_train_bounds(nn::Module& model,
                                   const data::Dataset& train,
                                   const data::Dataset& val,

@@ -216,8 +216,11 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
     std::unique_ptr<quant::ParamImage> image;
     std::unique_ptr<fault::Injector> injector;
   };
-  const std::shared_ptr<data::Dataset> test = pm.test;
-  return [&pm, test, ec](std::size_t lane) {
+  // Every trial evaluates the same fixed subset: materialise it once and
+  // share it read-only across lanes rather than regenerate it per trial.
+  const auto subset =
+      std::make_shared<const EvalBatch>(materialize_eval_batch(*pm.test, ec));
+  return [&pm, subset, ec](std::size_t lane) {
     auto ctx = std::make_shared<Lane>();
     ctx->model = lane == 0 ? pm.model : replicate_model(pm);
     ctx->image =
@@ -227,8 +230,8 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
     fault::CampaignWorker w;
     w.keepalive = ctx;
     w.injector = ctx->injector.get();
-    w.evaluate = [ctx, test, ec] {
-      return evaluate_accuracy(*ctx->model, *test, ec);
+    w.evaluate = [ctx, subset, ec] {
+      return evaluate_accuracy(*ctx->model, *subset, ec);
     };
     w.sync = [ctx, &pm](bool source_changed) {
       if (source_changed && ctx->model != pm.model) {

@@ -117,7 +117,9 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
 /// Campaign worker factory over the prepared model: lane 0 injects into
 /// pm.model itself (and leaves it restored), every other lane gets its own
 /// replica + parameter image + injector; all lanes evaluate accuracy on
-/// pm.test under `ec`. `pm` must outlive the campaign run.
+/// pm.test under `ec`. The evaluated subset is materialised once, here, and
+/// shared read-only by every lane and trial. `pm` must outlive the campaign
+/// run.
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 

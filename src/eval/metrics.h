@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "data/dataset.h"
 #include "nn/module.h"
+#include "tensor/tensor.h"
 
 namespace fitact::ev {
 
@@ -15,9 +17,31 @@ struct EvalConfig {
   std::int64_t max_samples = 0;
 };
 
+/// An evaluation subset materialised once: images [N, 3, 32, 32] and their
+/// labels. Fault campaigns evaluate the same subset on every trial, so they
+/// build it once and share it read-only across lanes instead of
+/// regenerating it from the dataset per trial.
+struct EvalBatch {
+  Tensor images;
+  std::vector<std::int64_t> labels;
+};
+
+/// The samples evaluate_accuracy(model, dataset, config) evaluates: the
+/// first config.max_samples of the dataset (all of it when <= 0).
+[[nodiscard]] EvalBatch materialize_eval_batch(const data::Dataset& dataset,
+                                               const EvalConfig& config);
+
 /// Top-1 accuracy in [0,1]. Puts the model in eval mode; no gradients.
 [[nodiscard]] double evaluate_accuracy(nn::Module& model,
                                        const data::Dataset& dataset,
+                                       const EvalConfig& config = {});
+
+/// The same over a pre-built batch, forwarded in the same config.batch_size
+/// chunks (config.max_samples was applied when the batch was built), so the
+/// result equals the dataset overload's on the dataset the batch came from.
+/// Only reads the batch: lanes may share one.
+[[nodiscard]] double evaluate_accuracy(nn::Module& model,
+                                       const EvalBatch& batch,
                                        const EvalConfig& config = {});
 
 }  // namespace fitact::ev

@@ -88,21 +88,25 @@ Backend startup_backend() noexcept {
   return b;
 }
 
-/// Active table. Memory order: the tables are immutable statics, so relaxed
-/// loads are safe — a racing reader sees either the old or the new backend,
-/// both fully constructed. (Backend switches mid-forward are excluded by
-/// the force_backend contract, not by this pointer.)
+/// Active table. Memory order: release stores publish a table, acquire
+/// loads read it. The tables themselves are immutable once built, but the
+/// VNNI table is a function-local static built on first use, so a thread
+/// that reads it through this pointer (a pool worker inside a GEMM) must
+/// synchronise with the thread that built it; a relaxed load would let it
+/// see the pointer before the table's contents. On x86 both orders compile
+/// to plain moves. (Backend switches mid-forward are excluded by the
+/// force_backend contract, not by this pointer.)
 std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<Backend> g_backend{Backend::scalar};
 
 const KernelTable& active_table() noexcept {
-  const KernelTable* t = g_table.load(std::memory_order_relaxed);
+  const KernelTable* t = g_table.load(std::memory_order_acquire);
   if (t != nullptr) return *t;
   // First use (possibly concurrent: both writers install identical values).
   const Backend b = startup_backend();
   g_backend.store(b, std::memory_order_relaxed);
   t = table_for(b);
-  g_table.store(t, std::memory_order_relaxed);
+  g_table.store(t, std::memory_order_release);
   return *t;
 }
 
@@ -170,7 +174,7 @@ const char* backend_name(Backend b) noexcept {
 Backend force_backend(Backend b) noexcept {
   if (b == Backend::avx2 && !cpu_has_avx2_fma()) b = Backend::scalar;
   g_backend.store(b, std::memory_order_relaxed);
-  g_table.store(table_for(b), std::memory_order_relaxed);
+  g_table.store(table_for(b), std::memory_order_release);
   return b;
 }
 
@@ -210,6 +214,14 @@ std::uint64_t count_over_bound(const float* x, const float* bound,
                                std::int64_t bound_numel, std::int64_t feat,
                                std::int64_t hw, std::int64_t n) noexcept {
   return active_table().count_over_bound(x, bound, bound_numel, feat, hw, n);
+}
+
+std::uint64_t fitrelu(const float* x, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* o, std::int64_t n,
+                      bool count) noexcept {
+  return active_table().fitrelu(x, lambda, lambda_numel, feat, hw, k, o, n,
+                                count);
 }
 
 std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,

@@ -24,6 +24,10 @@ struct KernelTable {
                                     std::int64_t bound_numel,
                                     std::int64_t feat, std::int64_t hw,
                                     std::int64_t n) noexcept;
+  std::uint64_t (*fitrelu)(const float* x, const float* lambda,
+                           std::int64_t lambda_numel, std::int64_t feat,
+                           std::int64_t hw, float k, float* o, std::int64_t n,
+                           bool count) noexcept;
   // Fused GEMM epilogues (bias + bound-clamp + optional event count in one
   // pass over the output while it is still cache-hot): const/rowwise bias x
   // const/rowwise bound. See kernels.h for the exact per-element contract.
@@ -79,6 +83,66 @@ struct KernelTable {
                                          bool saturate, std::int64_t n,
                                          bool count) noexcept;
 };
+
+/// Walks n elements laid out as per-sample rows of `feat` features (the last
+/// row may be partial) in spans that share one bound rule, so the bound
+/// index is resolved per span instead of per element: span_const(offset,
+/// len, b) for spans under the single bound *b (bound_numel 1, or channel c
+/// of an hw-long plane under per-channel bounds) and span_row(offset, len,
+/// row) for per-neuron rows whose element j takes row[j]. This is
+/// FeatureBroadcast's map (autograd/op_kernels.h). Returns the sum of the
+/// span results (the clamp-event counts).
+template <class SpanConst, class SpanRow>
+inline std::uint64_t over_bound_spans(const float* bound,
+                                      std::int64_t bound_numel,
+                                      std::int64_t feat, std::int64_t hw,
+                                      std::int64_t n, SpanConst span_const,
+                                      SpanRow span_row) {
+  if (bound_numel == 1) return span_const(0, n, bound);
+  std::uint64_t events = 0;
+  for (std::int64_t base = 0; base < n; base += feat) {
+    const std::int64_t row = base + feat <= n ? feat : n - base;
+    if (bound_numel == feat) {
+      events += span_row(base, row, bound);
+    } else {  // per-channel: bound index = fi / hw
+      for (std::int64_t f = 0; f < row; f += hw) {
+        const std::int64_t span = f + hw <= row ? hw : row - f;
+        events += span_const(base + f, span, bound + f / hw);
+      }
+    }
+  }
+  return events;
+}
+
+// Data of glibc's table-driven expf (sysdeps/ieee754/flt-32/e_expf.c, since
+// glibc 2.28), which both backends' fitrelu evaluate: exp(x) = 2^(k/N) *
+// 2^(r/N) with N = 32, k = round(x * N/ln2) and r = x * N/ln2 - k, where
+// 2^(k/N) comes from the table below (entry i holds the bits of 2^(i/N)
+// minus i << 47, so adding k << 47 to entry k % N also applies 2^floor(k/N))
+// and 2^(r/N) from a cubic in r. kExpfShift rounds k to nearest in the
+// double adder. See scalar table_expf (kernels_scalar.cpp) for the steps.
+inline constexpr std::uint64_t kExpfTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+inline constexpr double kExpfInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln 2
+inline constexpr double kExpfShift = 0x1.8p+52;
+inline constexpr double kExpfC0 = 0x1.c6af84b912394p-20;  // cubic in r
+inline constexpr double kExpfC1 = 0x1.ebfce50fac4f3p-13;
+inline constexpr double kExpfC2 = 0x1.62e42ff0c52d6p-6;
+/// Below this, exp(x) rounds to 0 in float (x < ln 2^-150).
+inline constexpr float kExpfUnderflow = -0x1.9fe368p6f;
+/// Above this, exp(x) rounds to +inf in float (x > ln 2^128).
+inline constexpr float kExpfOverflow = 0x1.62e42ep6f;
 
 // Int8 backend implementations live in their own translation units
 // (kernels_scalar_i8.cpp, kernels_avx2_i8.cpp) and are referenced cross-TU

@@ -1,10 +1,10 @@
 // Runtime-dispatched CPU microkernels for the serving hot path.
 //
 // Every compute inner loop that serving throughput depends on — the SGEMM
-// panel kernel, ReLU / bound-clamp / bias-add elementwise passes, and the
-// clamp-event counter behind the fault detector — funnels through the entry
-// points declared here. A process-wide dispatch table binds each entry point
-// to one backend:
+// panel kernel, ReLU / bound-clamp / FitReLU / bias-add elementwise passes,
+// and the clamp-event counter behind the fault detector — funnels through
+// the entry points declared here. A process-wide dispatch table binds each
+// entry point to one backend:
 //
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
@@ -21,9 +21,14 @@
 // (see BackendGuard).
 //
 // Semantics contract per backend:
-//   * Elementwise kernels (relu / clip / add / bias) are bit-identical
-//     across backends, including NaN/Inf handling and signed zeros — the
-//     vector forms mirror the scalar branch structure exactly.
+//   * Elementwise kernels (relu / clip / add / bias / count_over_bound /
+//     fused_bias_clip_* / fitrelu) are bit-identical across backends,
+//     including NaN/Inf handling and signed zeros (where the result is NaN
+//     it is NaN on both; the payload is not part of the contract) — the
+//     vector forms mirror the scalar branch structure exactly. fitrelu's
+//     sigmoid needs an exp, and both backends evaluate the same one:
+//     table_expf, glibc's table-driven expf algorithm, in double with the
+//     same fused steps. kernels_test pins all of this.
 //   * gemm_panel accumulates in a backend-specific order (the AVX2 kernel
 //     uses FMA), so backends agree only to the per-element forward-error
 //     bound gemm_fuzz_test enforces — never rely on cross-backend
@@ -165,6 +170,30 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
 std::uint64_t count_over_bound(const float* x, const float* bound,
                                std::int64_t bound_numel, std::int64_t feat,
                                std::int64_t hw, std::int64_t n) noexcept;
+
+/// Trainable FitReLU forward (paper Eq. 6) with fused clamp-event counting,
+/// over n elements laid out as for clipped_relu (same bound broadcast,
+/// lambda being the bound). Per element, with l = the element's bound and
+/// t = k * (l - x):
+///   x <= 0  -> 0
+///   else    -> x * s, s = (t >= 0 ? 1 : e) / (1 + e), e = table_expf(-|t|)
+/// s is the sigmoid of t; a NaN x, or a NaN t where x > 0, gives NaN.
+/// Returns the number of elements with x > l when `count` is set, 0
+/// otherwise.
+std::uint64_t fitrelu(const float* x, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* o, std::int64_t n,
+                      bool count) noexcept;
+
+/// exp(x) in float by the table-driven algorithm glibc's expf uses since
+/// 2.28 (32-entry 2^(i/32) table, cubic in double, both range-reduction
+/// products fused): below ln 2^-150 -> 0, above ln 2^128 -> +inf, NaN ->
+/// x + x. Not dispatched: this is the exp both fitrelu backends compute,
+/// lane for lane. It equals std::exp bit for bit where glibc >= 2.28
+/// selects its FMA build (x86-64 with FMA and AVX2), so there fitrelu
+/// equals the std::exp form of the sigmoid (ag::stable_sigmoid); glibc's
+/// other builds differ from it by at most 1 ulp.
+[[nodiscard]] float table_expf(float x) noexcept;
 
 // ---- fused GEMM epilogues --------------------------------------------------
 //

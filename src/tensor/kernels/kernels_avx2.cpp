@@ -6,9 +6,10 @@
 //
 // Semantics: the elementwise kernels reproduce the scalar backend
 // bit-exactly (identical branch structure via ordered-quiet compares and
-// blends, so NaN/Inf/-0.0 behave the same); gemm_panel accumulates with FMA
-// in 16-column register tiles, which changes rounding relative to scalar —
-// cross-backend GEMM agreement is to forward-error bounds only
+// blends, so NaN/Inf/-0.0 behave the same; fitrelu runs the scalar
+// backend's expf steps lane for lane in double); gemm_panel accumulates
+// with FMA in 16-column register tiles, which changes rounding relative to
+// scalar — cross-backend GEMM agreement is to forward-error bounds only
 // (gemm_fuzz_test's per-element tolerance).
 #include "tensor/kernels/kernel_table.h"
 
@@ -216,24 +217,14 @@ std::uint64_t avx2_clipped_relu(const float* x, const float* bound,
                                 std::int64_t bound_numel, std::int64_t feat,
                                 std::int64_t hw, bool saturate, float* o,
                                 std::int64_t n, bool count) noexcept {
-  if (bound_numel == 1) {
-    return clip_span_const(x, bound[0], saturate, o, n, count);
-  }
-  std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += clip_span_rowwise(x + base, bound, saturate, o + base, row,
-                                  count);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += clip_span_const(x + base + f, bound[f / hw], saturate,
-                                  o + base + f, span, count);
-      }
-    }
-  }
-  return events;
+  return over_bound_spans(
+      bound, bound_numel, feat, hw, n,
+      [&](std::int64_t off, std::int64_t len, const float* b) {
+        return clip_span_const(x + off, *b, saturate, o + off, len, count);
+      },
+      [&](std::int64_t off, std::int64_t len, const float* row) {
+        return clip_span_rowwise(x + off, row, saturate, o + off, len, count);
+      });
 }
 
 inline std::uint64_t count_span_const(const float* x, float bound,
@@ -261,20 +252,118 @@ std::uint64_t avx2_count_over_bound(const float* x, const float* bound,
                                     std::int64_t bound_numel,
                                     std::int64_t feat, std::int64_t hw,
                                     std::int64_t n) noexcept {
-  if (bound_numel == 1) return count_span_const(x, bound[0], n);
+  return over_bound_spans(
+      bound, bound_numel, feat, hw, n,
+      [x](std::int64_t off, std::int64_t len, const float* b) {
+        return count_span_const(x + off, *b, len);
+      },
+      [x](std::int64_t off, std::int64_t len, const float* row) {
+        return count_span_rowwise(x + off, row, len);
+      });
+}
+
+// ---- FitReLU ---------------------------------------------------------------
+
+/// table_expf's double-precision steps (kernels_scalar.cpp) on 4 lanes, for
+/// arguments that take its main path. The explicit fmadd/fmsub are the
+/// scalar form's std::fma calls; the other steps are the same single IEEE
+/// operations, so each lane is bit-identical to the scalar result.
+inline __m256d expf_steps4(__m256d xd) noexcept {
+  const __m256d inv_ln2n = _mm256_set1_pd(kExpfInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpfShift);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  const __m256i entry = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExpfTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s = _mm256_castsi256_pd(
+      _mm256_add_epi64(entry, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpfC0), r,
+                                    _mm256_set1_pd(kExpfC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpfC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_mul_pd(y, s);
+}
+
+/// table_expf on 8 lanes whose arguments are <= 0 or NaN (fitrelu's
+/// -|t|), so the overflow branch never applies: each half runs in double,
+/// then the underflow (-> 0, including -inf) and NaN (-> a + a) cases are
+/// blended over the main-path result.
+inline __m256 exp8_nonpositive(__m256 a) noexcept {
+  const __m128 lo = _mm256_cvtpd_ps(
+      expf_steps4(_mm256_cvtps_pd(_mm256_castps256_ps128(a))));
+  const __m128 hi = _mm256_cvtpd_ps(
+      expf_steps4(_mm256_cvtps_pd(_mm256_extractf128_ps(a, 1))));
+  __m256 e = _mm256_set_m128(hi, lo);
+  e = _mm256_blendv_ps(
+      e, _mm256_setzero_ps(),
+      _mm256_cmp_ps(a, _mm256_set1_ps(kExpfUnderflow), _CMP_LT_OQ));
+  return _mm256_blendv_ps(e, _mm256_add_ps(a, a),
+                          _mm256_cmp_ps(a, a, _CMP_UNORD_Q));
+}
+
+/// The scalar backend's fitrelu1 on 8 lanes: x <= 0 -> 0, else
+/// x * ((t >= 0 ? 1 : e) / (1 + e)) with t = k * (l - x), e = exp(-|t|).
+inline __m256 fitrelu8(__m256 x, __m256 l, __m256 k) noexcept {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 t = _mm256_mul_ps(k, _mm256_sub_ps(l, x));
+  const __m256 e = exp8_nonpositive(_mm256_or_ps(t, _mm256_set1_ps(-0.0f)));
+  const __m256 num =
+      _mm256_blendv_ps(e, one, _mm256_cmp_ps(t, zero, _CMP_GE_OQ));
+  const __m256 y =
+      _mm256_mul_ps(x, _mm256_div_ps(num, _mm256_add_ps(one, e)));
+  return _mm256_blendv_ps(y, zero, _mm256_cmp_ps(x, zero, _CMP_LE_OQ));
+}
+
+/// One span of n elements under one bound (*l) or, when kRowwise, the bound
+/// row l[0, n). The n % 8 tail runs the same vector steps on masked loads:
+/// lanes past n are neither stored nor counted.
+template <bool kRowwise>
+std::uint64_t fitrelu_span(const float* x, const float* l, float k, float* o,
+                           std::int64_t n, bool count) noexcept {
+  const __m256 kv = _mm256_set1_ps(k);
+  const __m256 lc = _mm256_set1_ps(*l);
   std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += count_span_rowwise(x + base, bound, row);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += count_span_const(x + base + f, bound[f / hw], span);
-      }
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + i);
+    const __m256 lv = kRowwise ? _mm256_loadu_ps(l + i) : lc;
+    if (count) events += count8(xv, lv);
+    _mm256_storeu_ps(o + i, fitrelu8(xv, lv, kv));
+  }
+  if (i < n) {
+    const __m256i live =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 xv = _mm256_maskload_ps(x + i, live);
+    const __m256 lv = kRowwise ? _mm256_maskload_ps(l + i, live) : lc;
+    if (count) {
+      const int over = _mm256_movemask_ps(_mm256_cmp_ps(xv, lv, _CMP_GT_OQ)) &
+                       _mm256_movemask_ps(_mm256_castsi256_ps(live));
+      events += static_cast<std::uint64_t>(
+          __builtin_popcount(static_cast<unsigned>(over)));
     }
+    _mm256_maskstore_ps(o + i, live, fitrelu8(xv, lv, kv));
   }
   return events;
+}
+
+std::uint64_t avx2_fitrelu(const float* x, const float* lambda,
+                           std::int64_t lambda_numel, std::int64_t feat,
+                           std::int64_t hw, float k, float* o, std::int64_t n,
+                           bool count) noexcept {
+  return over_bound_spans(
+      lambda, lambda_numel, feat, hw, n,
+      [&](std::int64_t off, std::int64_t len, const float* b) {
+        return fitrelu_span<false>(x + off, b, k, o + off, len, count);
+      },
+      [&](std::int64_t off, std::int64_t len, const float* row) {
+        return fitrelu_span<true>(x + off, row, k, o + off, len, count);
+      });
 }
 
 // ---- fused GEMM epilogues --------------------------------------------------
@@ -381,6 +470,7 @@ const KernelTable& avx2_table() noexcept {
       avx2_add,           avx2_bias_add_row,
       avx2_bias_add_const, avx2_clipped_relu,
       avx2_count_over_bound,
+      avx2_fitrelu,
       avx2_fused_bias_clip_cc,
       avx2_fused_bias_clip_cr,
       avx2_fused_bias_clip_rc,

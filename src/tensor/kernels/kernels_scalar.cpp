@@ -5,9 +5,39 @@
 // zero-skip the old GEMM panel carried, which silently dropped NaN/Inf
 // propagation from B whenever the matching A element was zero (exactly the
 // values injected hardware faults produce; gemm_fuzz_test now pins this).
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "tensor/kernels/kernel_table.h"
+#include "tensor/kernels/kernels.h"
 
 namespace fitact::kern {
+
+// glibc's expf (kExpfTable in kernel_table.h), step for step. The two
+// products with 32/ln2 are fused into their adds, as glibc's FMA build
+// contracts them, and the cubic is evaluated with the same three fmas; every
+// other step is a single IEEE operation in double, so std::fma's exact
+// rounding makes the result independent of the ISA this TU targets.
+float table_expf(float x) noexcept {
+  if (!(x >= kExpfUnderflow)) return std::isnan(x) ? x + x : 0.0f;
+  if (x > kExpfOverflow) return std::numeric_limits<float>::infinity();
+  const double xd = x;
+  // k = round(x * 32/ln2): adding 1.5 * 2^52 leaves k in the low mantissa
+  // bits; r = x * 32/ln2 - k lies in [-1/2, 1/2].
+  double kd = std::fma(kExpfInvLn2N, xd, kExpfShift);
+  const auto ki = std::bit_cast<std::uint64_t>(kd);
+  kd -= kExpfShift;
+  const double r = std::fma(kExpfInvLn2N, xd, -kd);
+  // s = 2^(k/32): table entry k % 32 with floor(k/32) added to its exponent.
+  const double s = std::bit_cast<double>(kExpfTable[ki % 32] + (ki << 47));
+  const double z = std::fma(kExpfC0, r, kExpfC1);
+  const double r2 = r * r;
+  double y = std::fma(kExpfC2, r, 1.0);
+  y = std::fma(z, r2, y);
+  return static_cast<float>(y * s);
+}
+
 namespace {
 
 void scalar_gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb,
@@ -95,26 +125,14 @@ std::uint64_t scalar_clipped_relu(const float* x, const float* bound,
                                   std::int64_t bound_numel, std::int64_t feat,
                                   std::int64_t hw, bool saturate, float* o,
                                   std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  if (bound_numel == 1) {
-    return clip_span_const(x, bound[0], saturate, o, n, count);
-  }
-  // Walk whole per-sample rows; inside a row the bound broadcast is either
-  // elementwise (per-neuron) or constant over hw-length channel spans.
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += clip_span_rowwise(x + base, bound, saturate, o + base, row,
-                                  count);
-    } else {  // per-channel: bound index = fi / hw
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += clip_span_const(x + base + f, bound[f / hw], saturate,
-                                  o + base + f, span, count);
-      }
-    }
-  }
-  return events;
+  return over_bound_spans(
+      bound, bound_numel, feat, hw, n,
+      [&](std::int64_t off, std::int64_t len, const float* b) {
+        return clip_span_const(x + off, *b, saturate, o + off, len, count);
+      },
+      [&](std::int64_t off, std::int64_t len, const float* row) {
+        return clip_span_rowwise(x + off, row, saturate, o + off, len, count);
+      });
 }
 
 /// Count-only spans mirroring clip_span_*: events += x > bound.
@@ -136,20 +154,55 @@ std::uint64_t scalar_count_over_bound(const float* x, const float* bound,
                                       std::int64_t bound_numel,
                                       std::int64_t feat, std::int64_t hw,
                                       std::int64_t n) noexcept {
-  if (bound_numel == 1) return count_span_const(x, bound[0], n);
+  return over_bound_spans(
+      bound, bound_numel, feat, hw, n,
+      [x](std::int64_t off, std::int64_t len, const float* b) {
+        return count_span_const(x + off, *b, len);
+      },
+      [x](std::int64_t off, std::int64_t len, const float* row) {
+        return count_span_rowwise(x + off, row, len);
+      });
+}
+
+/// FitReLU of one element (paper Eq. 6): x * sigmoid(t), t = k * (l - x),
+/// for x > 0, else 0. The sigmoid is 1 / (1 + e) for t >= 0 and e / (1 + e)
+/// below, with e = exp(-|t|) in both cases: the same values
+/// ag::stable_sigmoid computes, from one exp argument that is never
+/// positive and one division.
+inline float fitrelu1(float x, float l, float k) noexcept {
+  if (x <= 0.0f) return 0.0f;
+  const float t = k * (l - x);
+  const float e = table_expf(-std::fabs(t));
+  return x * ((t >= 0.0f ? 1.0f : e) / (1.0f + e));
+}
+
+/// One span of fitrelu; element i's bound is l[i * l_step] (l_step 0: one
+/// bound for the span, 1: a per-neuron row).
+inline std::uint64_t fitrelu_span(const float* x, const float* l,
+                                  std::int64_t l_step, float k, float* o,
+                                  std::int64_t n, bool count) noexcept {
   std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += count_span_rowwise(x + base, bound, row);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += count_span_const(x + base + f, bound[f / hw], span);
-      }
-    }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    const float li = l[i * l_step];
+    if (count) events += xi > li;
+    o[i] = fitrelu1(xi, li, k);
   }
   return events;
+}
+
+std::uint64_t scalar_fitrelu(const float* x, const float* lambda,
+                             std::int64_t lambda_numel, std::int64_t feat,
+                             std::int64_t hw, float k, float* o,
+                             std::int64_t n, bool count) noexcept {
+  return over_bound_spans(
+      lambda, lambda_numel, feat, hw, n,
+      [&](std::int64_t off, std::int64_t len, const float* b) {
+        return fitrelu_span(x + off, b, 0, k, o + off, len, count);
+      },
+      [&](std::int64_t off, std::int64_t len, const float* row) {
+        return fitrelu_span(x + off, row, 1, k, o + off, len, count);
+      });
 }
 
 // Fused GEMM epilogues: the bias add and the clamp are the same float ops
@@ -241,6 +294,7 @@ const KernelTable& scalar_table() noexcept {
       scalar_add,           scalar_bias_add_row,
       scalar_bias_add_const, scalar_clipped_relu,
       scalar_count_over_bound,
+      scalar_fitrelu,
       scalar_fused_bias_clip_cc,
       scalar_fused_bias_clip_cr,
       scalar_fused_bias_clip_rc,

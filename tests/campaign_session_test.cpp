@@ -2,14 +2,17 @@
 // a rate grid) and the init-skipping model construction path replicas use.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/activation.h"
 #include "core/protection.h"
+#include "data/dataset.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "fault/campaign.h"
+#include "fault/injector.h"
 #include "models/registry.h"
 #include "nn/serialize.h"
 #include "quant/param_image.h"
@@ -105,6 +108,66 @@ TEST(CampaignSession, TouchForcesResyncAfterDirectMutation) {
   expect_equal_results(session.run(1e-5, 62),
                        campaign_at_rate(fresh, 1e-5, scale, 62),
                        "post-touch");
+}
+
+/// Dataset wrapper that counts how many images are generated through it.
+class CountingDataset : public data::Dataset {
+ public:
+  explicit CountingDataset(std::shared_ptr<data::Dataset> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::int64_t size() const override { return inner_->size(); }
+  [[nodiscard]] std::int64_t num_classes() const override {
+    return inner_->num_classes();
+  }
+  void image_into(std::int64_t i, float* out) const override {
+    images_.fetch_add(1, std::memory_order_relaxed);
+    inner_->image_into(i, out);
+  }
+  [[nodiscard]] std::int64_t label(std::int64_t i) const override {
+    return inner_->label(i);
+  }
+  [[nodiscard]] std::int64_t images() const { return images_.load(); }
+
+ private:
+  std::shared_ptr<data::Dataset> inner_;
+  mutable std::atomic<std::int64_t> images_{0};
+};
+
+TEST(CampaignSession, EvalSubsetIsBuiltOncePerSession) {
+  ExperimentScale scale = tiny_scale();
+  scale.campaign_threads = 2;
+  PreparedModel pm = prepare_model("tinycnn", 10, scale, "", 43);
+  PreparedModel legacy_pm = prepare_model("tinycnn", 10, scale, "", 43);
+  (void)protect_model(pm, core::Scheme::fitrelu, scale);
+  (void)protect_model(legacy_pm, core::Scheme::fitrelu, scale);
+  const auto counting = std::make_shared<CountingDataset>(pm.test);
+  pm.test = counting;
+
+  // Two runs of 6 trials over 2 lanes read the subset's images once.
+  CampaignSession session(pm, scale);
+  const fault::CampaignResult first = session.run(1e-5, 71);
+  (void)session.run(1e-4, 72);
+  EXPECT_EQ(counting->images(), scale.eval_samples);
+
+  // Same results as the legacy single-injector overload, which evaluates
+  // straight from the dataset on every trial.
+  quant::ParamImage image(*legacy_pm.model, /*include_buffers=*/false);
+  fault::Injector injector(image);
+  EvalConfig ec;
+  ec.max_samples = scale.eval_samples;
+  fault::CampaignConfig cc;
+  cc.bit_error_rate = 1e-5;
+  cc.trials = scale.trials;
+  cc.seed = 71;
+  expect_equal_results(
+      first,
+      fault::run_campaign(
+          injector,
+          [&] {
+            return evaluate_accuracy(*legacy_pm.model, *legacy_pm.test, ec);
+          },
+          cc),
+      "session vs legacy overload");
 }
 
 TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {

@@ -1,0 +1,359 @@
+// Cross-backend contract of the fp32 elementwise kernels (kernels.h): each
+// one is bit-identical between the scalar and AVX2 backends, with a NaN
+// result counting as equal to any other NaN. Inputs mix random values with
+// the values hardware faults produce (NaN, +-Inf, +-0, subnormals, huge
+// magnitudes), FitReLU exp arguments below expf's underflow threshold, span
+// lengths that are not multiples of the vector width, and every bound
+// extent (1, C, feat). table_expf, the exp inside fitrelu, is swept against
+// std::exp.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "autograd/op_kernels.h"
+#include "tensor/kernels/kernels.h"
+#include "util/rng.h"
+
+namespace fitact::kern {
+namespace {
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+bool same(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+/// Element-wise `same`; the vectors hold the scalar-backend (or reference)
+/// result first, the result under test second.
+void expect_same(const std::vector<float>& a, const std::vector<float>& b,
+                 const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same(a[i], b[i])) {
+      ADD_FAILURE() << what << ", element " << i << ": " << std::hexfloat
+                    << a[i] << " vs " << b[i];
+      return;
+    }
+  }
+}
+
+/// Uniform values in [lo, hi) with a special value at every 5th slot (which
+/// special goes where depends on the seed).
+std::vector<float> values(std::int64_t n, std::uint64_t seed, float lo,
+                          float hi) {
+  static constexpr float kSpecials[] = {
+      kNaN,    kInf,   -kInf,   0.0f,   -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -3e-39f, 1e-40f, 1e30f,   -1e30f, std::numeric_limits<float>::max(),
+      200.0f,  -200.0f};
+  constexpr std::size_t kNumSpecials = std::size(kSpecials);
+  ut::Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i % 5 == 2 ? kSpecials[(i / 5 + seed) % kNumSpecials]
+                      : rng.uniform(lo, hi);
+  }
+  return v;
+}
+
+/// Runs fn with the given backend forced, restoring the previous one.
+template <class Fn>
+auto on(Backend b, Fn fn) {
+  const BackendGuard guard(b);
+  return fn();
+}
+
+class KernelsCrossBackend : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!avx2_supported()) GTEST_SKIP() << "host has no AVX2+FMA backend";
+  }
+};
+
+// Span lengths around the 8-lane vector width.
+const std::int64_t kLengths[] = {0, 1, 7, 8, 9, 16, 31, 100};
+
+TEST_F(KernelsCrossBackend, ReluAddBias) {
+  for (const std::int64_t n : kLengths) {
+    const auto a = values(n, 1 + n, -4.0f, 4.0f);
+    const auto b = values(n, 101 + n, -4.0f, 4.0f);
+    const std::string at = " n=" + std::to_string(n);
+    const auto relu_on = [&](Backend be) {
+      std::vector<float> o(a.size());
+      on(be, [&] { kern::relu(a.data(), o.data(), n); });
+      return o;
+    };
+    expect_same(relu_on(Backend::scalar), relu_on(Backend::avx2),
+                "relu" + at);
+    const auto add_on = [&](Backend be) {
+      std::vector<float> o(a.size());
+      on(be, [&] { kern::add(a.data(), b.data(), o.data(), n); });
+      return o;
+    };
+    expect_same(add_on(Backend::scalar), add_on(Backend::avx2), "add" + at);
+    const auto bias_row_on = [&](Backend be) {
+      std::vector<float> o = a;
+      on(be, [&] { kern::bias_add_row(o.data(), b.data(), n); });
+      return o;
+    };
+    expect_same(bias_row_on(Backend::scalar), bias_row_on(Backend::avx2),
+                "bias_add_row" + at);
+    for (const float value : {0.75f, -0.0f, kNaN, -kInf}) {
+      const auto bias_const_on = [&](Backend be) {
+        std::vector<float> o = a;
+        on(be, [&] { kern::bias_add_const(o.data(), value, n); });
+        return o;
+      };
+      expect_same(bias_const_on(Backend::scalar),
+                  bias_const_on(Backend::avx2),
+                  "bias_add_const" + at + " value=" + std::to_string(value));
+    }
+  }
+}
+
+TEST_F(KernelsCrossBackend, FusedBiasClipEpilogues) {
+  for (const std::int64_t n : kLengths) {
+    const auto acc = values(n, 7 + n, -3.0f, 5.0f);
+    const auto bias = values(n, 17 + n, -1.0f, 1.0f);
+    const auto bound = values(n, 27 + n, 0.0f, 3.0f);
+    for (const bool saturate : {false, true}) {
+      for (const bool count : {false, true}) {
+        const std::string at = " n=" + std::to_string(n) +
+                               " saturate=" + std::to_string(saturate) +
+                               " count=" + std::to_string(count);
+        // One runner per variant: in place over a copy of acc.
+        const auto run = [&](Backend be, int variant) {
+          std::vector<float> o = acc;
+          const std::uint64_t events = on(be, [&] {
+            switch (variant) {
+              case 0:
+                return fused_bias_clip_cc(o.data(), 0.5f, 1.5f, saturate, n,
+                                          count);
+              case 1:
+                return fused_bias_clip_cr(o.data(), -0.25f, bound.data(),
+                                          saturate, n, count);
+              case 2:
+                return fused_bias_clip_rc(o.data(), bias.data(), 2.0f,
+                                          saturate, n, count);
+              default:
+                return fused_bias_clip_rr(o.data(), bias.data(), bound.data(),
+                                          saturate, n, count);
+            }
+          });
+          o.push_back(static_cast<float>(events));
+          return o;
+        };
+        const char* names[] = {"cc", "cr", "rc", "rr"};
+        for (int variant = 0; variant < 4; ++variant) {
+          expect_same(run(Backend::scalar, variant),
+                      run(Backend::avx2, variant),
+                      std::string("fused_bias_clip_") + names[variant] + at);
+        }
+      }
+    }
+  }
+}
+
+/// Activation geometry: n = batch * channels * hw elements, feat = c * hw.
+struct Geometry {
+  std::int64_t batch, channels, hw;
+};
+
+// Per-channel spans shorter than, equal to and longer than a vector, FC
+// rows (hw = 1), and partial trailing vectors everywhere.
+const Geometry kGeometries[] = {
+    {3, 5, 7}, {2, 4, 16}, {4, 13, 1}, {1, 3, 37}, {2, 8, 1}, {2, 6, 4}};
+
+TEST_F(KernelsCrossBackend, BoundedActivationsEveryBoundExtent) {
+  std::uint64_t seed = 1000;
+  for (const Geometry& g : kGeometries) {
+    const std::int64_t feat = g.channels * g.hw;
+    const std::int64_t n = g.batch * feat;
+    // Wide input range: x up to 200 against bounds near 1 drives FitReLU's
+    // exp argument -|k(l - x)| far below expf's underflow threshold.
+    const auto x = values(n, ++seed, -5.0f, 200.0f);
+    // Single bounds of each sign and the non-finite ones, then per-channel
+    // and per-neuron rows.
+    const std::vector<float> bounds[] = {
+        {1.5f},
+        {-0.5f},
+        {kNaN},
+        {-kInf},
+        values(g.channels, ++seed, -1.0f, 3.0f),
+        values(feat, ++seed, -1.0f, 3.0f),
+    };
+    for (const auto& bound : bounds) {
+      const auto extent = static_cast<std::int64_t>(bound.size());
+      const std::string at =
+          " batch=" + std::to_string(g.batch) +
+          " C=" + std::to_string(g.channels) + " hw=" + std::to_string(g.hw) +
+          " bound_numel=" + std::to_string(extent) +
+          " bound[0]=" + std::to_string(bound[0]);
+
+      const auto count_on = [&](Backend be) {
+        return on(be, [&] {
+          return count_over_bound(x.data(), bound.data(), extent, feat, g.hw,
+                                  n);
+        });
+      };
+      EXPECT_EQ(count_on(Backend::scalar), count_on(Backend::avx2))
+          << "count_over_bound" << at;
+
+      for (const bool count : {false, true}) {
+        for (const bool saturate : {false, true}) {
+          const auto clip_on = [&](Backend be) {
+            std::vector<float> o(x.size());
+            const std::uint64_t events = on(be, [&] {
+              return clipped_relu(x.data(), bound.data(), extent, feat, g.hw,
+                                  saturate, o.data(), n, count);
+            });
+            o.push_back(static_cast<float>(events));
+            return o;
+          };
+          expect_same(clip_on(Backend::scalar), clip_on(Backend::avx2),
+                      "clipped_relu" + at + " saturate=" +
+                          std::to_string(saturate) +
+                          " count=" + std::to_string(count));
+        }
+        for (const float k : {8.0f, 0.5f, -3.0f, 0.0f, kInf}) {
+          const auto fitrelu_on = [&](Backend be) {
+            std::vector<float> o(x.size());
+            const std::uint64_t events = on(be, [&] {
+              return fitrelu(x.data(), bound.data(), extent, feat, g.hw, k,
+                             o.data(), n, count);
+            });
+            o.push_back(static_cast<float>(events));
+            return o;
+          };
+          expect_same(fitrelu_on(Backend::scalar), fitrelu_on(Backend::avx2),
+                      "fitrelu" + at + " k=" + std::to_string(k) +
+                          " count=" + std::to_string(count));
+        }
+      }
+      // In place, as plans run it.
+      const auto fitrelu_in_place_on = [&](Backend be) {
+        std::vector<float> o = x;
+        (void)on(be, [&] {
+          return fitrelu(o.data(), bound.data(), extent, feat, g.hw, 8.0f,
+                         o.data(), n, true);
+        });
+        return o;
+      };
+      expect_same(fitrelu_in_place_on(Backend::scalar),
+                  fitrelu_in_place_on(Backend::avx2),
+                  "fitrelu in place" + at);
+    }
+  }
+}
+
+/// True where glibc's expf is this algorithm with the same fused steps:
+/// glibc >= 2.28 selects its FMA build on x86-64 hosts with FMA and AVX2.
+bool std_exp_is_table_expf() {
+#if defined(__GLIBC__) && defined(__x86_64__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 28))
+  return avx2_supported();
+#else
+  return false;
+#endif
+}
+
+// The one float in [-103.97, 0] whose exp depends on fusing the range
+// reduction r = fma(32/ln2, x, -k): left unfused, the result is 1 ulp low.
+// (An exhaustive search found no input that the fusion of k or of the cubic
+// changes.)
+constexpr float kReductionHardCase = -0x1.f8cbb2p+5f;
+constexpr float kReductionHardCaseExp = 0x1.f45326p-92f;
+
+TEST_F(KernelsCrossBackend, FitReluFusesTheExpRangeReduction) {
+  // l = 0 and k = 1 make t = -x exactly, so exp's argument is the hard case;
+  // 9 elements run one full vector and a one-lane tail.
+  const std::int64_t n = 9;
+  const std::vector<float> x(n, -kReductionHardCase);
+  const float bound = 0.0f;
+  const float e = kReductionHardCaseExp;
+  const float want = x[0] * (e / (1.0f + e));
+  for (const Backend be : {Backend::scalar, Backend::avx2}) {
+    std::vector<float> o(x.size());
+    (void)on(be, [&] {
+      return fitrelu(x.data(), &bound, 1, n, 1, 1.0f, o.data(), n, false);
+    });
+    for (const float v : o) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(v),
+                std::bit_cast<std::uint32_t>(want))
+          << backend_name(be) << std::hexfloat << ": " << v << " vs " << want;
+    }
+  }
+}
+
+TEST(TableExpf, MatchesStdExpOnAStridedSweepOfAllFloats) {
+  const bool exact = std_exp_is_table_expf();
+  std::uint64_t checked = 0;
+  // A prime stride visits every exponent and sign with varied mantissas.
+  for (std::uint64_t u = 0; u <= 0xffffffffull; u += 997) {
+    const float x = std::bit_cast<float>(static_cast<std::uint32_t>(u));
+    const float got = table_expf(x);
+    const float want = std::exp(x);
+    ++checked;
+    if (std::isnan(want)) {
+      ASSERT_TRUE(std::isnan(got)) << std::hexfloat << x;
+      continue;
+    }
+    const auto gi = static_cast<std::int64_t>(std::bit_cast<std::int32_t>(got));
+    const auto wi =
+        static_cast<std::int64_t>(std::bit_cast<std::int32_t>(want));
+    if (exact) {
+      ASSERT_EQ(gi, wi) << "x = " << std::hexfloat << x << ": " << got
+                        << " vs std::exp " << want;
+    } else {
+      ASSERT_LE(std::llabs(gi - wi), 1)
+          << "x = " << std::hexfloat << x << ": " << got << " vs std::exp "
+          << want;
+    }
+  }
+  EXPECT_GT(checked, 4'000'000u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(table_expf(kReductionHardCase)),
+            std::bit_cast<std::uint32_t>(kReductionHardCaseExp));
+  EXPECT_EQ(table_expf(-kInf), 0.0f);
+  EXPECT_EQ(table_expf(kInf), kInf);
+  EXPECT_TRUE(std::isnan(table_expf(kNaN)));
+}
+
+TEST(TableExpf, FitReluMatchesTheStdExpSigmoidForm) {
+  // Where std::exp is table_expf, the kernel reproduces the two-branch
+  // stable_sigmoid form bit for bit, on both backends.
+  if (!std_exp_is_table_expf()) GTEST_SKIP() << "std::exp is another expf";
+  const Geometry g{4, 6, 9};
+  const std::int64_t feat = g.channels * g.hw;
+  const std::int64_t n = g.batch * feat;
+  const auto x = values(n, 5, -5.0f, 40.0f);
+  const auto bound = values(feat, 6, 0.0f, 6.0f);
+  const float k = 8.0f;
+  std::vector<float> want(x.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float xi = x[static_cast<std::size_t>(i)];
+    const float li = bound[static_cast<std::size_t>(i % feat)];
+    want[static_cast<std::size_t>(i)] =
+        xi <= 0.0f ? 0.0f : xi * ag::stable_sigmoid(k * (li - xi));
+  }
+  for (const Backend be : {Backend::scalar, Backend::avx2}) {
+    std::vector<float> got(x.size());
+    (void)on(be, [&] {
+      return fitrelu(x.data(), bound.data(), feat, feat, g.hw, k, got.data(),
+                     n, false);
+    });
+    expect_same(want, got,
+                std::string("fitrelu vs stable_sigmoid on ") +
+                    backend_name(be));
+  }
+}
+
+}  // namespace
+}  // namespace fitact::kern

@@ -4,6 +4,8 @@
 // small end-to-end case.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/bound_profiler.h"
 #include "core/post_training.h"
 #include "core/protection.h"
@@ -179,6 +181,74 @@ TEST(PostTraining, LambdaNotTrainableAfterwards) {
   post_train_bounds(*f.model, f.train, f.test, f.baseline, quick_config());
   for (const auto& act : collect_activations(*f.model)) {
     EXPECT_FALSE(act->bounds().requires_grad());
+  }
+}
+
+/// A freshly built, profiled and fitrelu-protected copy of the fixture's
+/// architecture: none of its parameters has a gradient yet.
+std::shared_ptr<nn::Module> untrained_fitrelu_model() {
+  models::ModelConfig mc;
+  mc.width_mult = 0.5f;
+  mc.num_classes = 4;
+  auto model = models::make_model("tinycnn", mc);
+  ProfileConfig pc;
+  pc.max_samples = 64;
+  profile_bounds(*model, fixture().train, pc);
+  apply_protection(*model, Scheme::fitrelu);
+  return model;
+}
+
+bool is_bound(const nn::NamedParam& p) {
+  return p.name.find("lambda") != std::string::npos;
+}
+
+TEST(PostTraining, FrozenWeightsGetNoGradientsAndKeepTheirFlags) {
+  Fixture& f = fixture();
+  const auto model = untrained_fitrelu_model();
+  // One weight is already frozen by the caller: it must stay frozen.
+  const std::string caller_frozen = model->named_parameters().front().name;
+  model->named_parameters().front().var.set_requires_grad(false);
+
+  (void)post_train_bounds(*model, f.train, f.test, f.baseline,
+                          quick_config());
+  for (const auto& p : model->named_parameters()) {
+    if (is_bound(p)) continue;
+    EXPECT_FALSE(p.var.has_grad()) << p.name << " computed a gradient";
+    EXPECT_EQ(p.var.requires_grad(), p.name != caller_frozen) << p.name;
+  }
+}
+
+/// Training split whose images cannot be read: post-training throws from
+/// its first training batch.
+class UnreadableDataset : public data::Dataset {
+ public:
+  explicit UnreadableDataset(const data::Dataset& inner) : inner_(inner) {}
+  [[nodiscard]] std::int64_t size() const override { return inner_.size(); }
+  [[nodiscard]] std::int64_t num_classes() const override {
+    return inner_.num_classes();
+  }
+  void image_into(std::int64_t, float*) const override {
+    throw std::runtime_error("unreadable image");
+  }
+  [[nodiscard]] std::int64_t label(std::int64_t i) const override {
+    return inner_.label(i);
+  }
+
+ private:
+  const data::Dataset& inner_;
+};
+
+TEST(PostTraining, WeightFlagsAreRestoredWhenItThrows) {
+  Fixture& f = fixture();
+  const auto model = untrained_fitrelu_model();
+  const UnreadableDataset train(f.train);
+  EXPECT_THROW((void)post_train_bounds(*model, train, f.test, f.baseline,
+                                       quick_config()),
+               std::runtime_error);
+  for (const auto& p : model->named_parameters()) {
+    if (!is_bound(p)) {
+      EXPECT_TRUE(p.var.requires_grad()) << p.name;
+    }
   }
 }
 
