@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   //    exactly the excursions bounded activations were built to confine,
   //    and therefore exactly what the clamp counters see.
   std::printf("4. flipping 24 high bits in lane 0's live parameters ...\n");
-  server->with_lane(0, [](nn::Module&, quant::ParamImage& image) {
-    fault::Injector injector(image);
+  server->with_lane(0, [](serve::Lane& lane) {
+    fault::Injector injector(*lane.image);
     ut::Rng rng(7);
     (void)injector.inject_exact_at_bit(24, 28, rng);
   });

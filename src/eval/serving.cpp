@@ -82,6 +82,13 @@ std::unique_ptr<serve::InferenceServer> make_server(
   if (!pm.model) {
     throw std::invalid_argument("make_server: prepared model has no model");
   }
+  // Every lane serves through a plan, which needs the per-sample input
+  // shape; the test split provides it.
+  if (!pm.test || pm.test->size() == 0) {
+    throw std::invalid_argument(
+        "make_server: prepared model has no test split to provide the lane "
+        "plans' sample shape");
+  }
   options.validate();
   // Deployment stores parameters in fixed point: round-trip the source once
   // so pm.model itself holds the Q1.15.16-representable values the lanes
@@ -124,24 +131,8 @@ std::unique_ptr<serve::InferenceServer> make_server(
                    << peak << ")";
   }
 
-  // Planned execution needs the per-sample input shape, which the test
-  // split provides. Without one the lanes simply serve eagerly.
-  Shape sample_shape;
-  if (config.plan && pm.test && pm.test->size() > 0) {
-    const Shape s = pm.test->batch(0, 1, nullptr).shape();
-    sample_shape = Shape{s[1], s[2], s[3]};
-  } else if (config.plan) {
-    ut::log_warn() << "make_server: planned execution requested but no test "
-                      "split provides a sample shape; lanes will serve "
-                      "eagerly";
-  }
-  if (config.precision == nn::Precision::int8 && sample_shape.empty()) {
-    // int8 has no eager fallback; without a plannable shape the server
-    // would silently serve fp32 under an int8 label.
-    throw std::invalid_argument(
-        "make_server: precision=int8 requires a test split to provide the "
-        "plan's sample shape");
-  }
+  const Shape first = pm.test->batch(0, 1, nullptr).shape();
+  const Shape sample_shape{first[1], first[2], first[3]};
 
   // Int8 input calibration: the first layer's activation scale comes from
   // the max-abs of real input samples (deeper layers derive theirs from the
@@ -162,40 +153,26 @@ std::unique_ptr<serve::InferenceServer> make_server(
   }
 
   // The server itself enables clamp counting on lane sites when detection
-  // is on, so the factory only assembles the lane anatomy.
-  bool plan_error_logged = false;
-  serve::LaneFactory factory = [&pm, &config, &sample_shape, input_range,
-                                &plan_error_logged](std::size_t index) {
+  // is on, so the factory only assembles the lane anatomy. A model that
+  // cannot be recorded fails here with the PlanError naming its module.
+  serve::LaneFactory factory = [&pm, &config, &sample_shape,
+                                input_range](std::size_t index) {
     serve::Lane lane;
     lane.model = replicate_model(pm);
     lane.image = std::make_shared<quant::ParamImage>(*lane.model);
-    if (config.plan && !sample_shape.empty()) {
-      // Recording requires eval mode (BatchNorm's plan op is the eval-mode
-      // affine map); the server re-asserts eval on every lane anyway.
-      lane.model->set_training(false);
-      try {
-        lane.plan = nn::InferencePlan::compile(lane.model, sample_shape,
-                                               config.max_batch, config.fuse,
-                                               config.precision, input_range);
-        if (index == 0) {
-          ut::log_info() << "make_server: compiled lane plan ("
-                         << lane.plan->op_count() << " ops, "
-                         << lane.plan->fused_op_count() << " fused, "
-                         << lane.plan->int8_op_count() << " int8, arena "
-                         << lane.plan->arena_bytes() / 1024 << " KiB)";
-        }
-      } catch (const nn::PlanError& e) {
-        // int8 never falls back: an eager lane would silently serve fp32
-        // under an int8 label (the bit-width is an accuracy contract, not a
-        // performance hint), so compile failures propagate to the caller.
-        if (config.precision == nn::Precision::int8) throw;
-        if (!plan_error_logged) {
-          ut::log_warn() << "make_server: model not plannable, lanes serve "
-                            "eagerly: "
-                         << e.what();
-          plan_error_logged = true;
-        }
-      }
+    // Recording requires eval mode (BatchNorm's plan op is the eval-mode
+    // affine map).
+    lane.model->set_training(false);
+    lane.plan =
+        nn::InferencePlan::compile(lane.model, sample_shape, config.max_batch,
+                                   /*fuse=*/true, config.precision,
+                                   input_range);
+    if (index == 0) {
+      ut::log_info() << "make_server: compiled lane plan ("
+                     << lane.plan->op_count() << " ops, "
+                     << lane.plan->fused_op_count() << " fused, "
+                     << lane.plan->int8_op_count() << " int8, arena "
+                     << lane.plan->arena_bytes() / 1024 << " KiB)";
     }
     return lane;
   };

@@ -14,10 +14,9 @@
 namespace fitact::ev {
 
 struct ServeOptions {
-  /// Server shape (lanes, batch size, window, detection threshold, planned
-  /// execution on/off). A negative clamp_rate_threshold means "calibrate
-  /// from clean traffic" (the default here, overriding the ServerOptions
-  /// default).
+  /// Server shape (lanes, batch size, window, detection threshold,
+  /// precision). A negative clamp_rate_threshold means "calibrate from clean
+  /// traffic" (the default here, overriding the ServerOptions default).
   serve::ServerOptions server = [] {
     serve::ServerOptions c;
     c.clamp_rate_threshold = -1.0;
@@ -63,16 +62,17 @@ struct ServeOptions {
 ///      options ask for it (threshold < 0);
 ///   3. builds `lanes` independent replicas, each with its own clean
 ///      ParamImage, clamp counting enabled when detection is on;
-///   4. compiles an nn::InferencePlan per lane (when options.server.plan is
-///      set and a test split provides the sample shape), so lanes serve
-///      through recorded zero-allocation execution; a model that cannot be
-///      recorded logs the PlanError once and serves eagerly.
-/// pm must outlive the returned server. Detection requires a bounded
-/// scheme: when no activation site has bounds installed the clamp rate is
-/// identically zero, so rather than serving with a detector that can never
-/// fire (a threshold calibrated to the floor, "on" but blind), make_server
-/// logs a warning naming the condition and disables detection for this
-/// server.
+///   4. compiles a fused nn::InferencePlan per lane for the test split's
+///      sample shape, so lanes serve through recorded zero-allocation
+///      execution.
+/// Throws std::invalid_argument when pm has no model or no test split, and
+/// nn::PlanError when the model cannot be recorded (or, at int8, when no op
+/// quantizes). pm must outlive the returned server. Detection requires a
+/// bounded scheme: when no activation site has bounds installed the clamp
+/// rate is identically zero, so rather than serving with a detector that
+/// can never fire (a threshold calibrated to the floor, "on" but blind),
+/// make_server logs a warning naming the condition and disables detection
+/// for this server.
 [[nodiscard]] std::unique_ptr<serve::InferenceServer> make_server(
     PreparedModel& pm, const ServeOptions& options = {});
 

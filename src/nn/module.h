@@ -45,10 +45,9 @@ class Module {
   /// Append this module's inference-time ops to a plan under construction
   /// (see nn/plan.h) and return the output value id. The base implementation
   /// throws PlanError naming the module — a type without an override cannot
-  /// run under planned execution, and callers (ev::make_server) fall back to
-  /// the eager forward path. Overrides must record exactly the arithmetic
-  /// their eval-mode forward performs, so planned and eager outputs stay
-  /// bit-identical.
+  /// run under planned execution, so ev::make_server refuses to serve it.
+  /// Overrides must record exactly the arithmetic their eval-mode forward
+  /// performs, so planned and eager outputs stay bit-identical.
   virtual PlanValueId record(PlanBuilder& builder, PlanValueId input);
 
   /// Training vs evaluation mode (affects BatchNorm); recursive.

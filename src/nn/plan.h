@@ -11,7 +11,7 @@
 //             tensors by shared storage — live fault injection and clean-
 //             image scrubs through quant::ParamImage remain visible to the
 //             plan because they write through that same storage.
-//   fuse      A peephole pass (on by default; serve::ServerOptions::fuse)
+//   fuse      A peephole pass (on by default; serving always fuses)
 //             merges conv2d/linear ops with the bounded activation that is
 //             their sole consumer into single fused ops whose epilogue
 //             applies bias + bound-clamp (+ clamp-event counting) directly
@@ -41,8 +41,7 @@
 // the plan documents them instead of silently diverging from forward().
 //
 // Thread safety: a plan is mutable state (its arena); drive it from one
-// thread at a time. Serving lanes hold their lane mutex across execute,
-// exactly as they do for the eager path.
+// thread at a time. Serving lanes hold their lane mutex across execute.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +85,8 @@ enum class Precision : std::uint8_t {
 };
 
 /// Recording failed: the model cannot run under planned execution (the
-/// message names the offending module path). Callers fall back to eager
-/// forward.
+/// message names the offending module path). ev::make_server propagates it:
+/// a model that does not record cannot be served.
 class PlanError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "autograd/variable.h"
-#include "tensor/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace fitact::serve {
@@ -32,12 +31,6 @@ void ServerOptions::validate() const {
     throw std::invalid_argument(
         "ServerOptions: max_recoveries_per_batch must be non-negative");
   }
-  if (precision == nn::Precision::int8 && (!plan || !fuse)) {
-    throw std::invalid_argument(
-        "ServerOptions: precision=int8 requires plan=true and fuse=true "
-        "(quantization converts fused plan ops; there is no eager int8 "
-        "path)");
-  }
 }
 
 InferenceServer::InferenceServer(const LaneFactory& factory,
@@ -47,37 +40,42 @@ InferenceServer::InferenceServer(const LaneFactory& factory,
     throw std::invalid_argument("InferenceServer: null lane factory");
   }
   options_.validate();
-  if (options_.force_scalar_kernels) {
-    // Process-wide by design (see the ServerOptions field comment); applied
-    // before lanes are built so calibration forwards in the factory and
-    // serving forwards run the same backend.
-    (void)kern::force_backend(kern::Backend::scalar);
-  }
   lanes_.reserve(options_.lanes);
   for (std::size_t i = 0; i < options_.lanes; ++i) {
     auto state = std::make_unique<LaneState>();
-    // No lane thread exists yet, but LaneState::lane is guarded by the lane
-    // mutex and this is not LaneState's own constructor, so take the
+    // No lane thread exists yet, but LaneState's members are guarded by the
+    // lane mutex and this is not LaneState's own constructor, so take the
     // (uncontended) lock to keep the annotation contract unconditional.
     const ut::LockGuard lane_lock(state->mutex);
     state->lane = factory(i);
-    if (!state->lane.model || !state->lane.image) {
+    const Lane& lane = state->lane;
+    if (!lane.model || !lane.image || !lane.plan) {
       throw std::invalid_argument(
-          "InferenceServer: lane factory returned a lane without a model or "
-          "image");
+          "InferenceServer: lane factory returned a lane without a model, "
+          "image or plan");
     }
-    if (state->lane.sites.empty()) {
-      state->lane.sites = core::collect_activations(*state->lane.model);
+    if (lane.plan->max_batch() < options_.max_batch) {
+      throw std::invalid_argument(
+          "InferenceServer: lane " + std::to_string(i) + "'s plan takes " +
+          std::to_string(lane.plan->max_batch()) +
+          " samples per batch, below max_batch " +
+          std::to_string(options_.max_batch));
     }
+    if (i == 0) {
+      sample_shape_ = lane.plan->sample_shape();
+    } else if (lane.plan->sample_shape() != sample_shape_) {
+      throw std::invalid_argument(
+          "InferenceServer: lane " + std::to_string(i) + "'s plan takes " +
+          lane.plan->sample_shape().str() + " samples, lane 0's " +
+          sample_shape_.str());
+    }
+    state->sites = core::collect_activations(*lane.model);
     // Detection is thresholded on the sites' clamp counters; a lane whose
     // sites never count would make the detector silently inert, so the
     // server owns enabling it (a factory may still have done so already).
     if (options_.detection) {
-      for (const auto& site : state->lane.sites) {
-        site->set_clamp_counting(true);
-      }
+      for (const auto& site : state->sites) site->set_clamp_counting(true);
     }
-    state->lane.model->set_training(false);
     lanes_.push_back(std::move(state));
   }
   threads_.reserve(options_.lanes);
@@ -118,10 +116,10 @@ std::future<RequestResult> InferenceServer::submit(const Tensor& image) {
   if (sample.rank() == 4 && sample[0] == 1) {
     sample = Shape{sample[1], sample[2], sample[3]};
   }
-  if (sample.rank() != 3) {
+  if (sample != sample_shape_) {
     throw std::invalid_argument(
-        "InferenceServer::submit: expected a [C,H,W] sample, got " +
-        image.shape().str());
+        "InferenceServer::submit: expected a " + sample_shape_.str() +
+        " sample, got " + image.shape().str());
   }
   Request req;
   req.image = image;
@@ -130,13 +128,6 @@ std::future<RequestResult> InferenceServer::submit(const Tensor& image) {
     const ut::LockGuard lock(queue_mutex_);
     if (stopping_) {
       throw std::runtime_error("InferenceServer::submit: server is stopping");
-    }
-    if (sample_shape_.empty()) {
-      sample_shape_ = sample;
-    } else if (sample_shape_ != sample) {
-      throw std::invalid_argument(
-          "InferenceServer::submit: sample shape " + sample.str() +
-          " does not match the server's " + sample_shape_.str());
     }
     queue_.push_back(std::move(req));
     ++in_flight_;
@@ -161,18 +152,6 @@ void InferenceServer::drain() {
 ServerStats InferenceServer::stats() const {
   const ut::LockGuard lock(stats_mutex_);
   return stats_;
-}
-
-void InferenceServer::with_lane(
-    std::size_t index,
-    const std::function<void(nn::Module&, quant::ParamImage&)>& fn) {
-  if (index >= lanes_.size()) {
-    throw std::out_of_range("InferenceServer::with_lane: no lane " +
-                            std::to_string(index));
-  }
-  LaneState& state = *lanes_[index];
-  const ut::LockGuard lock(state.mutex);
-  fn(*state.lane.model, *state.lane.image);
 }
 
 void InferenceServer::with_lane(std::size_t index,
@@ -239,59 +218,24 @@ void InferenceServer::process_batch(std::size_t index,
   std::size_t fulfilled = 0;
   try {
     const std::int64_t b = static_cast<std::int64_t>(batch.size());
-    const std::int64_t sample_numel = batch.front().image.numel();
-    const Shape& s0 = batch.front().image.shape();
-    const std::size_t skip = s0.rank() == 4 ? 1 : 0;  // leading [1,...]
-
-    // Planned execution: when the lane carries a plan whose compiled sample
-    // shape and batch range cover this batch, stage the samples straight
-    // into the plan's arena and run the recorded program — the steady-state
-    // hot path, zero heap allocations inside execute(). Anything else (plan
-    // disabled, unrecordable model, out-of-range batch, shape mismatch)
-    // takes the eager forward; outputs are bit-identical either way.
-    nn::InferencePlan* plan = nullptr;
-    if (options_.plan && state.lane.plan &&
-        b <= state.lane.plan->max_batch()) {
-      const Shape& ps = state.lane.plan->sample_shape();
-      bool match = ps.rank() + skip == s0.rank();
-      for (std::size_t d = 0; match && d < ps.rank(); ++d) {
-        match = ps[d] == s0[d + skip];
-      }
-      if (match) plan = state.lane.plan.get();
-    }
-
-    Tensor input;  // eager staging buffer; planned batches stage in-arena
-    float* staging = nullptr;
-    if (plan != nullptr) {
-      staging = plan->input_view(b).data();
-    } else {
-      std::vector<std::int64_t> dims;
-      dims.push_back(b);
-      for (std::size_t d = skip; d < s0.rank(); ++d) dims.push_back(s0[d]);
-      input = Tensor{Shape(dims)};
-      staging = input.data();
-    }
+    const std::int64_t sample_numel = sample_shape_.numel();
+    nn::InferencePlan& plan = *state.lane.plan;
+    float* staging = plan.input_view(b).data();
     for (std::int64_t i = 0; i < b; ++i) {
       std::memcpy(staging + i * sample_numel, batch[i].image.data(),
                   static_cast<std::size_t>(sample_numel) * sizeof(float));
     }
 
-    const NoGradGuard no_grad;
     // Detection statistic: the *peak per-site* clamp rate
     // (core::peak_site_clamp_rate). Pooling all sites into one ratio would
     // let the large early conv maps (tens of thousands of activations)
     // drown out a saturating fault in a small late layer (a 64-neuron head
-    // contributes at most 64 events). Planned forwards feed the same site
-    // counters (the bound-clamp op fuses counting into its kernel pass), so
-    // detection and recovery are path-agnostic.
+    // contributes at most 64 events). The plan's bound-clamp ops fuse the
+    // counting into their kernel pass.
     const auto forward_once = [&]() -> std::pair<Tensor, double> {
-      core::reset_clamp_counters(state.lane.sites);
-      if (plan != nullptr) {
-        const Tensor& out = plan->execute(b);
-        return {out, core::peak_site_clamp_rate(state.lane.sites)};
-      }
-      const Variable out = state.lane.model->forward(Variable(input));
-      return {out.value(), core::peak_site_clamp_rate(state.lane.sites)};
+      core::reset_clamp_counters(state.sites);
+      const Tensor& out = plan.execute(b);
+      return {out, core::peak_site_clamp_rate(state.sites)};
     };
 
     std::pair<Tensor, double> fwd = forward_once();
@@ -310,7 +254,7 @@ void InferenceServer::process_batch(std::size_t index,
         // int8 plan's quantized weight bytes are deployed storage of their
         // own (fp32 scrubs don't reach them), so they get their own scrub.
         state.lane.image->restore();
-        if (state.lane.plan) state.lane.plan->restore_int8_weights();
+        plan.restore_int8_weights();
         ++recoveries;
         recovered = true;
         fwd = forward_once();

@@ -20,18 +20,25 @@
 // baseline rate (see ev::make_server), so detection is free: the
 // protection layer doubles as the detector.
 //
+// Every lane serves through a recorded nn::InferencePlan: a batch is staged
+// into the plan's arena and executed with zero steady-state allocations.
+// The plans fix the server's sample shape; a lane without a plan, or one
+// whose plan cannot take the server's batches or shape, is refused at
+// construction.
+//
 // Locking discipline (machine-checked under clang -Wthread-safety): the
-// request queue, shape latch, and shutdown flag live under queue_mutex_;
-// aggregate counters under stats_mutex_; and each lane's model/image/sites
-// under that lane's own mutex (held for the whole batch, and by with_lane).
-// Lock order: a lane mutex is acquired before queue_mutex_/stats_mutex_ and
-// the two global mutexes are never held together.
+// request queue and shutdown flag live under queue_mutex_; aggregate
+// counters under stats_mutex_; and each lane's model/image/plan/sites under
+// that lane's own mutex (held for the whole batch, and by with_lane). Lock
+// order: a lane mutex is acquired before queue_mutex_/stats_mutex_ and the
+// two global mutexes are never held together.
 //
 // Output contract: per-request results are bit-identical to running the
-// sample alone through the lane model — every layer computes each batch row
+// sample alone through the lane model — every op computes each batch row
 // with a fixed per-element accumulation order independent of the batch
-// assembly — so micro-batching, lane count, and arrival order never change
-// what a client receives. serve_test enforces this.
+// assembly, and plans match the eager forward bit for bit — so
+// micro-batching, lane count, and arrival order never change what a client
+// receives. serve_test enforces this.
 #pragma once
 
 #include <chrono>
@@ -81,36 +88,12 @@ struct ServerOptions {
   /// the threshold is miscalibrated for this traffic, not that the
   /// parameters are faulty.
   int max_recoveries_per_batch = 1;
-  /// Serve through recorded nn::InferencePlans when lanes carry them
-  /// (ev::make_server compiles one per lane): zero-allocation steady-state
-  /// execution. Lanes without a plan — or batches the plan cannot take —
-  /// fall back to the eager forward path; outputs are bit-identical either
-  /// way, so this is purely a performance switch.
-  bool plan = true;
-  /// Fuse conv/linear + bound-clamp pairs when compiling lane plans
-  /// (nn::InferencePlan::compile's fuse flag): the clamp runs as a GEMM
-  /// epilogue and the pre-activation tensor gets no arena slot. Outputs and
-  /// clamp-event counts are bit-identical either way (plan_test's fusion
-  /// matrix pins this), so — like `plan` — this is purely a performance
-  /// switch; it is the A/B lever serve_throughput's fuse_speedup row uses.
-  /// Ignored when `plan` is off.
-  bool fuse = true;
   /// Arithmetic the lane plans execute with (nn::Precision). int8 serves
   /// block-quantized weights through int8 GEMM with fused dequantize+clamp
   /// epilogues — quantized at make_server time from the FitAct clamp bounds
   /// (they fix the activation scales; see nn::Precision for the fault
-  /// model). Requires `plan` and `fuse`: quantization is a pass over fused
-  /// plan ops, and int8 never falls back to eager (ev::make_server
-  /// propagates compile failures instead of silently serving fp32).
+  /// model).
   nn::Precision precision = nn::Precision::fp32;
-  /// Force the portable scalar kernel backend for the whole process
-  /// (kern::force_backend; see tensor/kernels/kernels.h). Kernel dispatch
-  /// is process-wide — per-lane or per-request backends would break the
-  /// bit-identity contract — so constructing a server with this set pins
-  /// every subsequent forward in the process, not just this server's, to
-  /// the scalar backend. The A/B lever benches and tests use
-  /// (serve_throughput --kernels scalar); leave false in production.
-  bool force_scalar_kernels = false;
 
   /// Throws std::invalid_argument on the first invalid field. The single
   /// error path for server shape problems.
@@ -139,18 +122,17 @@ struct ServerStats {
   std::uint64_t post_recovery_alarms = 0;
 };
 
-/// Everything one serving lane is made of. `sites` may be left empty; the
-/// server collects the model's BoundedActivation sites itself, and enables
-/// clamp counting on them when detection is configured.
+/// Everything one serving lane is made of. The server collects the model's
+/// BoundedActivation sites itself, and enables clamp counting on them when
+/// detection is configured.
 struct Lane {
   std::shared_ptr<nn::Module> model;
   std::shared_ptr<quant::ParamImage> image;
-  std::vector<std::shared_ptr<core::BoundedActivation>> sites;
-  /// Optional recorded execution plan for this lane's model (compiled by
-  /// ev::make_server). When present and ServerOptions::plan is set, batches
-  /// within the plan's compiled range run through it instead of the eager
-  /// forward. The plan must have been compiled from this lane's model (it
-  /// shares the model's parameter storage and activation sites).
+  /// Recorded execution plan for this lane's model (ev::make_server compiles
+  /// one per lane); every batch runs through it. It must have been compiled
+  /// from this lane's model (it shares the model's parameter storage and
+  /// activation sites), with max_batch() at least ServerOptions::max_batch
+  /// and the same sample shape as every other lane's plan.
   std::shared_ptr<nn::InferencePlan> plan;
 };
 
@@ -165,7 +147,8 @@ class InferenceServer {
   /// Builds every lane on the calling thread, then starts the lane threads.
   /// Throws std::invalid_argument for a null factory, options that fail
   /// ServerOptions::validate(), or a factory that returns a lane without a
-  /// model or image.
+  /// model, image or plan, whose plan's max_batch() is below
+  /// options.max_batch, or whose plan's sample shape differs from lane 0's.
   InferenceServer(const LaneFactory& factory, ServerOptions options);
 
   /// Stops accepting work, drains every queued request, and joins the lane
@@ -177,8 +160,9 @@ class InferenceServer {
 
   /// Enqueue one sample ([C,H,W], or [1,C,H,W]); the tensor is copied into
   /// the batch during assembly, so the caller may reuse its buffer after
-  /// submit returns. All samples must share one shape (fixed by the first
-  /// request). Throws std::runtime_error after shutdown began.
+  /// submit returns. Throws std::invalid_argument when the sample's shape is
+  /// not the lane plans' sample shape, and std::runtime_error after shutdown
+  /// began.
   [[nodiscard]] std::future<RequestResult> submit(const Tensor& image);
 
   /// Synchronous convenience wrapper: submit + wait.
@@ -195,17 +179,11 @@ class InferenceServer {
     return options_;
   }
 
-  /// Exclusive access to a lane's live model and clean image while the lane
-  /// is between batches — the hook fault-injection benches and tests use to
-  /// corrupt a lane's parameters under the server's feet (via a
-  /// fault::Injector over the lane's image, say). Blocks until the lane
-  /// finishes its current batch.
-  void with_lane(std::size_t index,
-                 const std::function<void(nn::Module&, quant::ParamImage&)>& fn);
-
-  /// Overload handing out the whole Lane — int8 fault campaigns need the
-  /// lane's plan (nn::InferencePlan::int8_weight_span is the quantized
-  /// fault space), which the model/image form cannot reach.
+  /// Exclusive access to a lane while it is between batches — the hook
+  /// fault-injection benches and tests use to corrupt a lane's parameters
+  /// under the server's feet (via a fault::Injector over `*lane.image`, or
+  /// through nn::InferencePlan::int8_weight_span for int8 lanes). Blocks
+  /// until the lane finishes its current batch.
   void with_lane(std::size_t index, const std::function<void(Lane&)>& fn);
 
  private:
@@ -216,12 +194,16 @@ class InferenceServer {
   struct LaneState {
     ut::Mutex mutex;  ///< held while the lane processes a batch
     Lane lane FITACT_GUARDED_BY(mutex);
+    /// The lane model's activation sites: the detector's clamp counters.
+    std::vector<std::shared_ptr<core::BoundedActivation>> sites
+        FITACT_GUARDED_BY(mutex);
   };
 
   void lane_loop(std::size_t index);
   void process_batch(std::size_t index, std::vector<Request>& batch);
 
   ServerOptions options_;  ///< immutable after construction
+  Shape sample_shape_;     ///< the lane plans' [C,H,W]; immutable
   std::vector<std::unique_ptr<LaneState>> lanes_;  ///< vector itself immutable
   std::vector<std::thread> threads_;
 
@@ -229,8 +211,6 @@ class InferenceServer {
   ut::CondVar queue_cv_;
   ut::CondVar idle_cv_;
   std::deque<Request> queue_ FITACT_GUARDED_BY(queue_mutex_);
-  /// Fixed by the first submitted request.
-  Shape sample_shape_ FITACT_GUARDED_BY(queue_mutex_);
   /// Submitted, not yet answered.
   std::uint64_t in_flight_ FITACT_GUARDED_BY(queue_mutex_) = 0;
   std::uint64_t next_batch_id_ FITACT_GUARDED_BY(queue_mutex_) = 0;

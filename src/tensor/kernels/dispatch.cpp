@@ -5,9 +5,8 @@
 // then the FITACT_KERNELS environment variable ("scalar" | "avx2" | "auto")
 // may narrow it — a forced-scalar run on an AVX2 host is the A/B lever the
 // fuzz tests, plan tests and benches use; forcing avx2 on a host without it
-// falls back to scalar rather than faulting. force_backend() is the same
-// lever programmatically (serve::ServerOptions::force_scalar_kernels and
-// the benches' --kernels flag route through it).
+// falls back to scalar rather than faulting. force_backend() (and its RAII
+// form kern::BackendGuard) is the same lever programmatically.
 #include "tensor/kernels/kernels.h"
 
 #include <atomic>

@@ -1,9 +1,9 @@
 // Tests for recorded inference plans (src/nn/plan.h): planned execution
 // must be bit-identical to the eager forward path for every zoo model and
-// batch size, steady-state execute must not touch the heap, planned serving
-// lanes must agree bit-for-bit with eager lanes at every lane count, and
-// recording must fail loudly (naming the module) for train-only modules and
-// modules without a record() override.
+// batch size, steady-state execute must not touch the heap, int8 serving
+// lanes must detect and scrub quantized weight corruption, and recording
+// must fail loudly (naming the module) for train-only modules and modules
+// without a record() override.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -490,52 +490,6 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
   expect_bit_identical(plan->execute(2), want, "post-compile fitrelu");
 }
 
-// Serving matrix: planned lanes and eager lanes produce bit-identical
-// responses for the same requests at every lane count x batch size.
-TEST(PlanServe, PlannedLanesMatchEagerLanesBitForBit) {
-  ev::ExperimentScale scale = ev::ExperimentScale::scaled();
-  scale.train_size = 96;
-  scale.test_size = 48;
-  scale.train_epochs = 2;
-  scale.eval_samples = 24;
-  ev::PreparedModel pm = ev::prepare_model("tinycnn", 10, scale, "", 31);
-  (void)ev::protect_model(pm, core::Scheme::clip_act, scale);
-
-  std::vector<Tensor> samples;
-  std::vector<std::int64_t> labels;
-  for (std::int64_t i = 0; i < 24; ++i) {
-    samples.push_back(pm.test->batch(i, 1, &labels));
-  }
-
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-    for (const std::int64_t batch : {1, 3, 8}) {
-      const auto run = [&](bool planned) {
-        ev::ServeOptions options;
-        options.server.lanes = lanes;
-        options.server.max_batch = batch;
-        options.server.batch_window = std::chrono::microseconds(0);
-        options.server.plan = planned;
-        const auto server = ev::make_server(pm, options);
-        std::vector<Tensor> out;
-        out.reserve(samples.size());
-        for (const auto& s : samples) {
-          out.push_back(server->infer(s).logits.clone());
-        }
-        return out;
-      };
-      const std::vector<Tensor> planned = run(true);
-      const std::vector<Tensor> eager = run(false);
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        expect_bit_identical(planned[i], eager[i],
-                             "lanes " + std::to_string(lanes) + " batch " +
-                                 std::to_string(batch) + " request " +
-                                 std::to_string(i));
-      }
-    }
-  }
-}
-
 #if FITACT_COUNT_ALLOCS
 // Acceptance contract: steady-state execute performs zero heap
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
@@ -649,16 +603,6 @@ TEST(ServerOptions, ValidateRejectsBadConfigurations) {
   o = good;
   o.max_recoveries_per_batch = -1;
   EXPECT_THROW(o.validate(), std::invalid_argument);
-
-  // int8 is a pass over fused plan ops: both switches must stay on.
-  o = good;
-  o.precision = nn::Precision::int8;
-  EXPECT_NO_THROW(o.validate());
-  o.plan = false;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o.plan = true;
-  o.fuse = false;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
 }
 
 // Int8 serving end to end: int8 lanes answer requests, corrupting a lane's
@@ -716,27 +660,6 @@ TEST(PlanServe, Int8LanesDetectAndRecoverFromQuantizedWeightCorruption) {
   const serve::ServerStats stats = server->stats();
   EXPECT_GT(stats.detections, detections_before);
   EXPECT_GT(stats.recoveries, 0u);
-}
-
-// The force_scalar_kernels knob must take effect during construction —
-// before any lane forward — and is process-wide by design (the guard
-// restores the ambient backend for the rest of the suite).
-TEST(ServerOptions, ForceScalarKernelsPinsTheProcessBackend) {
-  const kern::BackendGuard restore(kern::active_backend());
-  const auto model = zoo_model("tinycnn", core::Scheme::relu, 41);
-  serve::ServerOptions o;
-  o.lanes = 1;
-  o.detection = false;
-  o.force_scalar_kernels = true;
-  const serve::InferenceServer server(
-      [&](std::size_t) {
-        serve::Lane lane;
-        lane.model = model;
-        lane.image = std::make_shared<quant::ParamImage>(*model);
-        return lane;
-      },
-      o);
-  EXPECT_EQ(kern::active_backend(), kern::Backend::scalar);
 }
 
 }  // namespace

@@ -103,11 +103,10 @@ TEST(ServeHammer, ConcurrentSubmitWithInjectionAndRecovery) {
     ut::Rng rng(4242);
     std::size_t lane = 0;
     while (!chaos_stop.load(std::memory_order_relaxed)) {
-      server->with_lane(lane % options.server.lanes,
-                        [&](nn::Module&, quant::ParamImage& image) {
-                          fault::Injector injector(image);
-                          (void)injector.inject_exact_at_bit(8, 28, rng);
-                        });
+      server->with_lane(lane % options.server.lanes, [&](serve::Lane& target) {
+        fault::Injector injector(*target.image);
+        (void)injector.inject_exact_at_bit(8, 28, rng);
+      });
       ++lane;
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
@@ -156,11 +155,9 @@ TEST(ServeHammer, ConcurrentSubmitWithInjectionAndRecovery) {
   // answer to the clean model's bits — the serve_test contract, now after
   // thousands of contended interleavings.
   for (std::size_t l = 0; l < options.server.lanes; ++l) {
-    server->with_lane(l, [](nn::Module&, quant::ParamImage& image) {
-      image.restore();
-    });
-    server->with_lane(l, [l](nn::Module&, quant::ParamImage& image) {
-      fault::Injector injector(image);
+    server->with_lane(l, [](serve::Lane& lane) { lane.image->restore(); });
+    server->with_lane(l, [l](serve::Lane& lane) {
+      fault::Injector injector(*lane.image);
       ut::Rng rng(900 + l);
       // 96 flips (vs serve_test's 32): lane-to-batch pairing depends on
       // timing here, so the corruption must trip the detector for *every*

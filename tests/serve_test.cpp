@@ -16,6 +16,8 @@
 #include "eval/experiment.h"
 #include "eval/serving.h"
 #include "fault/injector.h"
+#include "nn/layers.h"
+#include "nn/plan.h"
 #include "serve/server.h"
 #include "util/rng.h"
 
@@ -70,6 +72,17 @@ void expect_bit_identical(const Tensor& got, const Tensor& want,
   for (std::int64_t j = 0; j < got.numel(); ++j) {
     EXPECT_EQ(got[j], want[j]) << context << " logit " << j;
   }
+}
+
+/// A hand-assembled lane serving `model` through a plan compiled for
+/// `sample_shape` and batches up to `max_batch` (no replica, no calibration).
+serve::Lane planned_lane(const std::shared_ptr<nn::Module>& model,
+                         const Shape& sample_shape, std::int64_t max_batch) {
+  serve::Lane lane;
+  lane.model = model;
+  lane.image = std::make_shared<quant::ParamImage>(*model);
+  lane.plan = nn::InferencePlan::compile(model, sample_shape, max_batch);
+  return lane;
 }
 
 // Acceptance contract (a): server outputs are bit-identical to direct
@@ -145,8 +158,8 @@ TEST(Serve, DetectsInjectedFaultsAndServesRecoveredOutputs) {
     // deterministic bit-28 flips turn weights into ±2^12-scale excursions,
     // which the bounded activations clamp — the observable symptom.
     for (std::size_t l = 0; l < lanes; ++l) {
-      server->with_lane(l, [l](nn::Module&, quant::ParamImage& image) {
-        fault::Injector injector(image);
+      server->with_lane(l, [l](serve::Lane& lane) {
+        fault::Injector injector(*lane.image);
         ut::Rng rng(900 + l);
         (void)injector.inject_exact_at_bit(32, 28, rng);
       });
@@ -193,8 +206,8 @@ TEST(Serve, WithoutDetectionFaultsCorruptOutputs) {
   const std::vector<Tensor> samples = test_samples(pm, 24);
   const std::vector<Tensor> ref = reference_logits(pm, samples);
 
-  server->with_lane(0, [](nn::Module&, quant::ParamImage& image) {
-    fault::Injector injector(image);
+  server->with_lane(0, [](serve::Lane& lane) {
+    fault::Injector injector(*lane.image);
     ut::Rng rng(900);
     (void)injector.inject_exact_at_bit(32, 28, rng);
   });
@@ -242,12 +255,13 @@ TEST(Serve, RejectsMalformedRequestsAndConfigs) {
   EXPECT_THROW((void)server->submit(Tensor()), std::invalid_argument);
   EXPECT_THROW((void)server->submit(Tensor::zeros(Shape{10})),
                std::invalid_argument);
-  // First request fixes the sample shape; a different one is refused.
-  (void)server->infer(Tensor::zeros(Shape{3, 32, 32}));
+  // The lane plans fix the sample shape before any request arrives, so even
+  // a first request of another shape is refused.
   EXPECT_THROW((void)server->submit(Tensor::zeros(Shape{3, 16, 16})),
                std::invalid_argument);
-  EXPECT_THROW(server->with_lane(99, [](nn::Module&, quant::ParamImage&) {}),
-               std::out_of_range);
+  EXPECT_THROW((void)server->submit(Tensor::zeros(Shape{2, 3, 32, 32})),
+               std::invalid_argument);
+  EXPECT_THROW(server->with_lane(99, [](serve::Lane&) {}), std::out_of_range);
 
   serve::ServerOptions bad;
   bad.lanes = 0;
@@ -267,6 +281,59 @@ TEST(Serve, RejectsMalformedRequestsAndConfigs) {
                    [](std::size_t) { return serve::Lane{}; },
                    serve::ServerOptions{}),
                std::invalid_argument);
+
+  // Every lane serves through its plan, so a lane the plan cannot serve is
+  // a construction error: no plan, a plan compiled for fewer samples than
+  // max_batch, or a plan whose sample shape differs from lane 0's.
+  pm.model->set_training(false);
+  serve::ServerOptions options;
+  options.max_batch = 4;
+  options.detection = false;
+  EXPECT_NO_THROW(serve::InferenceServer(
+      [&](std::size_t) {
+        return planned_lane(pm.model, Shape{3, 32, 32}, 4);
+      },
+      options));
+  EXPECT_THROW(serve::InferenceServer(
+                   [&](std::size_t) {
+                     serve::Lane lane = planned_lane(pm.model,
+                                                     Shape{3, 32, 32}, 4);
+                     lane.plan.reset();
+                     return lane;
+                   },
+                   options),
+               std::invalid_argument);
+  EXPECT_THROW(serve::InferenceServer(
+                   [&](std::size_t) {
+                     return planned_lane(pm.model, Shape{3, 32, 32}, 2);
+                   },
+                   options),
+               std::invalid_argument);
+  // A conv-only model records at any spatial size.
+  ut::Rng rng(5);
+  auto conv = std::make_shared<nn::Sequential>();
+  conv->add(std::make_shared<nn::Conv2d>(3, 4, 3, 1, 1, true, rng));
+  options.lanes = 2;
+  EXPECT_THROW(serve::InferenceServer(
+                   [&](std::size_t index) {
+                     return planned_lane(
+                         conv, index == 0 ? Shape{3, 8, 8} : Shape{3, 4, 4},
+                         4);
+                   },
+                   options),
+               std::invalid_argument);
+
+  // make_server compiles every lane's plan for the test split's sample
+  // shape, so a prepared model without a test split cannot be served.
+  pm.test.reset();
+  ServeOptions no_split;
+  no_split.server.clamp_rate_threshold = 0.05;  // no calibration traffic
+  EXPECT_THROW((void)make_server(pm, no_split), std::invalid_argument);
+
+  // Both accepted forms of the plans' shape are served.
+  (void)server->infer(Tensor::zeros(Shape{3, 32, 32}));
+  (void)server->infer(Tensor::zeros(Shape{1, 3, 32, 32}));
+  EXPECT_EQ(server->stats().requests, 2u);
 }
 
 TEST(Serve, CalibrationMeasuresCleanPeakRate) {

@@ -1,6 +1,5 @@
 // Unit tests for src/util: RNG determinism and distribution sanity, thread
-// pool correctness, CSV escaping, CLI parsing, table formatting, percentile
-// rank selection.
+// pool correctness, CSV escaping, CLI parsing, table formatting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,57 +13,12 @@
 
 #include "util/cli.h"
 #include "util/csv.h"
-#include "util/percentile.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace fitact::ut {
 namespace {
-
-// Ceil nearest-rank: element ceil(p * n), 1-based. The degenerate sizes and
-// the exact-rank boundaries below are precisely where the old floor-index
-// form (p * (n - 1) truncated) picked a lower rank.
-TEST(Percentile, SingleSampleIsEveryPercentile) {
-  const std::vector<double> one{42.0};
-  EXPECT_EQ(percentile(one, 0.01), 42.0);
-  EXPECT_EQ(percentile(one, 0.50), 42.0);
-  EXPECT_EQ(percentile(one, 0.99), 42.0);
-  EXPECT_EQ(percentile(one, 1.00), 42.0);
-}
-
-TEST(Percentile, TwoSamplesSplitAtTheMedian) {
-  const std::vector<double> two{1.0, 9.0};
-  // ceil(0.5 * 2) = 1 -> first element; anything above 0.5 -> second.
-  EXPECT_EQ(percentile(two, 0.50), 1.0);
-  EXPECT_EQ(percentile(two, 0.51), 9.0);
-  EXPECT_EQ(percentile(two, 0.95), 9.0);
-  EXPECT_EQ(percentile(two, 0.99), 9.0);
-  EXPECT_EQ(percentile(two, 1.00), 9.0);
-}
-
-TEST(Percentile, ExactRankBoundaries) {
-  std::vector<double> v(20);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>(i + 1);  // 1..20, already sorted
-  }
-  // p * n lands exactly on an integer rank: ceil is the identity, and the
-  // floor form's (n - 1) scaling would have picked one element lower.
-  EXPECT_EQ(percentile(v, 0.05), 1.0);   // rank 1
-  EXPECT_EQ(percentile(v, 0.50), 10.0);  // rank 10
-  EXPECT_EQ(percentile(v, 0.95), 19.0);  // rank 19
-  EXPECT_EQ(percentile(v, 1.00), 20.0);  // rank 20 == max
-  // Just past a boundary rounds up to the next rank.
-  EXPECT_EQ(percentile(v, 0.951), 20.0);
-}
-
-TEST(Percentile, RejectsEmptyAndOutOfRangeP) {
-  EXPECT_THROW((void)percentile({}, 0.5), std::invalid_argument);
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_THROW((void)percentile(v, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)percentile(v, -0.5), std::invalid_argument);
-  EXPECT_THROW((void)percentile(v, 1.5), std::invalid_argument);
-}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123);
