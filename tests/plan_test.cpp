@@ -14,6 +14,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -72,11 +73,23 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace fitact {
 namespace {
 
+/// A protection configuration of the plan matrices: the scheme every site
+/// runs and the granularity of its bounds.
+struct Protect {
+  core::Scheme scheme;
+  core::Granularity granularity;
+};
+
+std::string to_string(const Protect& p) {
+  return core::to_string(p.scheme) + "_" + core::to_string(p.granularity);
+}
+
 /// Zoo model at test width, in eval mode, with bounds seeded from a short
 /// random-input profiling pass when the scheme needs them.
 std::shared_ptr<nn::Module> zoo_model(const std::string& name,
-                                      core::Scheme scheme,
+                                      const Protect& protect,
                                       std::uint64_t seed) {
+  const core::Scheme scheme = protect.scheme;
   models::ModelConfig cfg;
   cfg.num_classes = 10;
   cfg.width_mult = 0.125f;
@@ -94,9 +107,28 @@ std::shared_ptr<nn::Module> zoo_model(const std::string& name,
           Variable(Tensor::randn(Shape{2, 3, 32, 32}, rng), false));
     }
     for (const auto& site : sites) site->set_profiling(false);
-    core::apply_protection(*model, scheme);
+    core::ProtectionOptions options = core::default_options(scheme);
+    options.granularity = protect.granularity;
+    core::apply_protection(*model, scheme, options);
   }
   return model;
+}
+
+/// zoo_model under the scheme's default (paper) granularity.
+std::shared_ptr<nn::Module> zoo_model(const std::string& name,
+                                      core::Scheme scheme,
+                                      std::uint64_t seed) {
+  return zoo_model(name, {scheme, core::default_options(scheme).granularity},
+                   seed);
+}
+
+/// (zoo model, protection) parameter of the fusion and int8 matrices.
+using ModelProtect = std::tuple<const char*, Protect>;
+
+std::string model_protect_name(
+    const ::testing::TestParamInfo<ModelProtect>& info) {
+  return std::string(std::get<0>(info.param)) + "_" +
+         to_string(std::get<1>(info.param));
 }
 
 void expect_bit_identical(const Tensor& got, const Tensor& want,
@@ -152,14 +184,16 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanZoo,
                                            "resnet50"));
 
 // Fusion acceptance matrix: the conv/linear + bias + bound-clamp fusion
-// pass must be a pure performance transform. For every zoo model, the
-// fused plan reproduces both the eager forward and the unfused plan
-// bit-for-bit at batch 1 / 3 / 8 on both kernel backends, and wherever a
-// pair actually fuses the dead intermediate must shrink the arena.
-class PlanFusion : public ::testing::TestWithParam<const char*> {};
+// pass must be a pure performance transform. For every zoo model under
+// every scheme and bound granularity, the fused plan reproduces both the
+// eager forward and the unfused plan bit-for-bit at batch 1 / 3 / 8 on both
+// kernel backends, and wherever a pair actually fuses the dead intermediate
+// must shrink the arena.
+class PlanFusion : public ::testing::TestWithParam<ModelProtect> {};
 
 TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
-  const auto model = zoo_model(GetParam(), core::Scheme::clip_act, 43);
+  const std::string name = std::get<0>(GetParam());
+  const auto model = zoo_model(name, std::get<1>(GetParam()), 43);
   const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
                                                 /*fuse=*/true);
   const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
@@ -172,7 +206,6 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
             unfused->op_count());
   // Killing intermediates can only ever release liveness pressure.
   EXPECT_LE(fused->arena_bytes(), unfused->arena_bytes());
-  const std::string name = GetParam();
   // Every zoo model now fuses: direct conv->act / linear->act pairs, and
   // resnet50's conv->bn->act triples via the BatchNorm fold.
   EXPECT_GT(fused->fused_op_count(), 0u);
@@ -198,9 +231,10 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
     for (const std::int64_t b : {1, 3, 8}) {
       const Tensor x = Tensor::randn(Shape{b, 3, 32, 32}, rng);
       const Tensor want = model->forward(Variable(x, false)).value();
-      const std::string context = std::string(GetParam()) + " backend " +
-                                  kern::backend_name(backend) + " batch " +
-                                  std::to_string(b);
+      const std::string context = name + " " +
+                                  to_string(std::get<1>(GetParam())) +
+                                  " backend " + kern::backend_name(backend) +
+                                  " batch " + std::to_string(b);
       std::memcpy(fused->input_view(b).data(), x.data(),
                   sizeof(float) * static_cast<std::size_t>(x.numel()));
       std::memcpy(unfused->input_view(b).data(), x.data(),
@@ -213,16 +247,14 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, PlanFusion,
-                         ::testing::Values("tinycnn", "alexnet", "vgg16",
-                                           "resnet50"));
-
 // Fused clamp-event counting must tally exactly what the standalone
 // activation op would have: same per-site events, same inspected totals.
 // Inputs are drawn wider than the profiling pass so some pre-activations
 // genuinely exceed their bounds and the event comparison is non-trivial.
-TEST(PlanFusion, FusedClampCountsEqualUnfused) {
-  const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 47);
+// Plain ReLU has no bound and counts nothing on either plan.
+TEST_P(PlanFusion, FusedClampCountsEqualUnfused) {
+  const auto model =
+      zoo_model(std::get<0>(GetParam()), std::get<1>(GetParam()), 47);
   const auto sites = core::collect_activations(*model);
   for (const auto& site : sites) site->set_clamp_counting(true);
   const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
@@ -257,11 +289,30 @@ TEST(PlanFusion, FusedClampCountsEqualUnfused) {
     events += fused_counts[i].first;
     total += fused_counts[i].second;
   }
-  EXPECT_GT(events, 0u) << "inputs wide enough to clamp somewhere";
-  EXPECT_GT(total, 0u);
+  if (std::get<1>(GetParam()).scheme == core::Scheme::relu) {
+    EXPECT_EQ(events, 0u);
+    EXPECT_EQ(total, 0u);
+  } else {
+    EXPECT_GT(events, 0u) << "inputs wide enough to clamp somewhere";
+    EXPECT_GT(total, 0u);
+  }
   for (const auto& site : sites) site->set_clamp_counting(false);
   core::reset_clamp_counters(sites);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, PlanFusion,
+    ::testing::Combine(
+        ::testing::Values("tinycnn", "alexnet", "vgg16", "resnet50"),
+        ::testing::Values(
+            Protect{core::Scheme::relu, core::Granularity::per_neuron},
+            Protect{core::Scheme::clip_act, core::Granularity::per_layer},
+            Protect{core::Scheme::clip_act, core::Granularity::per_channel},
+            Protect{core::Scheme::ranger, core::Granularity::per_layer},
+            Protect{core::Scheme::fitrelu_naive,
+                    core::Granularity::per_neuron},
+            Protect{core::Scheme::fitrelu, core::Granularity::per_neuron})),
+    model_protect_name);
 
 // ---- Int8 quantized plans --------------------------------------------------
 
@@ -280,11 +331,16 @@ float max_abs(const Tensor& t) {
 // bound-derived activation scales keep per-layer error ~1%), and — the
 // stronger contract — the int8 forward must be bit-identical across kernel
 // backends (exact int32 GEMM + branch-identical quantize + FMA-free
-// epilogues).
-class PlanInt8 : public ::testing::TestWithParam<const char*> {};
+// epilogues). The protections cover every bound extent (layer, channel,
+// neuron) and both clamp modes; the finer extents run under ranger's
+// saturating clamp, because under a zero-above clamp an element sitting at
+// its bound lands at b in one precision and at 0 in the other, and
+// closeness in L2 is then not a property of the model.
+class PlanInt8 : public ::testing::TestWithParam<ModelProtect> {};
 
 TEST_P(PlanInt8, ConvertsOpsStaysCloseToFp32AndMatchesAcrossBackends) {
-  const auto model = zoo_model(GetParam(), core::Scheme::clip_act, 43);
+  const char* const name = std::get<0>(GetParam());
+  const auto model = zoo_model(name, std::get<1>(GetParam()), 43);
   ut::Rng rng(71);
   const NoGradGuard no_grad;
   std::vector<Tensor> inputs;
@@ -333,7 +389,7 @@ TEST_P(PlanInt8, ConvertsOpsStaysCloseToFp32AndMatchesAcrossBackends) {
         den += static_cast<double>(want[j]) * want[j];
       }
       EXPECT_LT(std::sqrt(num), 0.25 * std::sqrt(den) + 1e-3)
-          << GetParam() << " batch " << x.shape()[0] << " backend "
+          << name << " " << to_string(std::get<1>(GetParam())) << " batch " << x.shape()[0] << " backend "
           << kern::backend_name(backend);
     }
   }
@@ -390,9 +446,16 @@ TEST(PlanInt8, FullyQuantizedForwardBitIdenticalAcrossBackends) {
                        "fully quantized scalar vs avx2");
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, PlanInt8,
-                         ::testing::Values("tinycnn", "alexnet", "vgg16",
-                                           "resnet50"));
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, PlanInt8,
+    ::testing::Combine(
+        ::testing::Values("tinycnn", "alexnet", "vgg16", "resnet50"),
+        ::testing::Values(
+            Protect{core::Scheme::clip_act, core::Granularity::per_layer},
+            Protect{core::Scheme::ranger, core::Granularity::per_layer},
+            Protect{core::Scheme::ranger, core::Granularity::per_channel},
+            Protect{core::Scheme::ranger, core::Granularity::per_neuron})),
+    model_protect_name);
 
 // Compile-time contract: int8 without bounded clamp sites (plain ReLU) has
 // nothing to quantize and must fail loudly instead of serving fp32 under an
