@@ -12,7 +12,10 @@
 // thread count.
 //
 // Kernels write through raw pointers (eager ops pass freshly allocated
-// Tensors, plans pass arena offsets) and never allocate.
+// Tensors, plans pass arena offsets) and never allocate. A fused plan op is
+// no kernel of its own: it runs the producer's kernel, then the bounded
+// activation's kernel in place over the producer's output, so fused plans,
+// unfused plans and eager forwards all execute one kernel sequence.
 //
 // The hot inner loops (ReLU, bound-clamp with event counting, FitReLU,
 // elementwise add, bias adds, and the GEMM behind linear/conv) dispatch
@@ -174,100 +177,6 @@ inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
       kern::bias_add_const(out_sample + c * ohw, bias_or_null[c], ohw);
     }
   }
-}
-
-// ---- fused GEMM + bound-clamp ----------------------------------------------
-
-/// The clamp a fused conv/linear op applies to its GEMM output, resolved
-/// from the activation site at execute time (so bounds or scheme changes
-/// installed after plan compile stay visible). A plain ReLU is expressed as
-/// bound = +inf (one value), zero_above, counting off: every finite positive
-/// x passes, NaN maps to 0 — exactly relu_forward's semantics.
-struct ClampSpec {
-  const float* bound;        ///< broadcast bound values (never null)
-  std::int64_t bound_numel;  ///< 1 | channels | feat
-  ClipMode mode;
-  bool count;                ///< tally elements with x + bias > bound
-};
-
-/// In-place bias + clamp over one linear output row (out_f features). The
-/// bias add and clamp are the same per-element float ops, in the same
-/// order, as the unfused bias_add_row + clipped_relu_forward sequence (a
-/// null bias adds 0.0f, which is bit-transparent to the compare-and-select
-/// cascade), so fusion preserves bit-identity.
-inline std::uint64_t linear_bias_clamp_epilogue(float* row,
-                                                const float* bias_or_null,
-                                                std::int64_t out_f,
-                                                const ClampSpec& s) noexcept {
-  const bool sat = s.mode == ClipMode::saturate;
-  if (s.bound_numel == 1) {
-    if (bias_or_null != nullptr) {
-      return kern::fused_bias_clip_rc(row, bias_or_null, s.bound[0], sat,
-                                      out_f, s.count);
-    }
-    return kern::fused_bias_clip_cc(row, 0.0f, s.bound[0], sat, out_f,
-                                    s.count);
-  }
-  if (bias_or_null != nullptr) {
-    return kern::fused_bias_clip_rr(row, bias_or_null, s.bound, sat, out_f,
-                                    s.count);
-  }
-  return kern::fused_bias_clip_cr(row, 0.0f, s.bound, sat, out_f, s.count);
-}
-
-/// In-place bias + clamp over one conv output sample (out_c planes of hw
-/// elements). Conv bias is per-channel, so each plane sees one scalar bias;
-/// the bound is constant per plane except at per-neuron granularity.
-inline std::uint64_t conv_bias_clamp_epilogue(float* out_sample,
-                                              const float* bias_or_null,
-                                              std::int64_t out_c,
-                                              std::int64_t hw,
-                                              const ClampSpec& s) noexcept {
-  const bool sat = s.mode == ClipMode::saturate;
-  const bool per_neuron = s.bound_numel == out_c * hw;
-  std::uint64_t events = 0;
-  for (std::int64_t c = 0; c < out_c; ++c) {
-    float* plane = out_sample + c * hw;
-    const float bias = bias_or_null != nullptr ? bias_or_null[c] : 0.0f;
-    if (per_neuron) {
-      events += kern::fused_bias_clip_cr(plane, bias, s.bound + c * hw, sat,
-                                         hw, s.count);
-    } else {
-      const float b = s.bound_numel == 1 ? s.bound[0] : s.bound[c];
-      events += kern::fused_bias_clip_cc(plane, bias, b, sat, hw, s.count);
-    }
-  }
-  return events;
-}
-
-/// Fused linear forward: the linear_forward GEMM (bias deferred) with the
-/// clamp epilogue applied per output row while it is cache-hot. Returns the
-/// clamp-event tally (0 when s.count is off).
-inline std::uint64_t linear_clamp_forward(std::int64_t batch, std::int64_t in,
-                                          std::int64_t out_f, const float* x,
-                                          const float* w,
-                                          const float* bias_or_null,
-                                          float* wt_scratch, float* out,
-                                          const ClampSpec& s) noexcept {
-  linear_forward(batch, in, out_f, x, w, nullptr, wt_scratch, out);
-  std::uint64_t events = 0;
-  for (std::int64_t r = 0; r < batch; ++r) {
-    events += linear_bias_clamp_epilogue(out + r * out_f, bias_or_null, out_f,
-                                         s);
-  }
-  return events;
-}
-
-/// Fused conv2d forward for one sample: conv2d_forward_sample's im2col +
-/// GEMM (bias deferred) with the clamp epilogue applied per channel plane.
-inline std::uint64_t conv2d_clamp_forward_sample(
-    const Conv2dGeometry& geo, std::int64_t out_c, const float* x_sample,
-    const float* w, const float* bias_or_null, float* col_scratch,
-    float* out_sample, const ClampSpec& s) noexcept {
-  conv2d_forward_sample(geo, out_c, x_sample, w, nullptr, col_scratch,
-                        out_sample);
-  return conv_bias_clamp_epilogue(out_sample, bias_or_null, out_c,
-                                  geo.col_cols(), s);
 }
 
 // ---- normalisation / pooling ----------------------------------------------

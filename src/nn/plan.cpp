@@ -123,6 +123,43 @@ void im2row_i8(const Conv2dGeometry& g, const std::int8_t* hwc,
   }
 }
 
+/// The activation step every clamp op ends in, standalone or fused: runs
+/// the site's scheme over n elements from x into o (in place when x == o)
+/// and deposits the clamp counts. Scheme and bounds are read from the site
+/// on every call, so re-protection after compile stays visible.
+void activation_step(core::BoundedActivation& site,
+                     const ag::FeatureBroadcast& fb, const std::string& label,
+                     const float* x, float* o, std::int64_t n) {
+  if (site.profiling() || site.has_input_corruptor()) {
+    throw std::logic_error(
+        "InferencePlan: activation site '" + label +
+        "' entered profiling/corruptor mode after compile; planned lanes "
+        "serve clean inference only");
+  }
+  const core::Scheme scheme = site.scheme();
+  if (scheme == core::Scheme::relu) {
+    ag::relu_forward(x, o, n);
+    return;
+  }
+  if (!site.has_bounds()) {
+    throw std::logic_error("BoundedActivation(" + core::to_string(scheme) +
+                           "): bounds not initialised");
+  }
+  const Tensor& bt = site.bounds().value();
+  fb.validate_bound(bt.numel());
+  const bool count = site.clamp_counting();
+  const std::uint64_t events =
+      scheme == core::Scheme::fitrelu
+          ? ag::fitrelu_forward(x, bt.data(), bt.numel(), fb, site.steepness(),
+                                o, n, count)
+          : ag::clipped_relu_forward(x, bt.data(), bt.numel(), fb,
+                                     scheme == core::Scheme::ranger
+                                         ? ag::ClipMode::saturate
+                                         : ag::ClipMode::zero_above,
+                                     o, n, count);
+  if (count) site.add_clamp_counts(events, static_cast<std::uint64_t>(n));
+}
+
 }  // namespace
 
 // ---- PlanBuilder -----------------------------------------------------------
@@ -586,7 +623,7 @@ void InferencePlan::quantize_ops(float input_range) {
   // with known input AND output range converts to int8: weights quantize
   // per output channel now, the input range fixes the activation scale, and
   // the op's own bounds keep feeding the clamp-event detector through the
-  // fused dequantize epilogue.
+  // activation step it ends in.
   std::vector<float> range(values_.size(), -1.0f);
   range[static_cast<std::size_t>(root(0))] =
       input_range > 0.0f ? input_range : -1.0f;
@@ -863,10 +900,29 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   const auto ptr = [&](PlanValueId v) {
     return base + bk.offsets[static_cast<std::size_t>(v)];
   };
+  const auto numel = [&](PlanValueId v) {
+    return batch * values_[static_cast<std::size_t>(v)].sample_numel;
+  };
+  // A fused op's steps after its producer, in its own output slot: the
+  // folded BatchNorm when it carries one, then the activation step the
+  // standalone activation op runs. With the producer (bias included) that
+  // is the unfused program's kernel sequence minus the intermediate slots,
+  // so fused outputs and clamp counts stay bit-identical.
+  const auto bn_and_activation = [&](const Op& op) {
+    float* const o = ptr(op.out);
+    if (op.gamma.defined()) {
+      ag::batch_norm2d_eval_forward(
+          batch, op.out_c, op.geo.out_h() * op.geo.out_w(), o,
+          op.gamma.data(), op.beta.data(), op.running_mean.data(),
+          op.running_var.data(), op.eps, o);
+    }
+    activation_step(*op.site, op.fb, op.label, o, o, numel(op.out));
+  };
 
   for (const auto& op : ops_) {
     switch (op.kind) {
-      case PlanBuilder::OpKind::conv2d: {
+      case PlanBuilder::OpKind::conv2d:
+      case PlanBuilder::OpKind::fused_conv2d_clamp: {
         const std::int64_t in_stride =
             values_[static_cast<std::size_t>(op.in0)].sample_numel;
         const std::int64_t out_stride =
@@ -879,243 +935,26 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
           ag::conv2d_forward_sample(op.geo, op.out_c, x + s * in_stride, w, b,
                                     scratch, o + s * out_stride);
         }
+        if (op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
+          bn_and_activation(op);
+        }
         break;
       }
       case PlanBuilder::OpKind::linear:
+      case PlanBuilder::OpKind::fused_linear_clamp:
         ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
                            op.weight.data(),
                            op.bias.defined() ? op.bias.data() : nullptr,
                            scratch, ptr(op.out));
-        break;
-      case PlanBuilder::OpKind::fused_conv2d_clamp:
-      case PlanBuilder::OpKind::fused_linear_clamp: {
-        core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        const bool is_conv =
-            op.kind == PlanBuilder::OpKind::fused_conv2d_clamp;
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const float* w = op.weight.data();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        // Scheme and bounds are re-read from the site on every execute, so
-        // re-protection after compile behaves exactly as on the unfused
-        // path. A plain ReLU is bound = +inf under the clamp cascade (every
-        // finite positive passes, NaN maps to 0), with counting off — the
-        // unfused relu never counts either.
-        const core::Scheme scheme = site->scheme();
-        static constexpr float kInf = std::numeric_limits<float>::infinity();
-        ag::ClampSpec spec{&kInf, 1, ag::ClipMode::zero_above, false};
-        bool count = false;
-        if (scheme != core::Scheme::relu) {
-          if (!site->has_bounds()) {
-            throw std::logic_error("BoundedActivation(" +
-                                   core::to_string(scheme) +
-                                   "): bounds not initialised");
-          }
-          const Tensor& bt = site->bounds().value();
-          op.fb.validate_bound(bt.numel());
-          count = site->clamp_counting();
-          spec = {bt.data(), bt.numel(),
-                  scheme == core::Scheme::ranger ? ag::ClipMode::saturate
-                                                 : ag::ClipMode::zero_above,
-                  count};
-        }
-        std::uint64_t events = 0;
-        const bool has_bn = op.gamma.defined();
-        if (scheme == core::Scheme::fitrelu || has_bn) {
-          // No single-epilogue form: FitReLU's sigmoid shaping has no
-          // clip-kernel expression, and a folded BatchNorm sits between the
-          // GEMM and the clamp. Run the producer (bias included) into the
-          // fused output slot, then BN in place, then the activation pass —
-          // the same steps in the same order as the unfused program, minus
-          // the separate intermediate slots, so outputs stay bit-identical.
-          if (is_conv) {
-            for (std::int64_t s = 0; s < batch; ++s) {
-              ag::conv2d_forward_sample(op.geo, op.out_c, x + s * in_stride,
-                                        w, b, scratch, o + s * out_stride);
-            }
-          } else {
-            ag::linear_forward(batch, op.in_f, op.out_f, x, w, b, scratch, o);
-          }
-          if (has_bn) {
-            ag::batch_norm2d_eval_forward(
-                batch, op.out_c, out_stride / op.out_c, o, op.gamma.data(),
-                op.beta.data(), op.running_mean.data(), op.running_var.data(),
-                op.eps, o);
-          }
-          if (scheme == core::Scheme::fitrelu) {
-            const Tensor& bt = site->bounds().value();
-            events = ag::fitrelu_forward(o, bt.data(), bt.numel(), op.fb,
-                                         site->steepness(), o,
-                                         batch * out_stride, count);
-          } else {
-            // Covers plain ReLU too: spec is then bound=+inf / zero_above /
-            // no counting, bit-identical to relu_forward.
-            events = ag::clipped_relu_forward(o, spec.bound, spec.bound_numel,
-                                              op.fb, spec.mode, o,
-                                              batch * out_stride, count);
-          }
-        } else if (is_conv) {
-          for (std::int64_t s = 0; s < batch; ++s) {
-            events += ag::conv2d_clamp_forward_sample(
-                op.geo, op.out_c, x + s * in_stride, w, b, scratch,
-                o + s * out_stride, spec);
-          }
-        } else {
-          events = ag::linear_clamp_forward(batch, op.in_f, op.out_f, x, w, b,
-                                            scratch, o, spec);
-        }
-        if (count) {
-          site->add_clamp_counts(
-              events, static_cast<std::uint64_t>(batch * out_stride));
+        if (op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
+          bn_and_activation(op);
         }
         break;
-      }
       case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
-      case PlanBuilder::OpKind::fused_linear_int8_clamp: {
-        core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        // The op was quantized under this site's bounds (they fixed the
-        // activation scale); swapping scheme or bounds afterwards would
-        // silently serve stale scales, so demand a recompile instead.
-        const core::Scheme scheme = site->scheme();
-        if (!clampable_scheme(scheme) || !site->has_bounds()) {
-          throw std::logic_error(
-              "InferencePlan: int8 op '" + op.label +
-              "' lost the bounded clamp scheme it was quantized under; "
-              "recompile the plan after re-protection");
-        }
-        const bool is_conv =
-            op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp;
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const quant::Int8Weights& q8 = *op.q8;
-        const Tensor& bt = site->bounds().value();
-        op.fb.validate_bound(bt.numel());
-        const bool saturate = scheme == core::Scheme::ranger;
-        const bool count = site->clamp_counting();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        std::uint64_t events = 0;
-        std::int8_t* const qbuf = scratch_i8_.get();
-        if (is_conv) {
-          // Per sample: quantize the input, gather the padded im2row patch
-          // matrix, int8 GEMM straight into the output slot (int32
-          // accumulators reinterpret the float storage), then the
-          // per-channel dequantize+bias+clamp epilogue in place. A folded
-          // BatchNorm defers the clamp: plain dequantize per plane, BN over
-          // the batch, then the same clamp pass as the fp32 path.
-          const std::int64_t hw = op.geo.out_h() * op.geo.out_w();
-          const std::int64_t ckk_pad = q8.cols_padded;
-          std::int8_t* const qin = qbuf;
-          std::int8_t* const qhwc =
-              qbuf + align_up_bytes(static_cast<std::size_t>(in_stride));
-          std::int8_t* const qcol =
-              qbuf + 2 * align_up_bytes(static_cast<std::size_t>(in_stride));
-          const bool has_bn = op.gamma.defined();
-          for (std::int64_t s = 0; s < batch; ++s) {
-            kern::quantize_i8(x + s * in_stride, q8.inv_act_scale, qin,
-                              in_stride);
-            chw_to_hwc_i8(qin, qhwc, op.geo.in_channels,
-                          op.geo.in_h * op.geo.in_w);
-            im2row_i8(op.geo, qhwc, qcol, ckk_pad);
-            auto* acc = reinterpret_cast<std::int32_t*>(o + s * out_stride);
-            if (op.q8_in_nonneg) {
-              // Proven-nonneg input: patch bytes are in [0,127], so the
-              // u8xs8 kernel applies (patches are the B operand here).
-              kern::gemm_i8u8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad,
-                                  qcol, ckk_pad, acc, hw,
-                                  /*a_unsigned=*/false);
-            } else {
-              kern::gemm_i8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad,
-                                qcol, ckk_pad, acc, hw);
-            }
-            for (std::int64_t c = 0; c < op.out_c; ++c) {
-              const float scale = q8.combined[static_cast<std::size_t>(c)];
-              const float bc = b != nullptr ? b[c] : 0.0f;
-              std::int32_t* plane = acc + c * hw;
-              if (has_bn) {
-                kern::dequant_i32(plane, scale, bc, hw);
-              } else if (bt.numel() == 1) {
-                events += kern::fused_dequant_clip_cc(
-                    plane, scale, bc, bt.data()[0], saturate, hw, count);
-              } else if (bt.numel() == op.out_c) {
-                events += kern::fused_dequant_clip_cc(
-                    plane, scale, bc, bt.data()[c], saturate, hw, count);
-              } else {
-                events += kern::fused_dequant_clip_cr(plane, scale, bc,
-                                                      bt.data() + c * hw,
-                                                      saturate, hw, count);
-              }
-            }
-          }
-          if (has_bn) {
-            ag::batch_norm2d_eval_forward(
-                batch, op.out_c, hw, o, op.gamma.data(), op.beta.data(),
-                op.running_mean.data(), op.running_var.data(), op.eps, o);
-            events = ag::clipped_relu_forward(
-                o, bt.data(), bt.numel(), op.fb,
-                saturate ? ag::ClipMode::saturate : ag::ClipMode::zero_above,
-                o, batch * out_stride, count);
-          }
-        } else {
-          // Quantize the batch rows (zero-padding each row's block tail),
-          // one GEMM for the whole batch, then the per-row epilogue with
-          // per-channel combined scales.
-          const std::int64_t in_f_pad = q8.cols_padded;
-          for (std::int64_t s = 0; s < batch; ++s) {
-            kern::quantize_i8(x + s * in_stride, q8.inv_act_scale,
-                              qbuf + s * in_f_pad, in_stride);
-            std::memset(qbuf + s * in_f_pad + in_stride, 0,
-                        static_cast<std::size_t>(in_f_pad - in_stride));
-          }
-          auto* acc = reinterpret_cast<std::int32_t*>(o);
-          if (op.q8_in_nonneg) {
-            // Proven-nonneg input: the quantized batch rows (the A operand
-            // here) are in [0,127], so the u8xs8 kernel applies.
-            kern::gemm_i8u8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
-                                q8.q.data(), in_f_pad, acc, op.out_f,
-                                /*a_unsigned=*/true);
-          } else {
-            kern::gemm_i8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
-                              q8.q.data(), in_f_pad, acc, op.out_f);
-          }
-          for (std::int64_t s = 0; s < batch; ++s) {
-            std::int32_t* row = acc + s * op.out_f;
-            if (bt.numel() == 1) {
-              events += kern::fused_dequant_clip_rc(row, q8.combined.data(),
-                                                    b, bt.data()[0], saturate,
-                                                    op.out_f, count);
-            } else {
-              events += kern::fused_dequant_clip_rr(row, q8.combined.data(),
-                                                    b, bt.data(), saturate,
-                                                    op.out_f, count);
-            }
-          }
-        }
-        if (count) {
-          site->add_clamp_counts(
-              events, static_cast<std::uint64_t>(batch * out_stride));
-        }
+      case PlanBuilder::OpKind::fused_linear_int8_clamp:
+        int8_producer(op, batch, ptr(op.in0), ptr(op.out));
+        bn_and_activation(op);
         break;
-      }
       case PlanBuilder::OpKind::batch_norm2d: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::batch_norm2d_eval_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
@@ -1137,66 +976,97 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
                                     ptr(op.out));
         break;
       }
-      case PlanBuilder::OpKind::activation: {
-        core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        const std::int64_t n =
-            batch * values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        if (site->scheme() == core::Scheme::relu) {
-          ag::relu_forward(x, o, n);
-          break;
-        }
-        if (!site->has_bounds()) {
-          throw std::logic_error("BoundedActivation(" +
-                                 core::to_string(site->scheme()) +
-                                 "): bounds not initialised");
-        }
-        const Tensor& bt = site->bounds().value();
-        op.fb.validate_bound(bt.numel());
-        const bool count = site->clamp_counting();
-        std::uint64_t events = 0;
-        switch (site->scheme()) {
-          case core::Scheme::clip_act:
-          case core::Scheme::fitrelu_naive:
-            events = ag::clipped_relu_forward(x, bt.data(), bt.numel(), op.fb,
-                                              ag::ClipMode::zero_above, o, n,
-                                              count);
-            break;
-          case core::Scheme::ranger:
-            events = ag::clipped_relu_forward(x, bt.data(), bt.numel(), op.fb,
-                                              ag::ClipMode::saturate, o, n,
-                                              count);
-            break;
-          case core::Scheme::fitrelu:
-            events = ag::fitrelu_forward(x, bt.data(), bt.numel(), op.fb,
-                                         site->steepness(), o, n, count);
-            break;
-          case core::Scheme::relu:
-            break;  // handled above
-        }
-        if (count) {
-          site->add_clamp_counts(events, static_cast<std::uint64_t>(n));
-        }
+      case PlanBuilder::OpKind::activation:
+        activation_step(*op.site, op.fb, op.label, ptr(op.in0), ptr(op.out),
+                        numel(op.in0));
         break;
-      }
       case PlanBuilder::OpKind::add:
-        ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out),
-                        batch *
-                            values_[static_cast<std::size_t>(op.out)]
-                                .sample_numel);
+        ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out), numel(op.out));
         break;
       case PlanBuilder::OpKind::noop:
         break;
     }
   }
   return output_views_[static_cast<std::size_t>(batch - 1)];
+}
+
+void InferencePlan::int8_producer(const Op& op, std::int64_t batch,
+                                  const float* x, float* o) {
+  // The op was quantized under its site's bounds (they fixed the activation
+  // scale); swapping scheme or bounds afterwards would silently serve stale
+  // scales, so demand a recompile instead.
+  const core::BoundedActivation& site = *op.site;
+  if (!clampable_scheme(site.scheme()) || !site.has_bounds()) {
+    throw std::logic_error(
+        "InferencePlan: int8 op '" + op.label +
+        "' lost the bounded clamp scheme it was quantized under; recompile "
+        "the plan after re-protection");
+  }
+  const std::int64_t in_stride =
+      values_[static_cast<std::size_t>(op.in0)].sample_numel;
+  const quant::Int8Weights& q8 = *op.q8;
+  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
+  std::int8_t* const qbuf = scratch_i8_.get();
+  if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
+    // Per sample: quantize the input, gather the padded im2row patch
+    // matrix, int8 GEMM straight into the output slot (int32 accumulators
+    // reinterpret the float storage), then dequantize (bias included) per
+    // channel plane in place.
+    const std::int64_t hw = op.geo.out_h() * op.geo.out_w();
+    const std::int64_t out_stride = op.out_c * hw;
+    const std::int64_t ckk_pad = q8.cols_padded;
+    std::int8_t* const qin = qbuf;
+    std::int8_t* const qhwc =
+        qbuf + align_up_bytes(static_cast<std::size_t>(in_stride));
+    std::int8_t* const qcol =
+        qbuf + 2 * align_up_bytes(static_cast<std::size_t>(in_stride));
+    for (std::int64_t s = 0; s < batch; ++s) {
+      kern::quantize_i8(x + s * in_stride, q8.inv_act_scale, qin, in_stride);
+      chw_to_hwc_i8(qin, qhwc, op.geo.in_channels, op.geo.in_h * op.geo.in_w);
+      im2row_i8(op.geo, qhwc, qcol, ckk_pad);
+      auto* acc = reinterpret_cast<std::int32_t*>(o + s * out_stride);
+      if (op.q8_in_nonneg) {
+        // Proven-nonneg input: patch bytes are in [0,127], so the u8xs8
+        // kernel applies (patches are the B operand here).
+        kern::gemm_i8u8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad, qcol,
+                            ckk_pad, acc, hw, /*a_unsigned=*/false);
+      } else {
+        kern::gemm_i8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad, qcol,
+                          ckk_pad, acc, hw);
+      }
+      for (std::int64_t c = 0; c < op.out_c; ++c) {
+        kern::dequant_i32(acc + c * hw,
+                          q8.combined[static_cast<std::size_t>(c)],
+                          b != nullptr ? b[c] : 0.0f, hw);
+      }
+    }
+    return;
+  }
+  // Quantize the batch rows (zero-padding each row's block tail), one GEMM
+  // for the whole batch, then dequantize each output row with the
+  // per-channel combined scales and the bias row.
+  const std::int64_t in_f_pad = q8.cols_padded;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    kern::quantize_i8(x + s * in_stride, q8.inv_act_scale,
+                      qbuf + s * in_f_pad, in_stride);
+    std::memset(qbuf + s * in_f_pad + in_stride, 0,
+                static_cast<std::size_t>(in_f_pad - in_stride));
+  }
+  auto* acc = reinterpret_cast<std::int32_t*>(o);
+  if (op.q8_in_nonneg) {
+    // Proven-nonneg input: the quantized batch rows (the A operand here)
+    // are in [0,127], so the u8xs8 kernel applies.
+    kern::gemm_i8u8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
+                        q8.q.data(), in_f_pad, acc, op.out_f,
+                        /*a_unsigned=*/true);
+  } else {
+    kern::gemm_i8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad, q8.q.data(),
+                      in_f_pad, acc, op.out_f);
+  }
+  for (std::int64_t s = 0; s < batch; ++s) {
+    kern::dequant_i32_row(acc + s * op.out_f, q8.combined.data(), b,
+                          op.out_f);
+  }
 }
 
 void InferencePlan::restore_int8_weights() {

@@ -12,14 +12,16 @@
 //             image scrubs through quant::ParamImage remain visible to the
 //             plan because they write through that same storage.
 //   fuse      A peephole pass (on by default; serving always fuses)
-//             merges conv2d/linear ops with the bounded activation that is
-//             their sole consumer into single fused ops whose epilogue
-//             applies bias + bound-clamp (+ clamp-event counting) directly
-//             on the GEMM output — the pre-activation tensor never occupies
-//             an arena slot. The epilogue runs the exact per-element float
-//             sequence of the unfused bias-add + clamp, so fusion preserves
-//             the plan-vs-eager bit-identity contract; the activation site
-//             is still read at execute time, so re-protection after compile
+//             merges conv2d/linear ops (and a conv's eval-mode BatchNorm)
+//             with the bounded activation that is their sole consumer into
+//             single fused ops that write one arena slot: the producer
+//             (bias included) writes it, the folded BatchNorm and then the
+//             activation step (clamp + clamp-event counting) rewrite it in
+//             place — the pre-activation tensor never occupies a slot of
+//             its own. The activation step is the routine the standalone
+//             activation op runs, so fused, unfused and eager forwards run
+//             one kernel sequence and stay bit-identical; the activation
+//             site is read at execute time, so re-protection after compile
 //             stays visible exactly as on the unfused path.
 //   plan      A liveness pass assigns every intermediate value an offset in
 //             one pre-sized activation arena (first-fit over live ranges,
@@ -67,8 +69,9 @@ namespace fitact::nn {
 ///
 /// int8 converts every fused clamp op whose input range is statically known
 /// (see compile()'s input_range and the bound-derived range propagation in
-/// plan.cpp) to block-quantized int8 GEMM with a fused
-/// dequantize+bias+clamp epilogue. Ops that don't qualify (unbounded
+/// plan.cpp) to block-quantized int8 GEMM, dequantized (bias included) in
+/// place and then clamped by the same activation step as fp32 ops. Ops that
+/// don't qualify (unbounded
 /// schemes, unknown ranges, FitReLU's sigmoid shaping) stay fp32, so a plan
 /// is int8 *where the bounds allow* — compile throws PlanError when nothing
 /// qualifies rather than silently serving fp32 under an int8 label.
@@ -151,14 +154,16 @@ class PlanBuilder {
     activation,
     add,
     noop,
-    // Fusion-pass products: a conv2d/linear whose bias + bound-clamp run as
-    // an epilogue on the GEMM output (never recorded directly). A fused
-    // conv may additionally carry a folded eval-mode BatchNorm (gamma
-    // defined): conv -> bn -> clamp replayed as one op.
+    // Fusion-pass products (never recorded directly): a conv2d/linear
+    // followed, in its own output slot, by the activation step of the
+    // bounded activation it absorbed. A fused conv may additionally carry a
+    // folded eval-mode BatchNorm (gamma defined): conv -> bn -> clamp
+    // replayed as one op.
     fused_conv2d_clamp,
     fused_linear_clamp,
     // Quantization-pass products (Precision::int8): int8 GEMM over
-    // block-quantized weights with a dequantize+bias+clamp epilogue.
+    // block-quantized weights, dequantized in place, then the same
+    // (BatchNorm and) activation step as the fp32 fused ops.
     fused_conv2d_int8_clamp,
     fused_linear_int8_clamp,
   };
@@ -224,8 +229,9 @@ class InferencePlan {
  public:
   /// Record `model`'s inference op sequence for per-sample inputs of shape
   /// `sample_shape` ([C,H,W]) and batches of 1..max_batch, run the fusion
-  /// peephole (unless `fuse` is false — the A/B lever for tests and
-  /// benches), then plan the arena. Throws PlanError when the model cannot
+  /// peephole (unless `fuse` is false: tests compare the unfused program,
+  /// which runs the same kernels through separate arena slots), then plan
+  /// the arena. Throws PlanError when the model cannot
   /// be recorded (message names the module), std::invalid_argument for bad
   /// arguments. The plan keeps `model` alive (ops point into its parameter
   /// storage).
@@ -304,6 +310,11 @@ class InferencePlan {
 
   void fuse_ops();
   void quantize_ops(float input_range);
+  /// An int8 op's producer, from x into o: quantize, int8 GEMM into o's
+  /// bytes, then dequantize (bias included) in place. execute() then runs
+  /// the op's BatchNorm and activation step over o.
+  void int8_producer(const Op& op, std::int64_t batch, const float* x,
+                     float* o);
   void finalize_liveness();
   void plan_arena();
   [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;

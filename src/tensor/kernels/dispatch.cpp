@@ -223,30 +223,6 @@ std::uint64_t fitrelu(const float* x, const float* lambda,
                                 count);
 }
 
-std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_cc(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_cr(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_rc(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_rr(float* o, const float* bias,
-                                 const float* bound, bool saturate,
-                                 std::int64_t n, bool count) noexcept {
-  return active_table().fused_bias_clip_rr(o, bias, bound, saturate, n, count);
-}
-
 void gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
                  const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                  std::int64_t ldb, std::int32_t* c, std::int64_t ldc) noexcept {
@@ -270,34 +246,9 @@ void dequant_i32(std::int32_t* acc, float scale, float bias,
   active_table().dequant_i32(acc, scale, bias, n);
 }
 
-std::uint64_t fused_dequant_clip_cc(std::int32_t* acc, float scale, float bias,
-                                    float bound, bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_cc(acc, scale, bias, bound, saturate,
-                                              n, count);
-}
-
-std::uint64_t fused_dequant_clip_cr(std::int32_t* acc, float scale, float bias,
-                                    const float* bound, bool saturate,
-                                    std::int64_t n, bool count) noexcept {
-  return active_table().fused_dequant_clip_cr(acc, scale, bias, bound, saturate,
-                                              n, count);
-}
-
-std::uint64_t fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                    const float* bias, float bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_rc(acc, scale, bias, bound, saturate,
-                                              n, count);
-}
-
-std::uint64_t fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                    const float* bias, const float* bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_rr(acc, scale, bias, bound, saturate,
-                                              n, count);
+void dequant_i32_row(std::int32_t* acc, const float* scale, const float* bias,
+                     std::int64_t n) noexcept {
+  active_table().dequant_i32_row(acc, scale, bias, n);
 }
 
 }  // namespace fitact::kern

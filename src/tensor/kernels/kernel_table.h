@@ -28,24 +28,9 @@ struct KernelTable {
                            std::int64_t lambda_numel, std::int64_t feat,
                            std::int64_t hw, float k, float* o, std::int64_t n,
                            bool count) noexcept;
-  // Fused GEMM epilogues (bias + bound-clamp + optional event count in one
-  // pass over the output while it is still cache-hot): const/rowwise bias x
-  // const/rowwise bound. See kernels.h for the exact per-element contract.
-  std::uint64_t (*fused_bias_clip_cc)(float* o, float bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_cr)(float* o, float bias, const float* bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_rc)(float* o, const float* bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_rr)(float* o, const float* bias,
-                                      const float* bound, bool saturate,
-                                      std::int64_t n, bool count) noexcept;
   // Int8 quantized path (kernels_scalar_i8.cpp / kernels_avx2_i8.cpp). The
   // GEMM accumulates exactly in int32, so backends are bit-identical; the
-  // dequantize epilogues avoid FMA so the whole int8 path stays bit-identical
+  // dequantize kernels avoid FMA so the whole int8 path stays bit-identical
   // across backends too. Contracts in kernels.h.
   void (*gemm_i8_dot)(std::int64_t m, std::int64_t n, std::int64_t k,
                       const std::int8_t* a, std::int64_t lda,
@@ -53,7 +38,7 @@ struct KernelTable {
                       std::int64_t ldc) noexcept;
   // Same contract as gemm_i8_dot plus the caller's guarantee that every byte
   // of one operand (a when a_unsigned, else b) is in [0,127] — FitAct's
-  // clamp epilogue makes post-activation values nonnegative, so their
+  // clamp makes post-activation values nonnegative, so their
   // quantization always lands there. The guarantee unlocks u8xs8
   // instructions (maddubs / vpdpbusd) whose int16 pair sums cannot saturate
   // when |u| <= 127; results stay bit-identical to gemm_i8_dot on the same
@@ -67,21 +52,8 @@ struct KernelTable {
                       std::int64_t n) noexcept;
   void (*dequant_i32)(std::int32_t* acc, float scale, float bias,
                       std::int64_t n) noexcept;
-  std::uint64_t (*fused_dequant_clip_cc)(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept;
-  std::uint64_t (*fused_dequant_clip_cr)(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-  std::uint64_t (*fused_dequant_clip_rc)(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-  std::uint64_t (*fused_dequant_clip_rr)(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
+  void (*dequant_i32_row)(std::int32_t* acc, const float* scale,
+                          const float* bias, std::int64_t n) noexcept;
 };
 
 /// Walks n elements laid out as per-sample rows of `feat` features (the last
@@ -161,25 +133,8 @@ void scalar_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                         std::int64_t n) noexcept;
 void scalar_dequant_i32(std::int32_t* acc, float scale, float bias,
                         std::int64_t n) noexcept;
-std::uint64_t scalar_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                           float bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
-std::uint64_t scalar_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                           float bias, const float* bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
-std::uint64_t scalar_fused_dequant_clip_rc(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
-std::uint64_t scalar_fused_dequant_clip_rr(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias,
-                                           const float* bound, bool saturate,
-                                           std::int64_t n,
-                                           bool count) noexcept;
+void scalar_dequant_i32_row(std::int32_t* acc, const float* scale,
+                            const float* bias, std::int64_t n) noexcept;
 
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 void avx2_gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -194,21 +149,8 @@ void avx2_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                       std::int64_t n) noexcept;
 void avx2_dequant_i32(std::int32_t* acc, float scale, float bias,
                       std::int64_t n) noexcept;
-std::uint64_t avx2_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept;
-std::uint64_t avx2_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-std::uint64_t avx2_fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
+void avx2_dequant_i32_row(std::int32_t* acc, const float* scale,
+                          const float* bias, std::int64_t n) noexcept;
 #endif
 
 /// The portable reference backend (kernels_scalar.cpp). Always available;

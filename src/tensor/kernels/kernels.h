@@ -22,7 +22,7 @@
 //
 // Semantics contract per backend:
 //   * Elementwise kernels (relu / clip / add / bias / count_over_bound /
-//     fused_bias_clip_* / fitrelu) are bit-identical across backends,
+//     fitrelu) are bit-identical across backends,
 //     including NaN/Inf handling and signed zeros (where the result is NaN
 //     it is NaN on both; the payload is not part of the contract) — the
 //     vector forms mirror the scalar branch structure exactly. fitrelu's
@@ -36,7 +36,10 @@
 //   * No kernel skips work based on operand values: a NaN or Inf anywhere
 //     in the inputs reaches the output exactly as IEEE arithmetic dictates.
 //     (Hardware faults produce exactly these values; swallowing them blinds
-//     the fault detector. gemm_fuzz_test pins this.)
+//     the fault detector. gemm_fuzz_test pins this.) The one deliberate
+//     exception is the clamp cascade of clipped_relu, which maps a NaN to 0
+//     or b by its branch structure — and counts it as a clamp event, so the
+//     detector still sees it.
 #pragma once
 
 #include <cstdint>
@@ -149,22 +152,27 @@ void bias_add_const(float* row, float value, std::int64_t n) noexcept;
 
 /// Bounded-ReLU forward with fused clamp-event counting, over n contiguous
 /// elements laid out as complete per-sample feature rows (n % feat == 0).
-/// Per element, with b = the element's broadcast bound:
+/// This clamp cascade is the one every bounded activation in the library
+/// runs, eager or planned, fp32 or int8. Per element, with b = the
+/// element's broadcast bound:
 ///   x <= 0  -> 0
 ///   x <= b  -> x
 ///   else    -> saturate ? b : 0        (NaN lands here: both compares fail)
 /// The bound index of flat feature fi is: fi (bound_numel == feat), fi / hw
 /// (bound_numel == channels), 0 (bound_numel == 1) — FeatureBroadcast's map.
-/// Returns the number of elements with x > b (the clamp-event statistic)
-/// when `count` is set, 0 otherwise — the non-counting path skips the
-/// tally entirely. Counting never changes the written output.
+/// Returns the number of elements with !(x <= b) — above the bound, or NaN
+/// (the clamp-event statistic: the cascade maps a NaN to 0 or b, and counts
+/// it as an event so the fault detector sees it) — when `count` is set, 0
+/// otherwise. The non-counting path skips the tally entirely; counting
+/// never changes the written output.
 std::uint64_t clipped_relu(const float* x, const float* bound,
                            std::int64_t bound_numel, std::int64_t feat,
                            std::int64_t hw, bool saturate, float* o,
                            std::int64_t n, bool count) noexcept;
 
 /// Clamp-event count alone (no output written): number of elements with
-/// x[i] > bound[broadcast(i)], same broadcast rule as clipped_relu. The
+/// !(x[i] <= bound[broadcast(i)]), same broadcast rule and NaN rule as
+/// clipped_relu. The
 /// standalone pass core::BoundedActivation::count_clamps runs on the eager
 /// path before handing x to the activation op.
 std::uint64_t count_over_bound(const float* x, const float* bound,
@@ -178,8 +186,8 @@ std::uint64_t count_over_bound(const float* x, const float* bound,
 ///   x <= 0  -> 0
 ///   else    -> x * s, s = (t >= 0 ? 1 : e) / (1 + e), e = table_expf(-|t|)
 /// s is the sigmoid of t; a NaN x, or a NaN t where x > 0, gives NaN.
-/// Returns the number of elements with x > l when `count` is set, 0
-/// otherwise.
+/// Returns the number of elements with !(x <= l) (a NaN x counts, as in
+/// clipped_relu) when `count` is set, 0 otherwise.
 std::uint64_t fitrelu(const float* x, const float* lambda,
                       std::int64_t lambda_numel, std::int64_t feat,
                       std::int64_t hw, float k, float* o, std::int64_t n,
@@ -195,53 +203,16 @@ std::uint64_t fitrelu(const float* x, const float* lambda,
 /// other builds differ from it by at most 1 ulp.
 [[nodiscard]] float table_expf(float x) noexcept;
 
-// ---- fused GEMM epilogues --------------------------------------------------
-//
-// In-place bias-add + bound-clamp (+ optional clamp-event count) over a GEMM
-// output span, used by the plan fusion pass so the pre-activation tensor
-// never round-trips through the arena. Per element, with xi = o[i] + bias
-// and b = the element's bound:
-//   xi <= 0  -> 0
-//   xi <= b  -> xi
-//   else     -> saturate ? b : 0       (NaN lands here: both compares fail)
-// The count (returned when `count` is set, else 0) tallies xi > b — the same
-// statistic clipped_relu reports on the unfused path. The bias add and the
-// clamp are the exact float operations the unfused bias_add_* + clipped_relu
-// sequence performs, in the same order, so fusion stays bit-identical.
-// Suffix encodes the (bias, bound) shapes: c = one constant for the whole
-// span, r = one value per element.
-
-/// Conv channel plane (scalar bias) under a layer- or channel-granular
-/// bound (one bound value for the span).
-std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
-
-/// Conv channel plane (scalar bias) under per-neuron bounds (one bound per
-/// element of the span).
-std::uint64_t fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
-
-/// Linear output row (elementwise bias) under a layer-granular bound.
-std::uint64_t fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
-
-/// Linear output row (elementwise bias) under per-neuron bounds.
-std::uint64_t fused_bias_clip_rr(float* o, const float* bias,
-                                 const float* bound, bool saturate,
-                                 std::int64_t n, bool count) noexcept;
-
 // ---- int8 quantized path ---------------------------------------------------
 //
 // The quantized serving path (quant/int8.h + the fused int8 plan ops) runs
-// quantize -> int8 GEMM -> dequantize epilogue. Its cross-backend contract is
-// *stronger* than fp32 GEMM's error bound: the GEMM accumulates in exact
-// int32 arithmetic (integer adds are order-independent), quantize_i8 mirrors
-// the scalar rounding branch-for-branch, and the dequantize epilogues use a
-// separate multiply and add (no FMA), so every int8 entry point — and
-// therefore the whole int8 forward — is bit-identical across backends.
+// quantize -> int8 GEMM -> dequantize, then the same clipped_relu pass the
+// fp32 ops end in. Its cross-backend contract is *stronger* than fp32
+// GEMM's error bound: the GEMM accumulates in exact int32 arithmetic
+// (integer adds are order-independent), quantize_i8 mirrors the scalar
+// rounding branch-for-branch, and the dequantize kernels use a separate
+// multiply and add (no FMA), so every int8 entry point — and therefore the
+// whole int8 forward — is bit-identical across backends.
 // int8_gemm_fuzz_test pins this. The no-value-based-skipping rule holds here
 // too: a corrupted int8 weight byte (including -128, which quantization never
 // emits but a bit flip can) flows through the exact integer arithmetic.
@@ -259,7 +230,7 @@ void gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// gemm_i8_dot with the caller's extra guarantee that every byte of one
 /// operand (a when a_unsigned, else b) lies in [0,127]. FitAct's clamp
-/// epilogue makes every post-activation tensor nonnegative, so its
+/// makes every post-activation tensor nonnegative, so its
 /// quantization always satisfies this — which unlocks u8xs8 instructions
 /// (maddubs on AVX2, vpdpbusd on AVX-512 VNNI) at double the MAC density of
 /// the widen-to-int16 signed kernel. With the unsigned operand <= 127 their
@@ -279,44 +250,17 @@ void gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
 void quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                  std::int64_t n) noexcept;
 
-/// Plain dequantize, in place over the accumulator span (reads int32, writes
-/// fp32 to the same bytes): out[i] = float(acc[i]) * scale + bias. Used when
-/// a BatchNorm sits between the int8 GEMM and the clamp.
+/// Dequantize in place over the accumulator span (reads int32, writes fp32
+/// to the same bytes): out[i] = float(acc[i]) * scale + bias, a multiply
+/// then an add (two IEEE roundings, never fused). One call per conv channel
+/// plane, whose scale and bias are constant.
 void dequant_i32(std::int32_t* acc, float scale, float bias,
                  std::int64_t n) noexcept;
 
-// Fused dequantize epilogues: the int8 analogue of fused_bias_clip_* above.
-// In place over the GEMM accumulator span, per element with
-//   xi = float(acc[i]) * scale + bias        (multiply then add, two IEEE
-//                                             roundings — never fused)
-// then the identical clamp cascade: xi <= 0 -> 0; xi <= b -> xi; else
-// saturate ? b : 0 (NaN lands in else), count tallies xi > b. The clamp-event
-// statistic feeds the same detector as the fp32 path. Suffixes as for
-// fused_bias_clip_*: first letter = scale/bias shape (c = one constant pair
-// for the span — conv channel plane; r = per-element rows — linear output
-// row, where a null bias row means bias 0), second = bound shape.
-
-/// Conv channel plane (constant scale+bias) under a single bound value.
-std::uint64_t fused_dequant_clip_cc(std::int32_t* acc, float scale, float bias,
-                                    float bound, bool saturate, std::int64_t n,
-                                    bool count) noexcept;
-
-/// Conv channel plane under per-neuron bounds (one bound per element).
-std::uint64_t fused_dequant_clip_cr(std::int32_t* acc, float scale, float bias,
-                                    const float* bound, bool saturate,
-                                    std::int64_t n, bool count) noexcept;
-
-/// Linear output row (per-element scale/bias rows; bias may be null = 0)
-/// under a layer-granular bound.
-std::uint64_t fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                    const float* bias, float bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept;
-
-/// Linear output row under per-neuron bounds.
-std::uint64_t fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                    const float* bias, const float* bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept;
+/// dequant_i32 over one linear output row, with one scale and one bias per
+/// element: out[i] = float(acc[i]) * scale[i] + bias[i]. A null bias row
+/// adds 0.0f to every element.
+void dequant_i32_row(std::int32_t* acc, const float* scale, const float* bias,
+                     std::int64_t n) noexcept;
 
 }  // namespace fitact::kern

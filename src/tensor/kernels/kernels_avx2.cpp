@@ -163,11 +163,11 @@ inline __m256 clip8(__m256 x, __m256 b, __m256 over, __m256 zero) noexcept {
   return r;
 }
 
-/// events += popcount(x > b) for one vector — _CMP_GT_OQ is false for NaN,
-/// matching the scalar `x > b` tally.
+/// events += popcount(!(x <= b)) for one vector — _CMP_NLE_UQ is true for
+/// NaN, matching the scalar `!(x <= b)` tally.
 inline std::uint64_t count8(__m256 x, __m256 b) noexcept {
   return static_cast<std::uint64_t>(__builtin_popcount(static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_cmp_ps(x, b, _CMP_GT_OQ)))));
+      _mm256_movemask_ps(_mm256_cmp_ps(x, b, _CMP_NLE_UQ)))));
 }
 
 inline std::uint64_t clip_span_const(const float* x, float bound,
@@ -186,7 +186,7 @@ inline std::uint64_t clip_span_const(const float* x, float bound,
   const float over_s = saturate ? bound : 0.0f;
   for (; i < n; ++i) {
     const float xi = x[i];
-    if (count) events += xi > bound;
+    if (count) events += !(xi <= bound);
     o[i] = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
   }
   return events;
@@ -207,7 +207,7 @@ inline std::uint64_t clip_span_rowwise(const float* x, const float* bound,
   for (; i < n; ++i) {
     const float xi = x[i];
     const float bi = bound[i];
-    if (count) events += xi > bi;
+    if (count) events += !(xi <= bi);
     o[i] = xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
   }
   return events;
@@ -233,7 +233,7 @@ inline std::uint64_t count_span_const(const float* x, float bound,
   std::uint64_t events = 0;
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) events += count8(_mm256_loadu_ps(x + i), bv);
-  for (; i < n; ++i) events += x[i] > bound;
+  for (; i < n; ++i) events += !(x[i] <= bound);
   return events;
 }
 
@@ -244,7 +244,7 @@ inline std::uint64_t count_span_rowwise(const float* x, const float* bound,
   for (; i + 8 <= n; i += 8) {
     events += count8(_mm256_loadu_ps(x + i), _mm256_loadu_ps(bound + i));
   }
-  for (; i < n; ++i) events += x[i] > bound[i];
+  for (; i < n; ++i) events += !(x[i] <= bound[i]);
   return events;
 }
 
@@ -342,7 +342,7 @@ std::uint64_t fitrelu_span(const float* x, const float* l, float k, float* o,
     const __m256 xv = _mm256_maskload_ps(x + i, live);
     const __m256 lv = kRowwise ? _mm256_maskload_ps(l + i, live) : lc;
     if (count) {
-      const int over = _mm256_movemask_ps(_mm256_cmp_ps(xv, lv, _CMP_GT_OQ)) &
+      const int over = _mm256_movemask_ps(_mm256_cmp_ps(xv, lv, _CMP_NLE_UQ)) &
                        _mm256_movemask_ps(_mm256_castsi256_ps(live));
       events += static_cast<std::uint64_t>(
           __builtin_popcount(static_cast<unsigned>(over)));
@@ -366,102 +366,6 @@ std::uint64_t avx2_fitrelu(const float* x, const float* lambda,
       });
 }
 
-// ---- fused GEMM epilogues --------------------------------------------------
-// Each is addps (the same single IEEE add the unfused bias pass performs)
-// followed by the count8/clip8 pair — so the fused output and event tally
-// stay bit-identical to the unfused bias_add_* + clipped_relu sequence, on
-// this backend and on scalar.
-
-std::uint64_t avx2_fused_bias_clip_cc(float* o, float bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 biasv = _mm256_set1_ps(bias);
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_add_ps(_mm256_loadu_ps(o + i), biasv);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias;
-    if (count) events += xi > bound;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 biasv = _mm256_set1_ps(bias);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_add_ps(_mm256_loadu_ps(o + i), biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv =
-        _mm256_add_ps(_mm256_loadu_ps(o + i), _mm256_loadu_ps(bias + i));
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    if (count) events += xi > bound;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_bias_clip_rr(float* o, const float* bias,
-                                      const float* bound, bool saturate,
-                                      std::int64_t n, bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv =
-        _mm256_add_ps(_mm256_loadu_ps(o + i), _mm256_loadu_ps(bias + i));
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-  }
-  return events;
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() noexcept {
@@ -471,18 +375,11 @@ const KernelTable& avx2_table() noexcept {
       avx2_bias_add_const, avx2_clipped_relu,
       avx2_count_over_bound,
       avx2_fitrelu,
-      avx2_fused_bias_clip_cc,
-      avx2_fused_bias_clip_cr,
-      avx2_fused_bias_clip_rc,
-      avx2_fused_bias_clip_rr,
       avx2_gemm_i8_dot,
       avx2_gemm_i8u8_dot,
       avx2_quantize_i8,
       avx2_dequant_i32,
-      avx2_fused_dequant_clip_cc,
-      avx2_fused_dequant_clip_cr,
-      avx2_fused_dequant_clip_rc,
-      avx2_fused_dequant_clip_rr,
+      avx2_dequant_i32_row,
   };
   return kTable;
 }

@@ -13,13 +13,13 @@
 //     sign-transfer prepass wraps on a corrupted -128 and would break this.)
 //   * gemm_i8u8_dot is where maddubs IS safe, with no prepass at all: the
 //     caller guarantees one operand's bytes are genuine u8 in [0,127]
-//     (FitAct's clamp epilogue makes post-activation values nonnegative), so
+//     (FitAct's clamp makes post-activation values nonnegative), so
 //     each maddubs int16 pair sum is bounded by 2*127*128 < 2^15 and cannot
 //     saturate even against a fault-flipped -128 weight. Exact pairs + exact
 //     int32 madd keep it bit-identical to the scalar/signed kernels.
 //   * quantize_i8 mirrors the scalar clamp/round branches; NaN is masked to
 //     0 explicitly because maxps/minps would otherwise leak it as -127.
-//   * The dequantize epilogues use mul-then-add (two IEEE roundings), never
+//   * The dequantize kernels use mul-then-add (two IEEE roundings), never
 //     FMA, matching scalar float(acc) * scale + bias exactly.
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 
@@ -230,22 +230,6 @@ void gemm_i8u8_tile(std::int64_t m, std::int64_t n, std::int64_t k,
       c[i * ldc + j] = s;
     }
   }
-}
-
-// clip8/count8 duplicate kernels_avx2.cpp's helpers (both live in anonymous
-// namespaces; the branch structure must stay in lockstep with the scalar
-// cascade: x <= 0 -> 0; x <= b -> x; else over; NaN -> over path).
-inline __m256 clip8(__m256 x, __m256 b, __m256 over, __m256 zero) noexcept {
-  const __m256 le0 = _mm256_cmp_ps(x, zero, _CMP_LE_OQ);
-  const __m256 leb = _mm256_cmp_ps(x, b, _CMP_LE_OQ);
-  __m256 r = _mm256_blendv_ps(over, x, leb);
-  r = _mm256_blendv_ps(r, zero, le0);
-  return r;
-}
-
-inline std::uint64_t count8(__m256 x, __m256 b) noexcept {
-  return static_cast<std::uint64_t>(__builtin_popcount(static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_cmp_ps(x, b, _CMP_GT_OQ)))));
 }
 
 /// float(acc) * scale + bias with two roundings (no FMA — see file comment).
@@ -513,121 +497,23 @@ void avx2_dequant_i32(std::int32_t* acc, float scale, float bias,
   }
 }
 
-std::uint64_t avx2_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept {
+void avx2_dequant_i32_row(std::int32_t* acc, const float* scale,
+                          const float* bias, std::int64_t n) noexcept {
   const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 biasv = _mm256_set1_ps(bias);
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    if (count) events += count8(xv, bv);
+    const __m256 bv = bias != nullptr ? _mm256_loadu_ps(bias + i) : zero;
     _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float xi = static_cast<float>(acc[i]) * scale + bias;
-    if (count) events += xi > bound;
-    const float r = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 biasv = _mm256_set1_ps(bias);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float xi = static_cast<float>(acc[i]) * scale + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    const float r =
-        xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sv = _mm256_loadu_ps(scale + i);
-    const __m256 biasv = bias != nullptr ? _mm256_loadu_ps(bias + i) : zero;
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(acc[i]) * scale[i] + bi;
-    if (count) events += xi > bound;
-    const float r = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sv = _mm256_loadu_ps(scale + i);
-    const __m256 biasv = bias != nullptr ? _mm256_loadu_ps(bias + i) : zero;
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, saturate ? bv : zero, zero));
+                     dequant8(loadu_256(acc + i), _mm256_loadu_ps(scale + i),
+                              bv));
   }
   for (; i < n; ++i) {
     const float bi = bias != nullptr ? bias[i] : 0.0f;
     const float xi = static_cast<float>(acc[i]) * scale[i] + bi;
-    const float bo = bound[i];
-    if (count) events += xi > bo;
-    const float r =
-        xi <= 0.0f ? 0.0f : (xi <= bo ? xi : (saturate ? bo : 0.0f));
     std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
+    __builtin_memcpy(&raw, &xi, sizeof(raw));
     acc[i] = raw;
   }
-  return events;
 }
 
 }  // namespace fitact::kern

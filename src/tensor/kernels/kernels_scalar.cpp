@@ -81,7 +81,8 @@ void scalar_bias_add_const(float* row, float value, std::int64_t n) noexcept {
   for (std::int64_t i = 0; i < n; ++i) row[i] += value;
 }
 
-/// One span of elements sharing a single broadcast bound.
+/// One span of elements sharing a single broadcast bound. The event test
+/// is !(x <= bound), not x > bound, so a NaN counts as a clamp event.
 inline std::uint64_t clip_span_const(const float* x, float bound,
                                      bool saturate, float* o, std::int64_t n,
                                      bool count) noexcept {
@@ -89,7 +90,7 @@ inline std::uint64_t clip_span_const(const float* x, float bound,
   const float over = saturate ? bound : 0.0f;
   for (std::int64_t i = 0; i < n; ++i) {
     const float xi = x[i];
-    if (count) events += xi > bound;
+    if (count) events += !(xi <= bound);
     if (xi <= 0.0f) {
       o[i] = 0.0f;
     } else if (xi <= bound) {
@@ -109,7 +110,7 @@ inline std::uint64_t clip_span_rowwise(const float* x, const float* bound,
   for (std::int64_t i = 0; i < n; ++i) {
     const float xi = x[i];
     const float bi = bound[i];
-    if (count) events += xi > bi;
+    if (count) events += !(xi <= bi);
     if (xi <= 0.0f) {
       o[i] = 0.0f;
     } else if (xi <= bi) {
@@ -135,18 +136,18 @@ std::uint64_t scalar_clipped_relu(const float* x, const float* bound,
       });
 }
 
-/// Count-only spans mirroring clip_span_*: events += x > bound.
+/// Count-only spans mirroring clip_span_*: events += !(x <= bound).
 inline std::uint64_t count_span_const(const float* x, float bound,
                                       std::int64_t n) noexcept {
   std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) events += x[i] > bound;
+  for (std::int64_t i = 0; i < n; ++i) events += !(x[i] <= bound);
   return events;
 }
 
 inline std::uint64_t count_span_rowwise(const float* x, const float* bound,
                                         std::int64_t n) noexcept {
   std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) events += x[i] > bound[i];
+  for (std::int64_t i = 0; i < n; ++i) events += !(x[i] <= bound[i]);
   return events;
 }
 
@@ -185,7 +186,7 @@ inline std::uint64_t fitrelu_span(const float* x, const float* l,
   for (std::int64_t i = 0; i < n; ++i) {
     const float xi = x[i];
     const float li = l[i * l_step];
-    if (count) events += xi > li;
+    if (count) events += !(xi <= li);
     o[i] = fitrelu1(xi, li, k);
   }
   return events;
@@ -205,87 +206,6 @@ std::uint64_t scalar_fitrelu(const float* x, const float* lambda,
       });
 }
 
-// Fused GEMM epilogues: the bias add and the clamp are the same float ops
-// the unfused bias_add_* + clip_span_* sequence performs, in the same order
-// per element — only the store of the pre-activation value is elided. That
-// is what keeps fused plans bit-identical to unfused ones.
-
-std::uint64_t scalar_fused_bias_clip_cc(float* o, float bias, float bound,
-                                        bool saturate, std::int64_t n,
-                                        bool count) noexcept {
-  std::uint64_t events = 0;
-  const float over = saturate ? bound : 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias;
-    if (count) events += xi > bound;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bound) {
-      o[i] = xi;
-    } else {
-      o[i] = over;  // NaN lands here too: both ordered compares fail
-    }
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_bias_clip_cr(float* o, float bias,
-                                        const float* bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bi) {
-      o[i] = xi;
-    } else {
-      o[i] = saturate ? bi : 0.0f;
-    }
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_bias_clip_rc(float* o, const float* bias,
-                                        float bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  const float over = saturate ? bound : 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    if (count) events += xi > bound;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bound) {
-      o[i] = xi;
-    } else {
-      o[i] = over;
-    }
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_bias_clip_rr(float* o, const float* bias,
-                                        const float* bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bi) {
-      o[i] = xi;
-    } else {
-      o[i] = saturate ? bi : 0.0f;
-    }
-  }
-  return events;
-}
-
 }  // namespace
 
 const KernelTable& scalar_table() noexcept {
@@ -295,18 +215,11 @@ const KernelTable& scalar_table() noexcept {
       scalar_bias_add_const, scalar_clipped_relu,
       scalar_count_over_bound,
       scalar_fitrelu,
-      scalar_fused_bias_clip_cc,
-      scalar_fused_bias_clip_cr,
-      scalar_fused_bias_clip_rc,
-      scalar_fused_bias_clip_rr,
       scalar_gemm_i8_dot,
       scalar_gemm_i8u8_dot,
       scalar_quantize_i8,
       scalar_dequant_i32,
-      scalar_fused_dequant_clip_cc,
-      scalar_fused_dequant_clip_cr,
-      scalar_fused_dequant_clip_rc,
-      scalar_fused_dequant_clip_rr,
+      scalar_dequant_i32_row,
   };
   return kTable;
 }

@@ -1,8 +1,8 @@
 // Portable int8 kernels — the reference semantics the AVX2 int8 TU must
 // reproduce bit-for-bit (see the int8 section of kernels.h: exact int32
-// GEMM accumulation, branch-identical quantization, FMA-free epilogues).
+// GEMM accumulation, branch-identical quantization, FMA-free dequantize).
 //
-// The dequantize epilogues run in place over a GEMM accumulator span that
+// The dequantize kernels run in place over a GEMM accumulator span that
 // lives inside the plan's fp32 arena: each element is read once as int32 and
 // rewritten as fp32. Both accesses go through std::memcpy so the
 // read-int32/write-float pair in one loop body never relies on
@@ -24,12 +24,6 @@ inline std::int32_t load_i32(const std::int32_t* p) noexcept {
 
 inline void store_f32(std::int32_t* p, float v) noexcept {
   std::memcpy(p, &v, sizeof(v));
-}
-
-inline float clip_cascade(float xi, float bi, bool saturate) noexcept {
-  if (xi <= 0.0f) return 0.0f;
-  if (xi <= bi) return xi;
-  return saturate ? bi : 0.0f;  // NaN lands here: both compares fail
 }
 
 }  // namespace
@@ -85,63 +79,12 @@ void scalar_dequant_i32(std::int32_t* acc, float scale, float bias,
   }
 }
 
-std::uint64_t scalar_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                           float bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale + bias;
-    if (count) events += xi > bound;
-    store_f32(acc + i, clip_cascade(xi, bound, saturate));
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                           float bias, const float* bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    store_f32(acc + i, clip_cascade(xi, bi, saturate));
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_rc(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
+void scalar_dequant_i32_row(std::int32_t* acc, const float* scale,
+                            const float* bias, std::int64_t n) noexcept {
   for (std::int64_t i = 0; i < n; ++i) {
     const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale[i] + bi;
-    if (count) events += xi > bound;
-    store_f32(acc + i, clip_cascade(xi, bound, saturate));
+    store_f32(acc + i, static_cast<float>(load_i32(acc + i)) * scale[i] + bi);
   }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_rr(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias,
-                                           const float* bound, bool saturate,
-                                           std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale[i] + bi;
-    const float bv = bound[i];
-    if (count) events += xi > bv;
-    store_f32(acc + i, clip_cascade(xi, bv, saturate));
-  }
-  return events;
 }
 
 }  // namespace fitact::kern

@@ -1,12 +1,12 @@
 // Int8 kernel fuzz sweep (the quantized-path analogue of gemm_fuzz_test).
 //
 // The int8 contract is stronger than fp32 GEMM's error bound: every entry
-// point — GEMM, quantize, the dequantize epilogues — must be bit-identical
+// point — GEMM, quantize, the dequantize kernels — must be bit-identical
 // across the scalar and AVX2 backends (kernels.h, int8 section). So where
 // gemm_fuzz_test compares to a forward-error bound, this suite compares
 // with EXPECT_EQ / memcmp: int32 accumulators against an int64 naive
 // reference (which also proves no int32 overflow), quantized bytes and
-// epilogue float bit patterns scalar-vs-AVX2. The dequantization *accuracy*
+// dequantized float bit patterns scalar-vs-AVX2. The dequantization *accuracy*
 // test bounds the int8 path against a double-precision fp reference by the
 // per-channel scales, mirroring the quantization error analysis.
 #include <gtest/gtest.h>
@@ -274,91 +274,62 @@ TEST(Int8GemmFuzz, QuantizeBitIdenticalAcrossBackends) {
   }
 }
 
-/// All four fused epilogue variants plus the plain dequantize, scalar vs
-/// AVX2: the written float bit patterns and the clamp-event counts must
-/// match exactly (memcmp over the raw buffers).
+/// The dequantize kernels, scalar vs AVX2: the plain per-plane form and
+/// the per-element row form (with a bias row and with a null one) must
+/// write the same float bit patterns (memcmp over the raw buffers), and
+/// those must be float(acc) * scale + bias with two roundings.
 TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
   ut::Rng rng(20250804);
   for (const std::int64_t n : {1LL, 5LL, 8LL, 9LL, 24LL, 100LL}) {
-    for (const bool saturate : {false, true}) {
-      for (const bool count : {false, true}) {
-        std::vector<std::int32_t> acc0(static_cast<std::size_t>(n));
-        std::vector<float> scale_row(static_cast<std::size_t>(n));
-        std::vector<float> bias_row(static_cast<std::size_t>(n));
-        std::vector<float> bound_row(static_cast<std::size_t>(n));
-        for (auto& v : acc0) v = static_cast<std::int32_t>(
-            rng.next_int(-4000000, 4000000));
-        for (auto& v : scale_row)
-          v = static_cast<float>(rng.next_double() * 2e-5);
-        for (auto& v : bias_row) v = rng.normal() * 0.5f;
-        for (auto& v : bound_row)
-          v = static_cast<float>(rng.next_double() * 4.0);
-        const float scale_c = 1.5e-5f;
-        const float bias_c = 0.25f;
-        const float bound_c = 2.0f;
+    std::vector<std::int32_t> acc0(static_cast<std::size_t>(n));
+    std::vector<float> scale_row(static_cast<std::size_t>(n));
+    std::vector<float> bias_row(static_cast<std::size_t>(n));
+    for (auto& v : acc0) v = static_cast<std::int32_t>(
+        rng.next_int(-4000000, 4000000));
+    for (auto& v : scale_row) v = static_cast<float>(rng.next_double() * 2e-5);
+    for (auto& v : bias_row) v = rng.normal() * 0.5f;
+    const float scale_c = 1.5e-5f;
+    const float bias_c = 0.25f;
 
-        // variant id -> runs the kernel on `acc`, returns events.
-        const auto run = [&](int variant, std::vector<std::int32_t>& acc)
-            -> std::uint64_t {
-          switch (variant) {
-            case 0:
-              kern::dequant_i32(acc.data(), scale_c, bias_c, n);
-              return 0;
-            case 1:
-              return kern::fused_dequant_clip_cc(acc.data(), scale_c, bias_c,
-                                                 bound_c, saturate, n, count);
-            case 2:
-              return kern::fused_dequant_clip_cr(acc.data(), scale_c, bias_c,
-                                                 bound_row.data(), saturate, n,
-                                                 count);
-            case 3:
-              return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
-                                                 bias_row.data(), bound_c,
-                                                 saturate, n, count);
-            case 4:  // null bias row == all-zero bias
-              return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
-                                                 nullptr, bound_c, saturate, n,
-                                                 count);
-            default:
-              return kern::fused_dequant_clip_rr(acc.data(), scale_row.data(),
-                                                 bias_row.data(),
-                                                 bound_row.data(), saturate, n,
-                                                 count);
-          }
-        };
-        for (int variant = 0; variant <= 5; ++variant) {
-          std::vector<std::vector<std::int32_t>> outs;
-          std::vector<std::uint64_t> events;
-          for (const kern::Backend backend : backends_under_test()) {
-            const kern::BackendGuard guard(backend);
-            std::vector<std::int32_t> acc = acc0;
-            events.push_back(run(variant, acc));
-            outs.push_back(std::move(acc));
-          }
-          EXPECT_EQ(events[0], events[1])
-              << "variant " << variant << " n=" << n << " sat=" << saturate
-              << " count=" << count;
-          EXPECT_EQ(std::memcmp(outs[0].data(), outs[1].data(),
-                                static_cast<std::size_t>(n) * 4),
-                    0)
-              << "variant " << variant << " n=" << n << " sat=" << saturate
-              << " count=" << count;
-          if (count && variant > 0) {
-            // The tally must equal the scalar recount of xi > bound.
-            std::uint64_t want = 0;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::size_t s = static_cast<std::size_t>(i);
-              const float sc = variant <= 2 ? scale_c : scale_row[s];
-              const float bi = variant <= 2 ? bias_c
-                               : variant == 4 ? 0.0f
-                                              : bias_row[s];
-              const float bo =
-                  (variant == 2 || variant == 5) ? bound_row[s] : bound_c;
-              want += static_cast<float>(acc0[s]) * sc + bi > bo;
-            }
-            EXPECT_EQ(events[0], want) << "variant " << variant << " n=" << n;
-          }
-        }
+    // variant id -> runs the kernel on `acc`.
+    const auto run = [&](int variant, std::vector<std::int32_t>& acc) {
+      switch (variant) {
+        case 0:
+          kern::dequant_i32(acc.data(), scale_c, bias_c, n);
+          break;
+        case 1:
+          kern::dequant_i32_row(acc.data(), scale_row.data(), bias_row.data(),
+                                n);
+          break;
+        default:  // null bias row == all-zero bias
+          kern::dequant_i32_row(acc.data(), scale_row.data(), nullptr, n);
+          break;
+      }
+    };
+    for (int variant = 0; variant <= 2; ++variant) {
+      std::vector<std::vector<std::int32_t>> outs;
+      for (const kern::Backend backend : backends_under_test()) {
+        const kern::BackendGuard guard(backend);
+        std::vector<std::int32_t> acc = acc0;
+        run(variant, acc);
+        outs.push_back(std::move(acc));
+      }
+      EXPECT_EQ(std::memcmp(outs[0].data(), outs[1].data(),
+                            static_cast<std::size_t>(n) * 4),
+                0)
+          << "variant " << variant << " n=" << n;
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::size_t s = static_cast<std::size_t>(i);
+        const float sc = variant == 0 ? scale_c : scale_row[s];
+        const float bi = variant == 0 ? bias_c
+                         : variant == 1 ? bias_row[s]
+                                        : 0.0f;
+        const float product = static_cast<float>(acc0[s]) * sc;
+        const float want = product + bi;
+        float got;
+        std::memcpy(&got, &outs[0][s], sizeof(got));
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+            << "variant " << variant << " n=" << n << " i=" << i;
       }
     }
   }

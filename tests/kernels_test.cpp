@@ -119,49 +119,6 @@ TEST_F(KernelsCrossBackend, ReluAddBias) {
   }
 }
 
-TEST_F(KernelsCrossBackend, FusedBiasClipEpilogues) {
-  for (const std::int64_t n : kLengths) {
-    const auto acc = values(n, 7 + n, -3.0f, 5.0f);
-    const auto bias = values(n, 17 + n, -1.0f, 1.0f);
-    const auto bound = values(n, 27 + n, 0.0f, 3.0f);
-    for (const bool saturate : {false, true}) {
-      for (const bool count : {false, true}) {
-        const std::string at = " n=" + std::to_string(n) +
-                               " saturate=" + std::to_string(saturate) +
-                               " count=" + std::to_string(count);
-        // One runner per variant: in place over a copy of acc.
-        const auto run = [&](Backend be, int variant) {
-          std::vector<float> o = acc;
-          const std::uint64_t events = on(be, [&] {
-            switch (variant) {
-              case 0:
-                return fused_bias_clip_cc(o.data(), 0.5f, 1.5f, saturate, n,
-                                          count);
-              case 1:
-                return fused_bias_clip_cr(o.data(), -0.25f, bound.data(),
-                                          saturate, n, count);
-              case 2:
-                return fused_bias_clip_rc(o.data(), bias.data(), 2.0f,
-                                          saturate, n, count);
-              default:
-                return fused_bias_clip_rr(o.data(), bias.data(), bound.data(),
-                                          saturate, n, count);
-            }
-          });
-          o.push_back(static_cast<float>(events));
-          return o;
-        };
-        const char* names[] = {"cc", "cr", "rc", "rr"};
-        for (int variant = 0; variant < 4; ++variant) {
-          expect_same(run(Backend::scalar, variant),
-                      run(Backend::avx2, variant),
-                      std::string("fused_bias_clip_") + names[variant] + at);
-        }
-      }
-    }
-  }
-}
-
 /// Activation geometry: n = batch * channels * hw elements, feat = c * hw.
 struct Geometry {
   std::int64_t batch, channels, hw;
@@ -250,6 +207,46 @@ TEST_F(KernelsCrossBackend, BoundedActivationsEveryBoundExtent) {
       expect_same(fitrelu_in_place_on(Backend::scalar),
                   fitrelu_in_place_on(Backend::avx2),
                   "fitrelu in place" + at);
+    }
+  }
+}
+
+// A NaN is a clamp event: the cascade writes 0 or the bound for it (both
+// of its compares fail) and the tally counts it, on every backend, whether
+// the NaN sits in a full 8-lane vector or in the n % 8 tail, under a single
+// bound or a per-neuron bound row.
+TEST(KernelsNaN, CountedAsClampEventInVectorBodyAndTail) {
+  const std::int64_t n = 11;  // one full vector, then a 3-element tail
+  const std::vector<float> bound_row(static_cast<std::size_t>(n), 1.0f);
+  for (const Backend be :
+       {Backend::scalar, avx2_supported() ? Backend::avx2 : Backend::scalar}) {
+    const BackendGuard guard(be);
+    for (const std::int64_t at : {std::int64_t{3}, std::int64_t{9}}) {
+      std::vector<float> x(static_cast<std::size_t>(n), 0.5f);
+      x[static_cast<std::size_t>(at)] = kNaN;
+      for (const std::int64_t extent : {std::int64_t{1}, n}) {
+        const std::string where = std::string(backend_name(be)) +
+                                  " NaN at " + std::to_string(at) +
+                                  " bound_numel=" + std::to_string(extent);
+        EXPECT_EQ(count_over_bound(x.data(), bound_row.data(), extent, n, 1,
+                                   n),
+                  1u)
+            << "count_over_bound, " << where;
+        for (const bool saturate : {false, true}) {
+          std::vector<float> o(x.size());
+          EXPECT_EQ(clipped_relu(x.data(), bound_row.data(), extent, n, 1,
+                                 saturate, o.data(), n, true),
+                    1u)
+              << "clipped_relu, " << where;
+          EXPECT_EQ(o[static_cast<std::size_t>(at)], saturate ? 1.0f : 0.0f)
+              << "clipped_relu output, " << where;
+        }
+        std::vector<float> o(x.size());
+        EXPECT_EQ(fitrelu(x.data(), bound_row.data(), extent, n, 1, 8.0f,
+                          o.data(), n, true),
+                  1u)
+            << "fitrelu, " << where;
+      }
     }
   }
 }

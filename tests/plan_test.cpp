@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -300,6 +301,53 @@ TEST_P(PlanFusion, FusedClampCountsEqualUnfused) {
   core::reset_clamp_counters(sites);
 }
 
+// A NaN reaching a clamp is a clamp event (kernels.h): one NaN pixel in the
+// plan input poisons every first-conv output whose window covers it, and
+// each of those raises the first site's event count — by the same amount
+// on the fused and the unfused plan, on both kernel backends.
+TEST(PlanFusion, NanInputRaisesFirstSiteClampEvents) {
+  for (const Protect& protect :
+       {Protect{core::Scheme::clip_act, core::Granularity::per_layer},
+        Protect{core::Scheme::ranger, core::Granularity::per_channel},
+        Protect{core::Scheme::fitrelu, core::Granularity::per_neuron}}) {
+    const auto model = zoo_model("tinycnn", protect, 61);
+    const auto sites = core::collect_activations(*model);
+    for (const auto& site : sites) site->set_clamp_counting(true);
+    const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                                  /*fuse=*/true);
+    const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32},
+                                                    2, /*fuse=*/false);
+    ut::Rng rng(67);
+    Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+    const auto first_site_events = [&](nn::InferencePlan& plan) {
+      core::reset_clamp_counters(sites);
+      std::memcpy(plan.input_view(2).data(), x.data(),
+                  sizeof(float) * static_cast<std::size_t>(x.numel()));
+      (void)plan.execute(2);
+      return sites.front()->clamp_events();
+    };
+    for (const kern::Backend backend :
+         {kern::Backend::scalar, kern::avx2_supported()
+                                     ? kern::Backend::avx2
+                                     : kern::Backend::scalar}) {
+      const kern::BackendGuard guard(backend);
+      const std::string context =
+          to_string(protect) + " backend " + kern::backend_name(backend);
+      const std::uint64_t clean = first_site_events(*fused);
+      EXPECT_EQ(first_site_events(*unfused), clean) << context;
+      float& pixel = x.data()[10 * 32 + 10];  // sample 0, channel 0
+      const float saved = pixel;
+      pixel = std::numeric_limits<float>::quiet_NaN();
+      const std::uint64_t poisoned = first_site_events(*fused);
+      EXPECT_GT(poisoned, clean) << context;
+      EXPECT_EQ(first_site_events(*unfused), poisoned) << context;
+      pixel = saved;
+    }
+    for (const auto& site : sites) site->set_clamp_counting(false);
+    core::reset_clamp_counters(sites);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Zoo, PlanFusion,
     ::testing::Combine(
@@ -331,7 +379,7 @@ float max_abs(const Tensor& t) {
 // bound-derived activation scales keep per-layer error ~1%), and — the
 // stronger contract — the int8 forward must be bit-identical across kernel
 // backends (exact int32 GEMM + branch-identical quantize + FMA-free
-// epilogues). The protections cover every bound extent (layer, channel,
+// dequantize + the shared clamp kernel). The protections cover every bound extent (layer, channel,
 // neuron) and both clamp modes; the finer extents run under ranger's
 // saturating clamp, because under a zero-above clamp an element sitting at
 // its bound lands at b in one precision and at 0 in the other, and
@@ -389,8 +437,8 @@ TEST_P(PlanInt8, ConvertsOpsStaysCloseToFp32AndMatchesAcrossBackends) {
         den += static_cast<double>(want[j]) * want[j];
       }
       EXPECT_LT(std::sqrt(num), 0.25 * std::sqrt(den) + 1e-3)
-          << name << " " << to_string(std::get<1>(GetParam())) << " batch " << x.shape()[0] << " backend "
-          << kern::backend_name(backend);
+          << name << " " << to_string(std::get<1>(GetParam())) << " batch "
+          << x.shape()[0] << " backend " << kern::backend_name(backend);
     }
   }
 }
@@ -398,8 +446,8 @@ TEST_P(PlanInt8, ConvertsOpsStaysCloseToFp32AndMatchesAcrossBackends) {
 // On a model whose every GEMM feeds a bounded activation, the quantization
 // pass converts every fused op, and the whole int8 forward is bit-identical
 // across kernel backends: exact int32 GEMM accumulation, branch-identical
-// quantize, FMA-free dequantize epilogues, and elementwise (backend-
-// independent) pooling in between.
+// quantize, FMA-free dequantize, the bit-identical clamp kernel, and
+// elementwise (backend-independent) pooling in between.
 TEST(PlanInt8, FullyQuantizedForwardBitIdenticalAcrossBackends) {
   if (!kern::avx2_supported()) {
     GTEST_SKIP() << "single-backend host: nothing to compare";
