@@ -42,9 +42,9 @@ Shape batched(std::int64_t batch, const Shape& sample) {
 /// buffers themselves come from operator new[], which is already aligned).
 std::size_t align_up_bytes(std::size_t n) { return (n + 63) / 64 * 64; }
 
-/// True when the scheme's forward is the clip cascade the int8 epilogue
-/// implements (FitReLU's sigmoid shaping and plain ReLU's missing bound
-/// both disqualify).
+/// True when the scheme's forward is the clip cascade, whose [0, bound]
+/// output range fixes an int8 activation scale (FitReLU's sigmoid shaping
+/// and plain ReLU's missing bound both disqualify).
 bool clampable_scheme(core::Scheme s) {
   return s == core::Scheme::clip_act || s == core::Scheme::ranger ||
          s == core::Scheme::fitrelu_naive;

@@ -89,8 +89,8 @@ struct ServerOptions {
   /// parameters are faulty.
   int max_recoveries_per_batch = 1;
   /// Arithmetic the lane plans execute with (nn::Precision). int8 serves
-  /// block-quantized weights through int8 GEMM with fused dequantize+clamp
-  /// epilogues — quantized at make_server time from the FitAct clamp bounds
+  /// block-quantized weights through int8 GEMM, dequantize and the shared
+  /// clamp — quantized at make_server time from the FitAct clamp bounds
   /// (they fix the activation scales; see nn::Precision for the fault
   /// model).
   nn::Precision precision = nn::Precision::fp32;

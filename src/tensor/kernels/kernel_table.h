@@ -38,8 +38,8 @@ struct KernelTable {
                       std::int64_t ldc) noexcept;
   // Same contract as gemm_i8_dot plus the caller's guarantee that every byte
   // of one operand (a when a_unsigned, else b) is in [0,127] — FitAct's
-  // clamp makes post-activation values nonnegative, so their
-  // quantization always lands there. The guarantee unlocks u8xs8
+  // clamp makes post-activation values nonnegative, so their quantization
+  // always lands there. The guarantee unlocks u8xs8
   // instructions (maddubs / vpdpbusd) whose int16 pair sums cannot saturate
   // when |u| <= 127; results stay bit-identical to gemm_i8_dot on the same
   // bytes.

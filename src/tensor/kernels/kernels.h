@@ -2,9 +2,11 @@
 //
 // Every compute inner loop that serving throughput depends on — the SGEMM
 // panel kernel, ReLU / bound-clamp / FitReLU / bias-add elementwise passes,
-// and the clamp-event counter behind the fault detector — funnels through
-// the entry points declared here. A process-wide dispatch table binds each
-// entry point to one backend:
+// the clamp-event counter behind the fault detector, and the int8 GEMM,
+// quantize and dequantize kernels — funnels through the entry points
+// declared here. There is one bound-clamp kernel: a fused plan op runs its
+// producer, then clipped_relu (or fitrelu) in place. A process-wide
+// dispatch table binds each entry point to one backend:
 //
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
@@ -22,8 +24,8 @@
 //
 // Semantics contract per backend:
 //   * Elementwise kernels (relu / clip / add / bias / count_over_bound /
-//     fitrelu) are bit-identical across backends,
-//     including NaN/Inf handling and signed zeros (where the result is NaN
+//     fitrelu) are bit-identical across backends, including NaN/Inf
+//     handling and signed zeros (where the result is NaN
 //     it is NaN on both; the payload is not part of the contract) — the
 //     vector forms mirror the scalar branch structure exactly. fitrelu's
 //     sigmoid needs an exp, and both backends evaluate the same one:
@@ -172,9 +174,8 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
 
 /// Clamp-event count alone (no output written): number of elements with
 /// !(x[i] <= bound[broadcast(i)]), same broadcast rule and NaN rule as
-/// clipped_relu. The
-/// standalone pass core::BoundedActivation::count_clamps runs on the eager
-/// path before handing x to the activation op.
+/// clipped_relu. The standalone pass core::BoundedActivation::count_clamps
+/// runs on the eager path before handing x to the activation op.
 std::uint64_t count_over_bound(const float* x, const float* bound,
                                std::int64_t bound_numel, std::int64_t feat,
                                std::int64_t hw, std::int64_t n) noexcept;
@@ -230,8 +231,8 @@ void gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// gemm_i8_dot with the caller's extra guarantee that every byte of one
 /// operand (a when a_unsigned, else b) lies in [0,127]. FitAct's clamp
-/// makes every post-activation tensor nonnegative, so its
-/// quantization always satisfies this — which unlocks u8xs8 instructions
+/// makes every post-activation tensor nonnegative, so its quantization
+/// always satisfies this — which unlocks u8xs8 instructions
 /// (maddubs on AVX2, vpdpbusd on AVX-512 VNNI) at double the MAC density of
 /// the widen-to-int16 signed kernel. With the unsigned operand <= 127 their
 /// intermediate pair sums cannot saturate, so the result is bit-identical

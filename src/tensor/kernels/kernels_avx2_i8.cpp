@@ -13,8 +13,8 @@
 //     sign-transfer prepass wraps on a corrupted -128 and would break this.)
 //   * gemm_i8u8_dot is where maddubs IS safe, with no prepass at all: the
 //     caller guarantees one operand's bytes are genuine u8 in [0,127]
-//     (FitAct's clamp makes post-activation values nonnegative), so
-//     each maddubs int16 pair sum is bounded by 2*127*128 < 2^15 and cannot
+//     (FitAct's clamp makes post-activation values nonnegative), so each
+//     maddubs int16 pair sum is bounded by 2*127*128 < 2^15 and cannot
 //     saturate even against a fault-flipped -128 weight. Exact pairs + exact
 //     int32 madd keep it bit-identical to the scalar/signed kernels.
 //   * quantize_i8 mirrors the scalar clamp/round branches; NaN is masked to

@@ -185,11 +185,11 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanZoo,
                                            "resnet50"));
 
 // Fusion acceptance matrix: the conv/linear + bias + bound-clamp fusion
-// pass must be a pure performance transform. For every zoo model under
-// every scheme and bound granularity, the fused plan reproduces both the
-// eager forward and the unfused plan bit-for-bit at batch 1 / 3 / 8 on both
-// kernel backends, and wherever a pair actually fuses the dead intermediate
-// must shrink the arena.
+// pass must be a pure performance transform. For every zoo model and
+// protection of the instantiations below, the fused plan reproduces both
+// the eager forward and the unfused plan bit-for-bit at batch 1 / 3 / 8 on
+// both kernel backends, and wherever a pair actually fuses the dead
+// intermediate must shrink the arena.
 class PlanFusion : public ::testing::TestWithParam<ModelProtect> {};
 
 TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
@@ -353,8 +353,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("tinycnn", "alexnet", "vgg16", "resnet50"),
         ::testing::Values(
+            Protect{core::Scheme::clip_act, core::Granularity::per_layer})),
+    model_protect_name);
+
+// The other schemes and bound extents, on the models whose fused ops have
+// no folded BatchNorm. resnet50's fused ops all fold one, so they run the
+// same producer, BatchNorm, activation-step sequence under every scheme;
+// Zoo above and PlanZoo pin it under clip_act and fitrelu.
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, PlanFusion,
+    ::testing::Combine(
+        ::testing::Values("tinycnn", "alexnet", "vgg16"),
+        ::testing::Values(
             Protect{core::Scheme::relu, core::Granularity::per_neuron},
-            Protect{core::Scheme::clip_act, core::Granularity::per_layer},
             Protect{core::Scheme::clip_act, core::Granularity::per_channel},
             Protect{core::Scheme::ranger, core::Granularity::per_layer},
             Protect{core::Scheme::fitrelu_naive,
@@ -499,7 +510,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("tinycnn", "alexnet", "vgg16", "resnet50"),
         ::testing::Values(
-            Protect{core::Scheme::clip_act, core::Granularity::per_layer},
+            Protect{core::Scheme::clip_act, core::Granularity::per_layer})),
+    model_protect_name);
+
+// Saturating clamps at every bound extent, on the models whose int8 ops
+// have no folded BatchNorm (as for PlanFusion's Schemes).
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, PlanInt8,
+    ::testing::Combine(
+        ::testing::Values("tinycnn", "alexnet", "vgg16"),
+        ::testing::Values(
             Protect{core::Scheme::ranger, core::Granularity::per_layer},
             Protect{core::Scheme::ranger, core::Granularity::per_channel},
             Protect{core::Scheme::ranger, core::Granularity::per_neuron})),
