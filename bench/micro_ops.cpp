@@ -87,10 +87,14 @@ void BM_SgemmNarrowScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmNarrowScalar)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
 
+// Args: {channels in = out, map side, batch}. {64, 2, 64} is vgg16's 2x2
+// convs at the campaign's batch, which run batch-wide.
 void BM_Conv2dForward(benchmark::State& state) {
   const auto ch = state.range(0);
+  const auto side = state.range(1);
+  const auto batch = state.range(2);
   ut::Rng rng(2);
-  const Variable x(Tensor::randn(Shape{1, ch, 32, 32}, rng), false);
+  const Variable x(Tensor::randn(Shape{batch, ch, side, side}, rng), false);
   const Variable w(Tensor::randn(Shape{ch, ch, 3, 3}, rng), false);
   const NoGradGuard no_grad;
   for (auto _ : state) {
@@ -98,7 +102,11 @@ void BM_Conv2dForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.value().data());
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dForward)
+    ->Args({8, 32, 1})
+    ->Args({16, 32, 1})
+    ->Args({32, 32, 1})
+    ->Args({64, 2, 64});
 
 void activation_bench(benchmark::State& state, core::Scheme scheme) {
   constexpr std::int64_t kFeat = 16 * 16 * 16;

@@ -26,6 +26,7 @@
 // (FITACT_KERNELS=scalar) A/Bs the whole forward path on any host.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -159,10 +160,7 @@ inline void linear_forward(std::int64_t batch, std::int64_t in,
 }
 
 /// One sample of a conv2d forward: im2col into col_scratch
-/// (col_rows()*col_cols() floats), one GEMM, bias row-add. Batch rows are
-/// independent, so callers pick the batch strategy (the eager op fans rows
-/// over the thread pool, plans run them serially in-lane) without touching
-/// the arithmetic.
+/// (col_rows()*col_cols() floats), one GEMM, bias row-add.
 inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
                                   const float* x_sample, const float* w,
                                   const float* bias_or_null, float* col_scratch,
@@ -175,6 +173,64 @@ inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
   if (bias_or_null != nullptr) {
     for (std::int64_t c = 0; c < out_c; ++c) {
       kern::bias_add_const(out_sample + c * ohw, bias_or_null[c], ohw);
+    }
+  }
+}
+
+/// Whether conv2d_forward runs this geometry batch-wide: a per-sample
+/// output map narrower than sgemm's register tile would restage the whole
+/// weight matrix for a handful of columns on every sample.
+[[nodiscard]] inline bool conv2d_batch_wide(const Conv2dGeometry& geo) noexcept {
+  return geo.col_cols() < kSgemmTileN;
+}
+
+/// Scratch floats conv2d_forward needs for `batch` samples: one sample's
+/// im2col matrix, or batch-wide the whole batch's plus the GEMM product.
+[[nodiscard]] inline std::int64_t conv2d_scratch_floats(
+    const Conv2dGeometry& geo, std::int64_t out_c,
+    std::int64_t batch) noexcept {
+  const std::int64_t ohw = geo.col_cols();
+  return conv2d_batch_wide(geo) ? (geo.col_rows() + out_c) * batch * ohw
+                                : geo.col_rows() * ohw;
+}
+
+/// conv2d forward over `batch` NCHW samples, the one routine behind the
+/// eager op and the plans' conv ops. Maps of kSgemmTileN positions or more
+/// run conv2d_forward_sample per sample. Narrower maps run batch-wide:
+/// im2col every sample into one [C*k*k, batch*h*w] matrix, one GEMM, then
+/// scatter to NCHW and add the bias. Either way every output element is the
+/// same k-ordered multiply-add chain (sgemm's per-element contract), so the
+/// results are bit-identical to the per-sample path on every backend and
+/// for any split of a batch across calls.
+inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
+                           std::int64_t batch, const float* x, const float* w,
+                           const float* bias_or_null, float* scratch,
+                           float* out) noexcept {
+  const std::int64_t ckk = geo.col_rows();
+  const std::int64_t ohw = geo.col_cols();
+  const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
+  const std::int64_t out_stride = out_c * ohw;
+  if (!conv2d_batch_wide(geo)) {
+    for (std::int64_t s = 0; s < batch; ++s) {
+      conv2d_forward_sample(geo, out_c, x + s * in_stride, w, bias_or_null,
+                            scratch, out + s * out_stride);
+    }
+    return;
+  }
+  const std::int64_t n = batch * ohw;
+  float* const col = scratch;
+  float* const product = scratch + ckk * n;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    im2col(geo, x + s * in_stride, col + s * ohw, n);
+  }
+  sgemm(false, false, out_c, n, ckk, 1.0f, w, ckk, col, n, 0.0f, product, n);
+  for (std::int64_t s = 0; s < batch; ++s) {
+    for (std::int64_t c = 0; c < out_c; ++c) {
+      float* const o = out + s * out_stride + c * ohw;
+      std::copy_n(product + c * n + s * ohw, ohw, o);
+      if (bias_or_null != nullptr) {
+        kern::bias_add_const(o, bias_or_null[c], ohw);
+      }
     }
   }
 }

@@ -217,13 +217,25 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
   const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
   const std::int64_t out_stride = out_c * ohw;
 
-  ut::global_pool().parallel_for_each(
-      0, static_cast<std::size_t>(batch), 1, [&](std::size_t b) {
-        std::vector<float> col(static_cast<std::size_t>(ckk * ohw));
-        conv2d_forward_sample(
-            geo, out_c, px + static_cast<std::int64_t>(b) * in_stride, pw, pb,
-            col.data(), out.data() + static_cast<std::int64_t>(b) * out_stride);
-      });
+  // conv2d_forward's results do not depend on how the batch is split.
+  // Batch-wide geometries give each pool thread one contiguous run of
+  // samples (the whole batch when kernels run inline); the others balance
+  // one sample at a time, which keeps every core busy on heavy convs.
+  const auto forward_run = [&](std::size_t begin, std::size_t end) {
+    const auto first = static_cast<std::int64_t>(begin);
+    const auto count = static_cast<std::int64_t>(end - begin);
+    std::vector<float> scratch(
+        static_cast<std::size_t>(conv2d_scratch_floats(geo, out_c, count)));
+    conv2d_forward(geo, out_c, count, px + first * in_stride, pw, pb,
+                   scratch.data(), out.data() + first * out_stride);
+  };
+  if (conv2d_batch_wide(geo)) {
+    ut::parallel_for(0, static_cast<std::size_t>(batch), forward_run);
+  } else {
+    ut::global_pool().parallel_for_each(
+        0, static_cast<std::size_t>(batch), 1,
+        [&](std::size_t b) { forward_run(b, b + 1); });
+  }
 
   const ImplPtr px_impl = x.impl();
   const ImplPtr pw_impl = w.impl();

@@ -209,31 +209,41 @@ std::shared_ptr<nn::Module> replicate_model(const PreparedModel& pm) {
   return replica;
 }
 
+double CampaignLane::top1() const {
+  const CleanPrefix& clean = **prefix;
+  return clean.top1(*model, clean.dirty_child(injector->lowest_word()));
+}
+
 fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
                                                   const EvalConfig& ec) {
-  struct Lane {
-    std::shared_ptr<nn::Module> model;
-    std::unique_ptr<quant::ParamImage> image;
-    std::unique_ptr<fault::Injector> injector;
-  };
   // Every trial evaluates the same fixed subset: materialise it once and
   // share it read-only across lanes rather than regenerate it per trial.
   const auto subset =
       std::make_shared<const EvalBatch>(materialize_eval_batch(*pm.test, ec));
-  return [&pm, subset, ec](std::size_t lane) {
-    auto ctx = std::make_shared<Lane>();
+  // Built when lane 0 is built or re-synced from a changed source (or when
+  // a lane is built before lane 0), always on the calling thread.
+  const auto prefix = std::make_shared<std::shared_ptr<const CleanPrefix>>();
+  return [&pm, subset, ec, prefix](std::size_t lane) {
+    auto ctx = std::make_shared<CampaignLane>();
     ctx->model = lane == 0 ? pm.model : replicate_model(pm);
     ctx->image =
         std::make_unique<quant::ParamImage>(*ctx->model,
                                             /*include_buffers=*/false);
     ctx->injector = std::make_unique<fault::Injector>(*ctx->image);
+    ctx->prefix = prefix;
+    const auto rebuild_prefix = [ctx, subset, ec] {
+      // The restored image holds the parameters a zero-flip trial
+      // evaluates; one lane's image bytes bound the cached activations.
+      ctx->image->restore();
+      *ctx->prefix = std::make_shared<const CleanPrefix>(
+          *ctx->model, *ctx->image, subset, ec, ctx->image->byte_count());
+    };
+    if (lane == 0 || !*prefix) rebuild_prefix();
     fault::CampaignWorker w;
     w.keepalive = ctx;
     w.injector = ctx->injector.get();
-    w.evaluate = [ctx, subset, ec] {
-      return evaluate_accuracy(*ctx->model, *subset, ec);
-    };
-    w.sync = [ctx, &pm](bool source_changed) {
+    w.evaluate = [ctx] { return ctx->top1(); };
+    w.sync = [ctx, &pm, lane, rebuild_prefix](bool source_changed) {
       if (source_changed && ctx->model != pm.model) {
         // Re-protection may have changed schemes, bound extents, or (after
         // post-training) parameter values on the source; carry all of it
@@ -243,9 +253,10 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
         ctx->model->set_training(false);
       }
       // refresh() re-walks the parameter tree, so replaced bound storage is
-      // picked up; the injector re-reads the image every trial and needs no
-      // rebuild.
+      // picked up; the injector sees the image's new generation and
+      // rewrites the whole image before its next trial.
       ctx->image->refresh();
+      if (source_changed && lane == 0) rebuild_prefix();
     };
     return w;
   };

@@ -17,6 +17,7 @@
 #include "core/post_training.h"
 #include "core/protection.h"
 #include "data/dataset.h"
+#include "eval/clean_prefix.h"
 #include "eval/metrics.h"
 #include "eval/trainer.h"
 #include "fault/campaign.h"
@@ -114,12 +115,33 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
 [[nodiscard]] std::shared_ptr<nn::Module> replicate_model(
     const PreparedModel& pm);
 
+/// One lane of make_campaign_worker_factory; each worker's keepalive holds
+/// its CampaignLane.
+struct CampaignLane {
+  std::shared_ptr<nn::Module> model;  ///< pm.model on lane 0, else a replica
+  std::unique_ptr<quant::ParamImage> image;
+  std::unique_ptr<fault::Injector> injector;
+  /// The factory's clean prefix, shared by all its lanes; replaced on the
+  /// calling thread between runs, read by the lanes during them.
+  std::shared_ptr<std::shared_ptr<const CleanPrefix>> prefix;
+
+  /// Top-1 under the lane's current faults: what the worker's evaluate
+  /// returns.
+  [[nodiscard]] double top1() const;
+};
+
 /// Campaign worker factory over the prepared model: lane 0 injects into
 /// pm.model itself (and leaves it restored), every other lane gets its own
 /// replica + parameter image + injector; all lanes evaluate accuracy on
 /// pm.test under `ec`. The evaluated subset is materialised once, here, and
-/// shared read-only by every lane and trial. `pm` must outlive the campaign
-/// run.
+/// shared read-only by every lane and trial. Trials resume past their clean
+/// prefix (eval/clean_prefix.h): building lane 0, and re-syncing it from a
+/// changed source, restores pm.model to its clean image and forwards the
+/// subset once; a trial then forwards only from the deepest cached cut
+/// before its lowest changed word, and a trial that changed no word
+/// forwards nothing. Results equal full forwards bit for bit. `pm` must
+/// outlive the campaign run, and the lanes' activation sites must forward
+/// deterministically (no input corruptor installed).
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 

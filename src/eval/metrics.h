@@ -19,8 +19,8 @@ struct EvalConfig {
 
 /// An evaluation subset materialised once: images [N, 3, 32, 32] and their
 /// labels. Fault campaigns evaluate the same subset on every trial, so they
-/// build it once and share it read-only across lanes instead of
-/// regenerating it from the dataset per trial.
+/// build it once and share it read-only across lanes (eval/clean_prefix.h)
+/// instead of regenerating it from the dataset per trial.
 struct EvalBatch {
   Tensor images;
   std::vector<std::int64_t> labels;
@@ -34,14 +34,6 @@ struct EvalBatch {
 /// Top-1 accuracy in [0,1]. Puts the model in eval mode; no gradients.
 [[nodiscard]] double evaluate_accuracy(nn::Module& model,
                                        const data::Dataset& dataset,
-                                       const EvalConfig& config = {});
-
-/// The same over a pre-built batch, forwarded in the same config.batch_size
-/// chunks (config.max_samples was applied when the batch was built), so the
-/// result equals the dataset overload's on the dataset the batch came from.
-/// Only reads the batch: lanes may share one.
-[[nodiscard]] double evaluate_accuracy(nn::Module& model,
-                                       const EvalBatch& batch,
                                        const EvalConfig& config = {});
 
 }  // namespace fitact::ev

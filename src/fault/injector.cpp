@@ -21,15 +21,21 @@ std::string to_string(FaultType t) {
   return "?";
 }
 
-Injector::Injector(quant::ParamImage& image) : image_(&image) {}
+Injector::Injector(quant::ParamImage& image)
+    : image_(&image), generation_(image.generation() - 1) {}
 
-void Injector::begin_trial() { scratch_ = image_->clean_words(); }
-
-void Injector::commit_trial() { image_->write_back(scratch_); }
+void Injector::begin_trial() {
+  restore();
+  trial_.clear();
+}
 
 void Injector::apply_event(std::uint64_t word, int bit,
                            const FaultModel& model) {
-  auto& w = scratch_[static_cast<std::size_t>(word)];
+  if (trial_.empty() || trial_.back().first != word) {
+    trial_.emplace_back(word,
+                        image_->clean_words()[static_cast<std::size_t>(word)]);
+  }
+  auto& w = trial_.back().second;
   const auto u = static_cast<std::uint32_t>(w);
   switch (model.type) {
     case FaultType::bit_flip:
@@ -51,26 +57,39 @@ void Injector::apply_event(std::uint64_t word, int bit,
   }
 }
 
+InjectionRecord Injector::commit_trial(std::uint64_t events) {
+  const auto& clean = image_->clean_words();
+  for (const auto& [word, value] : trial_) {
+    if (value == clean[static_cast<std::size_t>(word)]) continue;
+    image_->write_word(static_cast<std::size_t>(word), value);
+    changed_.push_back(word);
+  }
+  generation_ = image_->generation();
+  return InjectionRecord{events, lowest_word()};
+}
+
+// Every draw below is sorted before its events apply: events commute (each
+// toggles, sets or clears its own bits of one word), so word-ordered
+// application gives the words the draw order would, and puts all events on
+// one word next to each other.
+
 InjectionRecord Injector::inject(const FaultModel& model, ut::Rng& rng) {
   if (model.bit_lo < 0 || model.bit_hi > 31 || model.bit_lo > model.bit_hi) {
     throw std::invalid_argument("Injector: invalid fault-model bit range");
   }
-  const std::uint64_t eligible =
-      image_->word_count() * static_cast<std::uint64_t>(model.range_width());
+  const auto width = static_cast<std::uint64_t>(model.range_width());
+  const std::uint64_t eligible = image_->word_count() * width;
   const std::uint64_t k = rng.binomial(eligible, model.bit_error_rate);
-  begin_trial();
   // Positions are indices into the (word, bit-in-range) grid; distinct so
   // two events never cancel at the same anchor.
-  for (const auto pos : rng.sample_distinct(eligible, k)) {
-    const std::uint64_t word =
-        pos / static_cast<std::uint64_t>(model.range_width());
-    const int bit =
-        model.bit_lo +
-        static_cast<int>(pos % static_cast<std::uint64_t>(model.range_width()));
-    apply_event(word, bit, model);
+  auto positions = rng.sample_distinct(eligible, k);
+  std::sort(positions.begin(), positions.end());
+  begin_trial();
+  for (const auto pos : positions) {
+    apply_event(pos / width, model.bit_lo + static_cast<int>(pos % width),
+                model);
   }
-  commit_trial();
-  return InjectionRecord{k};
+  return commit_trial(k);
 }
 
 InjectionRecord Injector::inject(double bit_error_rate, ut::Rng& rng) {
@@ -81,13 +100,14 @@ InjectionRecord Injector::inject(double bit_error_rate, ut::Rng& rng) {
 }
 
 InjectionRecord Injector::inject_exact(std::uint64_t count, ut::Rng& rng) {
+  auto positions = rng.sample_distinct(image_->bit_count(), count);
+  std::sort(positions.begin(), positions.end());
   begin_trial();
-  FaultModel flip;  // defaults: bit_flip over the whole word
-  for (const auto pos : rng.sample_distinct(image_->bit_count(), count)) {
+  const FaultModel flip;  // defaults: bit_flip over the whole word
+  for (const auto pos : positions) {
     apply_event(pos / 32, static_cast<int>(pos % 32), flip);
   }
-  commit_trial();
-  return InjectionRecord{count};
+  return commit_trial(count);
 }
 
 InjectionRecord Injector::inject_exact_at_bit(std::uint64_t count, int bit,
@@ -95,15 +115,35 @@ InjectionRecord Injector::inject_exact_at_bit(std::uint64_t count, int bit,
   if (bit < 0 || bit > 31) {
     throw std::invalid_argument("Injector: bit position out of range");
   }
+  auto words = rng.sample_distinct(image_->word_count(), count);
+  std::sort(words.begin(), words.end());
   begin_trial();
-  FaultModel flip;
-  for (const auto word : rng.sample_distinct(image_->word_count(), count)) {
-    apply_event(word, bit, flip);
-  }
-  commit_trial();
-  return InjectionRecord{count};
+  const FaultModel flip;
+  for (const auto word : words) apply_event(word, bit, flip);
+  return commit_trial(count);
 }
 
-void Injector::restore() { image_->restore(); }
+InjectionRecord Injector::inject_at(std::uint64_t word, int bit) {
+  if (word >= image_->word_count() || bit < 0 || bit > 31) {
+    throw std::invalid_argument("Injector: fault position out of range");
+  }
+  begin_trial();
+  apply_event(word, bit, FaultModel{});
+  return commit_trial(1);
+}
+
+void Injector::restore() {
+  if (image_->generation() != generation_) {
+    image_->restore();
+  } else {
+    const auto& clean = image_->clean_words();
+    for (const auto word : changed_) {
+      image_->write_word(static_cast<std::size_t>(word),
+                         clean[static_cast<std::size_t>(word)]);
+    }
+  }
+  changed_.clear();
+  generation_ = image_->generation();
+}
 
 }  // namespace fitact::fault

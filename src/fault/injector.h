@@ -5,12 +5,20 @@
 // well as parameters of activation functions, are considered as the fault
 // space". Parameters are stored in Q1.15.16 fixed point (src/quant); each
 // trial draws K ~ Binomial(total_bits, bit_error_rate) distinct bit
-// positions, flips them in a scratch copy of the parameter image, and writes
-// the decoded result into the live model. restore() returns the model to the
-// clean image.
+// positions, flips them in the clean words, and writes the decoded words it
+// changed into the live model. restore() rewrites those words clean.
+//
+// The injector writes sparsely: it assumes that, outside the words it
+// changed itself, the model holds the decoded clean image. Whenever the
+// image's generation moved since the injector's own last write (the image
+// was built, refresh()ed, restored or written by anyone else), the next
+// inject or restore first rewrites the whole clean image. After every call
+// the parameters are therefore exactly the decoded clean image with this
+// trial's events applied (or without any, after restore()).
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_model.h"
@@ -21,12 +29,14 @@ namespace fitact::fault {
 
 struct InjectionRecord {
   std::uint64_t fault_events = 0;  ///< sampled anchor positions this trial
+  /// Lowest word the trial changed; the image's word_count() when its
+  /// events left every word clean.
+  std::uint64_t lowest_word = 0;
 };
 
 class Injector {
  public:
-  /// The image defines the fault space; the injector keeps a scratch word
-  /// buffer so repeated trials allocate nothing.
+  /// The image defines the fault space.
   explicit Injector(quant::ParamImage& image);
 
   /// Apply a binomial number of fault events under the given model and
@@ -45,8 +55,18 @@ class Injector {
   InjectionRecord inject_exact_at_bit(std::uint64_t count, int bit,
                                       ut::Rng& rng);
 
-  /// Write the clean image back into the model.
+  /// Flip bit `bit` of word `word`: one fault at a chosen position.
+  InjectionRecord inject_at(std::uint64_t word, int bit);
+
+  /// Return the model to the clean image: rewrite the words the last
+  /// inject changed.
   void restore();
+
+  /// The last inject's InjectionRecord::lowest_word until restore(), and
+  /// word_count() after it.
+  [[nodiscard]] std::uint64_t lowest_word() const noexcept {
+    return changed_.empty() ? word_count() : changed_.front();
+  }
 
   [[nodiscard]] std::uint64_t bit_count() const noexcept {
     return image_->bit_count();
@@ -56,12 +76,19 @@ class Injector {
   }
 
  private:
+  /// Restore, then start an empty trial.
   void begin_trial();
-  void commit_trial();
+  /// Events arrive in ascending word order.
   void apply_event(std::uint64_t word, int bit, const FaultModel& model);
+  InjectionRecord commit_trial(std::uint64_t events);
 
   quant::ParamImage* image_;
-  std::vector<std::int32_t> scratch_;
+  /// The image's generation right after this injector's last write.
+  std::uint64_t generation_;
+  /// This trial's touched words (ascending) and their faulty values.
+  std::vector<std::pair<std::uint64_t, std::int32_t>> trial_;
+  /// Words the model holds faulty (ascending).
+  std::vector<std::uint64_t> changed_;
 };
 
 }  // namespace fitact::fault

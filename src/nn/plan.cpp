@@ -493,23 +493,11 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   }
   plan->finalize_liveness();
 
-  // Per-sample scratch high-water mark: conv needs an im2col matrix, linear
-  // a transposed weight; ops run one at a time, so one block serves all.
-  // Int8 ops don't participate — their integer scratch is sized below, and
-  // they never fall back to fp32 (execute throws instead).
-  std::size_t scratch = 0;
+  // Int8 scratch high-water mark (the fp32 scratch depends on the batch
+  // bucket and is sized by plan_arena).
   std::size_t scratch_i8 = 0;
   for (const auto& op : plan->ops_) {
-    if (op.kind == PlanBuilder::OpKind::conv2d ||
-        op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
-      scratch = std::max(
-          scratch, static_cast<std::size_t>(op.geo.col_rows() *
-                                            op.geo.col_cols()));
-    } else if (op.kind == PlanBuilder::OpKind::linear ||
-               op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
-      scratch =
-          std::max(scratch, static_cast<std::size_t>(op.in_f * op.out_f));
-    } else if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
+    if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
       // Quantized input sample + im2row patch matrix.
       const auto in_numel = static_cast<std::size_t>(
           plan->values_[static_cast<std::size_t>(op.in0)].sample_numel);
@@ -523,7 +511,6 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
           scratch_i8, static_cast<std::size_t>(max_batch * op.q8->cols_padded));
     }
   }
-  plan->scratch_floats_ = scratch;
   plan->scratch_i8_bytes_ = scratch_i8;
   if (scratch_i8 > 0) {
     plan->scratch_i8_ = std::make_unique<std::int8_t[]>(scratch_i8);
@@ -773,6 +760,25 @@ void InferencePlan::finalize_liveness() {
   values_[static_cast<std::size_t>(root(output_))].last_use = kLiveForever;
 }
 
+std::size_t InferencePlan::scratch_floats(std::int64_t batch) const {
+  // Conv needs its im2col (batch-wide: also its GEMM product), linear a
+  // transposed weight; ops run one at a time, so one block serves all.
+  // Int8 ops don't participate — their integer scratch is separate, and
+  // they never fall back to fp32 (execute throws instead).
+  std::int64_t floats = 0;
+  for (const auto& op : ops_) {
+    if (op.kind == PlanBuilder::OpKind::conv2d ||
+        op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
+      floats = std::max(floats,
+                        ag::conv2d_scratch_floats(op.geo, op.out_c, batch));
+    } else if (op.kind == PlanBuilder::OpKind::linear ||
+               op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
+      floats = std::max(floats, op.in_f * op.out_f);
+    }
+  }
+  return static_cast<std::size_t>(floats);
+}
+
 void InferencePlan::plan_arena() {
   // Batch-size buckets: powers of two up to max_batch, plus max_batch
   // itself. A batch executes in the smallest bucket that fits, so arena
@@ -804,7 +810,7 @@ void InferencePlan::plan_arena() {
     std::vector<Placed> placed;
     // The shared scratch block is live for the whole program; placing it
     // first pins it at offset 0 in every bucket.
-    placed.push_back({0, align_up(scratch_floats_), -1, kLiveForever});
+    placed.push_back({0, align_up(scratch_floats(cap)), -1, kLiveForever});
     bk.scratch_offset = 0;
 
     for (std::size_t vi = 0; vi < values_.size(); ++vi) {
@@ -923,18 +929,10 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
     switch (op.kind) {
       case PlanBuilder::OpKind::conv2d:
       case PlanBuilder::OpKind::fused_conv2d_clamp: {
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const float* w = op.weight.data();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        for (std::int64_t s = 0; s < batch; ++s) {
-          ag::conv2d_forward_sample(op.geo, op.out_c, x + s * in_stride, w, b,
-                                    scratch, o + s * out_stride);
-        }
+        ag::conv2d_forward(op.geo, op.out_c, batch, ptr(op.in0),
+                           op.weight.data(),
+                           op.bias.defined() ? op.bias.data() : nullptr,
+                           scratch, ptr(op.out));
         if (op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
           bn_and_activation(op);
         }

@@ -316,6 +316,8 @@ class InferencePlan {
   void int8_producer(const Op& op, std::int64_t batch, const float* x,
                      float* o);
   void finalize_liveness();
+  /// fp32 scratch floats a batch of `batch` samples needs.
+  [[nodiscard]] std::size_t scratch_floats(std::int64_t batch) const;
   void plan_arena();
   [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;
   PlanValueId root(PlanValueId v) const noexcept;
@@ -329,7 +331,6 @@ class InferencePlan {
   std::size_t int8_ops_ = 0;
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;
-  std::size_t scratch_floats_ = 0;
   std::size_t scratch_i8_bytes_ = 0;
   std::unique_ptr<std::int8_t[]> scratch_i8_;
   std::vector<Bucket> buckets_;

@@ -5,8 +5,8 @@
 //
 // The image snapshots the module's parameters (and optionally its buffers,
 // e.g. BatchNorm running statistics) at construction. restore() writes the
-// decoded clean image back into the module; a fault injector flips bits in a
-// scratch copy and writes that back instead.
+// decoded clean image back into the module; a fault injector writes the
+// words it corrupts one by one (write_word) and later rewrites them clean.
 #pragma once
 
 #include <cstdint>
@@ -54,25 +54,41 @@ class ParamImage {
   /// quantisation round-trip, which models fixed-point parameter storage).
   void restore();
 
-  /// Write an arbitrary word vector (same length) into the module; used by
-  /// the injector after flipping bits.
+  /// Write an arbitrary word vector (same length) into the module.
   void write_back(const std::vector<std::int32_t>& words);
+
+  /// Decode one word into the module: word `index` now holds `value`.
+  void write_word(std::size_t index, std::int32_t value);
 
   /// Re-snapshot from the module (e.g. after post-training updated bounds).
   void refresh();
 
- private:
+  /// Counts refresh() and every write into the module (restore,
+  /// write_back, write_word). A sparse writer (fault::Injector) that finds
+  /// it moved since its own last write cannot trust that only its words
+  /// differ from the clean image.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
+
+  /// One named parameter (or buffer) tensor of the image, in the order
+  /// named_parameters() lists them, buffers after.
   struct Segment {
     std::string name;
-    Tensor target;      // shares storage with the module's tensor
-    std::size_t offset; // word offset into the image
+    Tensor target;       ///< shares storage with the module's tensor
+    std::size_t offset;  ///< word offset into the image
   };
+  [[nodiscard]] const std::vector<Segment>& segments() const noexcept {
+    return segments_;
+  }
 
+ private:
   nn::Module* module_;
   bool include_buffers_;
   NameFilter filter_;
   std::vector<Segment> segments_;
   std::vector<std::int32_t> clean_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace fitact::quant

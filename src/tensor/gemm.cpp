@@ -14,9 +14,9 @@ constexpr std::int64_t kBlockM = 64;
 constexpr std::int64_t kBlockN = 256;
 constexpr std::int64_t kBlockK = 256;
 
-// Column width of the AVX2 panel's register tile. Products narrower than
-// this (n < kTileN <= m) run in the transposed orientation; see sgemm_narrow.
-constexpr std::int64_t kTileN = 16;
+// Products narrower than the panel's register tile (n < kTileN <= m) run in
+// the transposed orientation; see sgemm_narrow.
+constexpr std::int64_t kTileN = kSgemmTileN;
 
 inline float load(const float* p, std::int64_t ld, std::int64_t r,
                   std::int64_t c, bool trans) noexcept {

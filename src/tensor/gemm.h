@@ -16,6 +16,11 @@
 
 namespace fitact {
 
+/// Column width of the panel kernel's register tile. Products narrower than
+/// this (n < kSgemmTileN <= m) run transposed; convolutions whose per-sample
+/// output map is narrower run batch-wide (autograd/op_kernels.h).
+inline constexpr std::int64_t kSgemmTileN = 16;
+
 /// Plain row-major SGEMM. lda/ldb/ldc are leading dimensions (row strides).
 void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, std::int64_t lda,

@@ -140,7 +140,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void im2col(const Conv2dGeometry& g, const float* image, float* col) {
+void im2col(const Conv2dGeometry& g, const float* image, float* col,
+            std::int64_t ld) {
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t hw = g.in_h * g.in_w;
@@ -149,7 +150,7 @@ void im2col(const Conv2dGeometry& g, const float* image, float* col) {
     const float* chan = image + c * hw;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        float* dst = col + row * (oh * ow);
+        float* dst = col + row * ld;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + kh - g.padding;
           if (iy < 0 || iy >= g.in_h) {

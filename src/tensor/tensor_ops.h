@@ -64,8 +64,16 @@ struct Conv2dGeometry {
 };
 
 /// Expand one image [C,H,W] into the column matrix [C*kH*kW, Hout*Wout].
-/// `image` points at C*H*W floats; `col` at col_rows()*col_cols() floats.
-void im2col(const Conv2dGeometry& g, const float* image, float* col);
+/// `image` points at C*H*W floats; `col` at col_rows() rows spaced `ld`
+/// floats apart (ld >= col_cols(); a batch-wide conv lays its samples side
+/// by side in one matrix).
+void im2col(const Conv2dGeometry& g, const float* image, float* col,
+            std::int64_t ld);
+
+/// The same into a packed [col_rows(), col_cols()] matrix.
+inline void im2col(const Conv2dGeometry& g, const float* image, float* col) {
+  im2col(g, image, col, g.col_cols());
+}
 
 /// Scatter-accumulate a column matrix back into an image gradient buffer
 /// (which must be zero-initialised by the caller).

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "autograd/op_kernels.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "tensor/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace fitact {
@@ -340,6 +345,82 @@ TEST(Ops, Conv2dBiasBroadcasts) {
   Variable y = ag::conv2d(x, w, b, 1, 0);
   EXPECT_FLOAT_EQ(y.value()[0], 11.0f);
   EXPECT_FLOAT_EQ(y.value()[4], 21.0f);
+}
+
+// conv2d_forward runs maps narrower than sgemm's register tile batch-wide
+// (one im2col matrix and one GEMM for the whole batch). Every output must
+// equal the per-sample routine's bit for bit on both kernel backends, and
+// the eager op, which splits the batch over the thread pool, must agree.
+// Channel counts straddle the tile (so the per-sample GEMM runs both its
+// narrow and its row-panel orientation) and C*k*k straddles sgemm's K block.
+TEST(Ops, Conv2dBatchWideMatchesPerSampleBitForBit) {
+  std::vector<kern::Backend> backends{kern::Backend::scalar};
+  if (kern::avx2_supported()) backends.push_back(kern::Backend::avx2);
+  ut::Rng rng(17);
+  for (const kern::Backend backend : backends) {
+    const kern::BackendGuard guard(backend);
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t side : {1, 2, 3, 4}) {  // output map side
+        for (const std::int64_t batch : {1, 3, 64}) {
+          for (const bool with_bias : {false, true}) {
+            for (const auto& [in_c, out_c] :
+                 {std::pair<std::int64_t, std::int64_t>{3, 20}, {32, 6}}) {
+              Conv2dGeometry geo;
+              geo.in_channels = in_c;
+              geo.in_h = geo.in_w = stride * (side - 1) + 1;
+              geo.kernel_h = geo.kernel_w = 3;
+              geo.stride = stride;
+              geo.padding = 1;
+              ASSERT_EQ(geo.out_h(), side);
+              EXPECT_EQ(ag::conv2d_batch_wide(geo), side < 4);
+              const std::string context =
+                  std::string(kern::backend_name(backend)) + " stride " +
+                  std::to_string(stride) + " map " + std::to_string(side) +
+                  " batch " + std::to_string(batch) + " channels " +
+                  std::to_string(in_c) + "->" + std::to_string(out_c) +
+                  (with_bias ? " bias" : "");
+
+              const Tensor x = Tensor::randn(
+                  Shape{batch, in_c, geo.in_h, geo.in_w}, rng);
+              const Tensor w = Tensor::randn(Shape{out_c, in_c, 3, 3}, rng);
+              const Tensor b = Tensor::randn(Shape{out_c}, rng);
+              const float* bias = with_bias ? b.data() : nullptr;
+              const std::int64_t in_stride = in_c * geo.in_h * geo.in_w;
+              const std::int64_t out_stride = out_c * side * side;
+
+              std::vector<float> expected(
+                  static_cast<std::size_t>(batch * out_stride));
+              std::vector<float> col(
+                  static_cast<std::size_t>(geo.col_rows() * geo.col_cols()));
+              for (std::int64_t s = 0; s < batch; ++s) {
+                ag::conv2d_forward_sample(geo, out_c, x.data() + s * in_stride,
+                                          w.data(), bias, col.data(),
+                                          expected.data() + s * out_stride);
+              }
+              std::vector<float> actual(expected.size());
+              std::vector<float> scratch(static_cast<std::size_t>(
+                  ag::conv2d_scratch_floats(geo, out_c, batch)));
+              ag::conv2d_forward(geo, out_c, batch, x.data(), w.data(), bias,
+                                 scratch.data(), actual.data());
+              EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                                    actual.size() * sizeof(float)),
+                        0)
+                  << context;
+
+              const NoGradGuard no_grad;
+              const Variable eager =
+                  ag::conv2d(Variable(x), Variable(w),
+                             with_bias ? Variable(b) : Variable(), stride, 1);
+              EXPECT_EQ(std::memcmp(eager.value().data(), expected.data(),
+                                    actual.size() * sizeof(float)),
+                        0)
+                  << "eager " << context;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Ops, BatchNormTrainingNormalises) {

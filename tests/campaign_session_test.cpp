@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/activation.h"
@@ -17,6 +21,8 @@
 #include "nn/serialize.h"
 #include "quant/param_image.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
+#include "util/thread_pool.h"
 
 namespace fitact::ev {
 namespace {
@@ -218,6 +224,241 @@ TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {
   expect_equal_results(session.run(cfg), fault::run_campaign(make_worker, cfg),
                        "lane growth");
   EXPECT_EQ(session.lane_count(), 8u);
+}
+
+// --- clean-prefix resume ------------------------------------------------
+
+/// A campaign-ready model without the training stage: resumed and full
+/// forwards must agree whatever the parameter values.
+PreparedModel untrained_model(const std::string& name, float width,
+                              const ExperimentScale& scale) {
+  PreparedModel pm;
+  pm.model_name = name;
+  pm.num_classes = 10;
+  pm.model_config.num_classes = 10;
+  pm.model_config.width_mult = width;
+  pm.model_config.seed = 19;
+  pm.model = models::make_model(name, pm.model_config);
+  pm.train = open_dataset(10, true, scale.train_size, 19);
+  pm.test = open_dataset(10, false, scale.test_size, 19);
+  return pm;
+}
+
+/// The subset's logits from full forwards of `model`, in the same chunks.
+Tensor full_logits(nn::Module& model, const EvalBatch& subset,
+                   std::int64_t batch_size) {
+  const NoGradGuard no_grad;
+  const Shape& s = subset.images.shape();
+  const auto total = static_cast<std::int64_t>(subset.labels.size());
+  Tensor out;
+  for (std::int64_t done = 0; done < total; done += batch_size) {
+    const std::int64_t count = std::min(batch_size, total - done);
+    const Variable y = model.forward(Variable(Tensor::view(
+        Shape{count, s[1], s[2], s[3]},
+        const_cast<float*>(subset.images.data()) + done * s[1] * s[2] * s[3])));
+    const std::int64_t classes = y.shape()[1];
+    if (!out.defined()) out = Tensor(Shape{total, classes});
+    std::copy_n(y.value().data(), y.value().numel(),
+                out.data() + done * classes);
+  }
+  return out;
+}
+
+bool bit_identical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+double top1_of(const Tensor& logits, const EvalBatch& subset) {
+  const auto pred = argmax_rows(logits);
+  std::int64_t correct = 0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    if (pred[i] == subset.labels[i]) ++correct;
+  }
+  return static_cast<double>(correct) /
+         static_cast<double>(subset.labels.size());
+}
+
+/// One word inside each top-level child that owns fault-space words.
+std::map<std::size_t, std::uint64_t> word_per_child(const CampaignLane& lane) {
+  std::map<std::string, std::size_t> index;
+  const auto& children = lane.model->children();
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    index.emplace(children[i].first, i);
+  }
+  std::map<std::size_t, std::uint64_t> words;
+  for (const auto& seg : lane.image->segments()) {
+    if (seg.target.numel() == 0) continue;
+    words.emplace(index.at(seg.name.substr(0, seg.name.find('.'))),
+                  seg.offset + static_cast<std::size_t>(seg.target.numel()) / 2);
+  }
+  return words;
+}
+
+/// The lane's logits from the forward its top1() runs (a lane without
+/// changed words resumes from the deepest cut).
+Tensor resumed_logits(const CampaignLane& lane) {
+  const CleanPrefix& prefix = **lane.prefix;
+  return prefix.logits(*lane.model,
+                       prefix.dirty_child(lane.injector->lowest_word()));
+}
+
+/// Forces one high-bit flip into each top-level child that owns words, plus
+/// one zero-flip trial, spread over the first `lanes` workers (each lane's
+/// share on its own thread, running kernels inline as campaign lanes do),
+/// and requires every resumed forward to equal a full forward of the same
+/// faulted lane bit for bit.
+void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& workers,
+                                std::size_t lanes, const EvalBatch& subset,
+                                const EvalConfig& ec,
+                                const std::string& context) {
+  const auto lane_of = [&](std::size_t i) -> CampaignLane& {
+    return *std::static_pointer_cast<CampaignLane>(workers[i].keepalive);
+  };
+  const CleanPrefix& prefix = **lane_of(0).prefix;
+  EXPECT_FALSE(prefix.cut_children().empty()) << context;
+  const Tensor clean = full_logits(*lane_of(0).model, subset, ec.batch_size);
+  EXPECT_DOUBLE_EQ(prefix.clean_top1(), top1_of(clean, subset)) << context;
+
+  const auto targets = word_per_child(lane_of(0));
+  std::atomic<int> changed_logits{0};
+  std::vector<std::thread> threads;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    threads.emplace_back([&, l] {
+      const ut::InlineKernelScope inline_kernels;
+      CampaignLane& lane = lane_of(l);
+      std::size_t k = 0;
+      for (const auto& [child, word] : targets) {
+        if (k++ % lanes != l) continue;
+        const std::string where = context + ", lane " + std::to_string(l) +
+                                  ", flip in child " + std::to_string(child);
+        const fault::InjectionRecord rec = lane.injector->inject_at(word, 30);
+        EXPECT_EQ(rec.lowest_word, word) << where;
+        EXPECT_LE(prefix.dirty_child(word), child) << where;
+        const Tensor full = full_logits(*lane.model, subset, ec.batch_size);
+        EXPECT_TRUE(bit_identical(resumed_logits(lane), full)) << where;
+        EXPECT_DOUBLE_EQ(lane.top1(), top1_of(full, subset)) << where;
+        if (!bit_identical(full, clean)) ++changed_logits;
+        lane.injector->restore();
+      }
+      // Zero flips: the clean top-1 with no forward, and logits resumed
+      // from the deepest cut.
+      ut::Rng rng(l);
+      const fault::InjectionRecord none = lane.injector->inject_exact(0, rng);
+      EXPECT_EQ(none.lowest_word, lane.injector->word_count()) << context;
+      EXPECT_TRUE(bit_identical(resumed_logits(lane), clean))
+          << context << ", zero flips, lane " << l;
+      EXPECT_DOUBLE_EQ(lane.top1(), prefix.clean_top1()) << context;
+      lane.injector->restore();
+    });
+  }
+  for (auto& t : threads) t.join();
+  // The flips are loud enough to move the logits: a resume that skipped
+  // the faulted child would not go unnoticed.
+  EXPECT_GT(changed_logits.load(), 0) << context;
+}
+
+TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
+  ExperimentScale scale = tiny_scale();
+  scale.train_size = 32;
+  scale.profile_samples = 16;
+  EvalConfig ec;
+  ec.batch_size = 8;
+  ec.max_samples = 9;  // two batch_size chunks
+  // Widths at the 4-channel floor, so the sanitizer builds stay quick.
+  const std::pair<std::string, float> zoo[] = {
+      {"tinycnn", 0.25f},
+      {"alexnet", 0.0625f},
+      {"vgg16", 0.0625f},
+      {"resnet50", 0.03125f}};
+  for (const auto& [name, width] : zoo) {
+    PreparedModel pm = untrained_model(name, width, scale);
+    (void)protect_model(pm, core::Scheme::clip_act, scale);
+    const EvalBatch subset = materialize_eval_batch(*pm.test, ec);
+    const fault::WorkerFactory factory = make_campaign_worker_factory(pm, ec);
+    std::vector<fault::CampaignWorker> workers;
+    for (std::size_t l = 0; l < 4; ++l) workers.push_back(factory(l));
+    // What CampaignSession::run does for its cached lanes once the source
+    // changed (protect_model / touch() invalidate the session).
+    const auto resync = [&] {
+      for (auto& w : workers) w.sync(/*source_changed=*/true);
+    };
+
+    for (const std::size_t lanes : {1u, 4u}) {
+      expect_resumed_equals_full(workers, lanes, subset, ec,
+                                 name + " clip_act, lanes " +
+                                     std::to_string(lanes));
+    }
+    (void)protect_model(pm, core::Scheme::fitrelu, scale,
+                        /*skip_post_training=*/true);
+    resync();
+    for (const std::size_t lanes : {1u, 4u}) {
+      expect_resumed_equals_full(workers, lanes, subset, ec,
+                                 name + " after protect_model, lanes " +
+                                     std::to_string(lanes));
+    }
+    core::ProtectionOptions opts;
+    opts.granularity = core::Granularity::per_layer;
+    core::apply_protection(*pm.model, core::Scheme::ranger, opts);
+    pm.touch();
+    resync();
+    for (const std::size_t lanes : {1u, 4u}) {
+      expect_resumed_equals_full(workers, lanes, subset, ec,
+                                 name + " after touch, lanes " +
+                                     std::to_string(lanes));
+    }
+  }
+}
+
+// The same resume through the session engine, at a rate that leaves some
+// trials without a flip and spreads the rest over the network: at 1 and 4
+// lanes, and across protect_model and touch(), every trial's top-1 must
+// equal the legacy overload's full forward of the same faults.
+TEST(CleanPrefix, SessionTrialsEqualFullForwardCampaigns) {
+  ExperimentScale scale = tiny_scale();
+  scale.width_vgg16 = 0.0625f;
+  scale.train_size = 32;
+  scale.profile_samples = 16;
+  scale.trials = 8;
+  for (const std::string name : {"tinycnn", "vgg16"}) {
+    PreparedModel pm = untrained_model(name, scale.width_for(name), scale);
+    (void)protect_model(pm, core::Scheme::clip_act, scale);
+    std::vector<std::unique_ptr<CampaignSession>> sessions;
+    for (const std::size_t lanes : {1u, 4u}) {
+      ExperimentScale s = scale;
+      s.campaign_threads = lanes;
+      sessions.push_back(std::make_unique<CampaignSession>(pm, s));
+    }
+    EvalConfig ec;
+    ec.max_samples = scale.eval_samples;
+    const auto expect_sessions_match = [&](const std::string& context) {
+      fault::CampaignConfig cc;
+      cc.bit_error_rate =
+          1.5 / (32.0 * static_cast<double>(pm.model->parameter_count()));
+      cc.trials = scale.trials;
+      cc.seed = 83;
+      quant::ParamImage image(*pm.model);
+      fault::Injector injector(image);
+      const fault::CampaignResult full = fault::run_campaign(
+          injector, [&] { return evaluate_accuracy(*pm.model, *pm.test, ec); },
+          cc);
+      for (const auto& session : sessions) {
+        expect_equal_results(session->run(cc.bit_error_rate, cc.seed), full,
+                             name + " " + context);
+      }
+    };
+    expect_sessions_match("clip_act");
+    (void)protect_model(pm, core::Scheme::fitrelu, scale,
+                        /*skip_post_training=*/true);
+    expect_sessions_match("after protect_model");
+    core::ProtectionOptions opts;
+    opts.granularity = core::Granularity::per_layer;
+    core::apply_protection(*pm.model, core::Scheme::ranger, opts);
+    pm.touch();
+    expect_sessions_match("after touch");
+  }
 }
 
 // --- init-skipping construction path ------------------------------------

@@ -93,46 +93,6 @@ TEST(Metrics, MaxSamplesCapsEvaluation) {
   EXPECT_EQ(m.seen, 20);
 }
 
-TEST(Metrics, PrebuiltBatchMatchesDatasetOverloadChunkForChunk) {
-  // Predicts a class from each image and records every chunk's pixel sum,
-  // so the two overloads are compared on chunking and chunk contents.
-  struct PixelSumModel final : nn::Module {
-    std::vector<double> chunk_sums;
-    Variable forward(const Variable& x) override {
-      const std::int64_t batch = x.shape()[0];
-      const std::int64_t per = x.numel() / batch;
-      Tensor logits = Tensor::zeros(Shape{batch, 4});
-      double sum = 0.0;
-      for (std::int64_t b = 0; b < batch; ++b) {
-        double image = 0.0;
-        for (std::int64_t i = 0; i < per; ++i) {
-          image += x.value()[b * per + i];
-        }
-        const auto label = static_cast<std::int64_t>(std::fabs(image)) % 4;
-        logits[b * 4 + label] = 1.0f;
-        sum += image;
-      }
-      chunk_sums.push_back(sum);
-      return Variable(std::move(logits), false);
-    }
-  };
-  data::SyntheticCifarConfig cfg;
-  cfg.num_classes = 4;
-  cfg.size = 64;
-  const data::SyntheticCifar ds(cfg);
-  EvalConfig ec;
-  ec.max_samples = 30;
-  ec.batch_size = 7;  // chunks of 7, 7, 7, 7, 2
-  PixelSumModel from_dataset;
-  PixelSumModel from_batch;
-  const double want = evaluate_accuracy(from_dataset, ds, ec);
-  const EvalBatch batch = materialize_eval_batch(ds, ec);
-  ASSERT_EQ(batch.labels.size(), 30u);
-  EXPECT_EQ(evaluate_accuracy(from_batch, batch, ec), want);
-  EXPECT_EQ(from_batch.chunk_sums.size(), 5u);
-  EXPECT_EQ(from_batch.chunk_sums, from_dataset.chunk_sums);
-}
-
 TEST(Trainer, LossDecreasesOnLearnableTask) {
   models::ModelConfig mc;
   mc.width_mult = 0.5f;

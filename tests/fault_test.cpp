@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fault/campaign.h"
 #include "fault/injector.h"
@@ -134,6 +138,159 @@ TEST(Injector, DeterministicGivenSeed) {
     for (std::int64_t j = 0; j < pa[i].var.numel(); ++j) {
       EXPECT_EQ(pa[i].var.value()[j], pb[i].var.value()[j]);
     }
+  }
+}
+
+// The oracle side of the sparse-injector test: one fault event applied to
+// one word, as FaultModel defines it.
+std::int32_t apply_event(std::int32_t w, int bit, const FaultModel& model) {
+  const auto u = static_cast<std::uint32_t>(w);
+  switch (model.type) {
+    case FaultType::bit_flip:
+      return quant::flip_bit(w, bit);
+    case FaultType::stuck_at_one:
+      return static_cast<std::int32_t>(u | (1u << bit));
+    case FaultType::stuck_at_zero:
+      return static_cast<std::int32_t>(u & ~(1u << bit));
+    case FaultType::word_burst: {
+      std::uint32_t mask = 0;
+      for (int b = bit; b < std::min(32, bit + model.burst_length); ++b) {
+        mask |= 1u << b;
+      }
+      return static_cast<std::int32_t>(u ^ mask);
+    }
+  }
+  return w;
+}
+
+void expect_same_parameters(const nn::Module& a, const nn::Module& b,
+                            const std::string& context) {
+  const auto pa = a.named_parameters();
+  const auto pb = b.named_parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i].var.numel(), pb[i].var.numel());
+    EXPECT_EQ(std::memcmp(pa[i].var.value().data(), pb[i].var.value().data(),
+                          static_cast<std::size_t>(pa[i].var.numel()) *
+                              sizeof(float)),
+              0)
+        << context << ", " << pa[i].name;
+  }
+}
+
+// The injector writes only the words a trial changes and rewrites only
+// those on restore. After every call the parameters must equal, bitwise, a
+// full write_back of the same events applied to a copy of the clean words
+// (replayed from a copy of the RNG) into an identical twin model: for every
+// fault type and draw, with several events on one word, over a filtered
+// image, across a refresh() that changed the clean image, and when a trial
+// starts without the previous one restored.
+TEST(Injector, SparseWritesMatchFullWriteBack) {
+  const quant::ParamImage::NameFilter second_layer =
+      [](const std::string& name) { return name.rfind("1.", 0) == 0; };
+  for (const bool filtered : {false, true}) {
+    const auto net = small_net(3);
+    const auto twin = small_net(3);
+    quant::ParamImage image(*net, false, filtered ? second_layer : nullptr);
+    quant::ParamImage twin_image(*twin, false,
+                                 filtered ? second_layer : nullptr);
+    Injector inj(image);
+    ut::Rng rng(11);
+    bool shared_word = false;
+
+    enum class Draw { rate, exact, exact_at_bit };
+    struct Case {
+      Draw draw;
+      FaultType type;
+      int bit_lo, bit_hi;
+    };
+    const std::vector<Case> cases = {
+        {Draw::rate, FaultType::bit_flip, 0, 31},
+        {Draw::rate, FaultType::stuck_at_one, 8, 30},
+        {Draw::rate, FaultType::stuck_at_zero, 0, 23},
+        {Draw::rate, FaultType::word_burst, 2, 31},
+        {Draw::exact, FaultType::bit_flip, 0, 31},
+        {Draw::exact_at_bit, FaultType::bit_flip, 28, 28},
+    };
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        const Case& tc = cases[c];
+        const std::string context = std::string(filtered ? "filtered" : "full") +
+                                    " image, round " + std::to_string(round) +
+                                    ", case " + std::to_string(c);
+        FaultModel model;
+        model.type = tc.type;
+        model.bit_error_rate = 3e-3;
+        model.burst_length = 5;
+        model.bit_lo = tc.bit_lo;
+        model.bit_hi = tc.bit_hi;
+
+        // Oracle: replay the draw on a copy of the clean words.
+        ut::Rng replay = rng;
+        std::vector<std::int32_t> words = image.clean_words();
+        std::map<std::uint64_t, int> events_per_word;
+        const auto event = [&](std::uint64_t word, int bit) {
+          words[word] = apply_event(words[word], bit, model);
+          ++events_per_word[word];
+        };
+        InjectionRecord rec;
+        std::uint64_t events = 0;
+        if (tc.draw == Draw::rate) {
+          const auto width = static_cast<std::uint64_t>(model.range_width());
+          const std::uint64_t eligible = words.size() * width;
+          events = replay.binomial(eligible, model.bit_error_rate);
+          for (const auto pos : replay.sample_distinct(eligible, events)) {
+            event(pos / width, model.bit_lo + static_cast<int>(pos % width));
+          }
+          rec = inj.inject(model, rng);
+        } else if (tc.draw == Draw::exact) {
+          events = 120;
+          for (const auto pos :
+               replay.sample_distinct(words.size() * 32, events)) {
+            event(pos / 32, static_cast<int>(pos % 32));
+          }
+          rec = inj.inject_exact(events, rng);
+        } else {
+          events = 40;
+          for (const auto word : replay.sample_distinct(words.size(), events)) {
+            event(word, tc.bit_lo);
+          }
+          rec = inj.inject_exact_at_bit(events, tc.bit_lo, rng);
+        }
+        EXPECT_EQ(rng.next_u64(), replay.next_u64()) << context;
+        for (const auto& [word, n] : events_per_word) shared_word |= n > 1;
+
+        std::uint64_t lowest = 0;
+        while (lowest < words.size() && words[lowest] == image.clean_words()[lowest]) {
+          ++lowest;
+        }
+        EXPECT_EQ(rec.fault_events, events) << context;
+        EXPECT_EQ(rec.lowest_word, lowest) << context;
+        EXPECT_EQ(inj.lowest_word(), lowest) << context;
+        twin_image.write_back(words);
+        expect_same_parameters(*net, *twin, "after inject, " + context);
+
+        // Every other trial leaves its faults in place for the next inject
+        // to undo; the rest restore, and the last case of a round edits a
+        // parameter off the fixed-point grid and re-snapshots both images.
+        if (c % 2 == 0) continue;
+        inj.restore();
+        twin_image.restore();
+        EXPECT_EQ(inj.lowest_word(), image.word_count()) << context;
+        expect_same_parameters(*net, *twin, "after restore, " + context);
+        if (c + 1 == cases.size()) {
+          const float edit = 0.1f + 0.01f * static_cast<float>(round);
+          for (nn::Module* m : {static_cast<nn::Module*>(net.get()),
+                                static_cast<nn::Module*>(twin.get())}) {
+            auto params = m->named_parameters();
+            params.back().var.value()[0] = edit;
+          }
+          image.refresh();
+          twin_image.refresh();
+        }
+      }
+    }
+    EXPECT_TRUE(shared_word) << "no trial put two events on one word";
   }
 }
 
