@@ -12,8 +12,8 @@
 namespace fitact::ev {
 namespace {
 
-/// Rows [begin, begin + count) of a [N, ...] tensor, as a non-owning view
-/// (the forward only reads it).
+/// Rows [begin, begin + count) of a [N, ...] tensor, as a non-owning view:
+/// forwards only read it, and the clean forward fills a cut's rows with it.
 Tensor rows(const Tensor& t, std::int64_t begin, std::int64_t count) {
   std::vector<std::int64_t> dims = t.shape().dims();
   const std::int64_t row = t.numel() / dims[0];
@@ -22,20 +22,57 @@ Tensor rows(const Tensor& t, std::int64_t begin, std::int64_t count) {
                       const_cast<float*>(t.data()) + begin * row);
 }
 
-std::int64_t count_correct(const Tensor& logits, const std::int64_t* labels) {
-  std::int64_t correct = 0;
-  const auto pred = argmax_rows(logits);
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    if (pred[i] == labels[i]) ++correct;
-  }
-  return correct;
-}
+/// before_child of a forward that only needs the logits.
+void no_hook(std::size_t /*child*/, std::int64_t /*first*/,
+             const Tensor& /*input*/) {}
 
 }  // namespace
 
+template <class BeforeChild, class Fn>
+void CleanPrefix::forward_chunks(nn::Module& model, std::size_t dirty_child,
+                                 BeforeChild before_child, Fn fn) const {
+  const NoGradGuard no_grad;
+  model.set_training(false);
+  const Cut* from = nullptr;
+  for (const Cut& cut : cuts_) {
+    if (cut.child <= dirty_child) from = &cut;
+  }
+  const auto* seq = dynamic_cast<const nn::Sequential*>(&model);
+  const Tensor& input = from != nullptr ? from->input : subset_->images;
+  const auto total = static_cast<std::int64_t>(subset_->labels.size());
+  for (std::int64_t done = 0; done < total;) {
+    const std::int64_t count = std::min(batch_size_, total - done);
+    Variable h(rows(input, done, count));
+    if (seq != nullptr) {
+      for (std::size_t i = from != nullptr ? from->child : 0; i < seq->size();
+           ++i) {
+        before_child(i, done, h.value());
+        h = seq->at(i)->forward(h);
+      }
+    } else {
+      h = model.forward(h);
+    }
+    fn(done, h.value());
+    done += count;
+  }
+}
+
+template <class BeforeChild>
+double CleanPrefix::forward_top1(nn::Module& model, std::size_t dirty_child,
+                                 BeforeChild before_child) const {
+  std::int64_t correct = 0;
+  forward_chunks(model, dirty_child, before_child,
+                 [&](std::int64_t first, const Tensor& logits) {
+                   correct += count_correct(logits,
+                                            subset_->labels.data() + first);
+                 });
+  const auto total = static_cast<double>(subset_->labels.size());
+  return total > 0 ? static_cast<double>(correct) / total : 0.0;
+}
+
 CleanPrefix::CleanPrefix(nn::Module& clean, const quant::ParamImage& image,
                          std::shared_ptr<const EvalBatch> subset,
-                         const EvalConfig& ec, std::size_t byte_budget)
+                         const EvalConfig& ec)
     : subset_(std::move(subset)), batch_size_(ec.batch_size) {
   const auto* seq = dynamic_cast<const nn::Sequential*>(&clean);
 
@@ -58,14 +95,13 @@ CleanPrefix::CleanPrefix(nn::Module& clean, const quant::ParamImage& image,
         std::min(first_child_from_[s - 2], first_child_from_[s - 1]);
   }
 
-  const NoGradGuard no_grad;
-  clean.set_training(false);
-  const Tensor& images = subset_->images;
   const auto total = static_cast<std::int64_t>(subset_->labels.size());
   if (seq != nullptr && seq->size() > 0 && total > 0) {
     // Each child's per-sample input shape, from a one-sample probe.
+    const NoGradGuard no_grad;
+    clean.set_training(false);
     std::vector<Shape> inputs;
-    Variable h(rows(images, 0, 1));
+    Variable h(rows(subset_->images, 0, 1));
     for (std::size_t i = 0; i < seq->size(); ++i) {
       inputs.push_back(h.shape());
       h = seq->at(i)->forward(h);
@@ -85,35 +121,23 @@ CleanPrefix::CleanPrefix(nn::Module& clean, const quant::ParamImage& image,
       Shape shape(std::move(dims));
       const auto cut_bytes =
           static_cast<std::size_t>(shape.numel()) * sizeof(float);
-      if (bytes + cut_bytes > byte_budget) break;
+      if (bytes + cut_bytes > image.byte_count()) break;
       bytes += cut_bytes;
       cuts_.insert(cuts_.begin(), Cut{*it, Tensor(std::move(shape))});
     }
   }
 
-  std::int64_t correct = 0;
-  for (std::int64_t done = 0; done < total;) {
-    const std::int64_t count = std::min(batch_size_, total - done);
-    Variable h(rows(images, done, count));
-    if (seq != nullptr) {
-      auto cut = cuts_.begin();
-      for (std::size_t i = 0; i < seq->size(); ++i) {
-        if (cut != cuts_.end() && cut->child == i) {
-          const Tensor& x = h.value();
-          std::copy_n(x.data(), x.numel(), rows(cut->input, done, count).data());
-          ++cut;
+  // No cut sits at child 0, so this forward starts from the subset's images
+  // and hands every cut child its clean input.
+  clean_top1_ = forward_top1(
+      clean, 0,
+      [this](std::size_t child, std::int64_t first, const Tensor& input) {
+        for (Cut& cut : cuts_) {
+          if (cut.child != child) continue;
+          std::copy_n(input.data(), input.numel(),
+                      rows(cut.input, first, input.shape()[0]).data());
         }
-        h = seq->at(i)->forward(h);
-      }
-    } else {
-      h = clean.forward(h);
-    }
-    correct += count_correct(h.value(), subset_->labels.data() + done);
-    done += count;
-  }
-  clean_top1_ = total > 0
-                    ? static_cast<double>(correct) / static_cast<double>(total)
-                    : 0.0;
+      });
 }
 
 std::size_t CleanPrefix::dirty_child(std::uint64_t lowest_word) const {
@@ -124,49 +148,14 @@ std::size_t CleanPrefix::dirty_child(std::uint64_t lowest_word) const {
                                                     segment_end_.begin())];
 }
 
-template <class Fn>
-void CleanPrefix::forward_chunks(nn::Module& model, std::size_t dirty_child,
-                                 Fn fn) const {
-  const NoGradGuard no_grad;
-  model.set_training(false);
-  const Cut* from = nullptr;
-  for (const Cut& cut : cuts_) {
-    if (cut.child <= dirty_child) from = &cut;
-  }
-  const auto* seq = dynamic_cast<const nn::Sequential*>(&model);
-  const Tensor& input = from != nullptr ? from->input : subset_->images;
-  const auto total = static_cast<std::int64_t>(subset_->labels.size());
-  for (std::int64_t done = 0; done < total;) {
-    const std::int64_t count = std::min(batch_size_, total - done);
-    Variable h(rows(input, done, count));
-    if (seq != nullptr) {
-      for (std::size_t i = from != nullptr ? from->child : 0; i < seq->size();
-           ++i) {
-        h = seq->at(i)->forward(h);
-      }
-    } else {
-      h = model.forward(h);
-    }
-    fn(done, h.value());
-    done += count;
-  }
-}
-
 double CleanPrefix::top1(nn::Module& model, std::size_t dirty_child) const {
-  if (dirty_child == kClean) return clean_top1_;
-  std::int64_t correct = 0;
-  forward_chunks(model, dirty_child,
-                 [&](std::int64_t first, const Tensor& logits) {
-                   correct += count_correct(logits,
-                                            subset_->labels.data() + first);
-                 });
-  const auto total = static_cast<double>(subset_->labels.size());
-  return total > 0 ? static_cast<double>(correct) / total : 0.0;
+  return dirty_child == kClean ? clean_top1_
+                               : forward_top1(model, dirty_child, no_hook);
 }
 
 Tensor CleanPrefix::logits(nn::Module& model, std::size_t dirty_child) const {
   Tensor out;
-  forward_chunks(model, dirty_child,
+  forward_chunks(model, dirty_child, no_hook,
                  [&](std::int64_t first, const Tensor& chunk) {
                    const std::int64_t classes = chunk.shape()[1];
                    if (!out.defined()) {

@@ -14,14 +14,15 @@
 // Cut candidates are the children whose per-sample input is smaller than
 // the model input and every earlier child's input (vgg16: the child after
 // each pool). Candidates are taken deepest first while their bytes over the
-// whole subset stay within a budget (make_campaign_worker_factory passes one
-// lane's parameter-image bytes); the rest are dropped.
+// whole subset stay within one lane's parameter-image bytes (the image's
+// byte_count()); the rest are dropped.
 //
-// A resumed forward runs the same children over the same values in the same
-// batch_size chunks as evaluate_accuracy, and eager forwards do not depend
-// on batch composition, so its logits and top-1 are bit-identical to a full
-// forward of the same faulted model. Models that are not a top-level
-// nn::Sequential get no cuts: their faulted trials forward in full.
+// The clean forward that records the cuts and every resumed forward run
+// through one chunk loop, in the same batch_size chunks as
+// evaluate_accuracy. Eager forwards do not depend on batch composition, so
+// a resumed forward's logits and top-1 are bit-identical to a full forward
+// of the same faulted model. Models that are not a top-level nn::Sequential
+// get no cuts: their faulted trials forward in full.
 //
 // Thread safety: immutable after construction. Lanes share one instance
 // read-only, each forwarding its own model replica.
@@ -47,11 +48,10 @@ class CleanPrefix {
   /// Forward `subset` through `clean`, which holds the parameters a
   /// zero-flip trial evaluates, in `ec.batch_size` chunks. `image` is an
   /// image over `clean` whose word layout every lane's image shares; it
-  /// maps words to the top-level children that own them. Cuts are kept
-  /// within `byte_budget` bytes.
+  /// maps words to the top-level children that own them, and its
+  /// byte_count() bounds the cuts' bytes.
   CleanPrefix(nn::Module& clean, const quant::ParamImage& image,
-              std::shared_ptr<const EvalBatch> subset, const EvalConfig& ec,
-              std::size_t byte_budget);
+              std::shared_ptr<const EvalBatch> subset, const EvalConfig& ec);
 
   /// First top-level child whose parameters may differ from the clean ones
   /// when `lowest_word` is the lowest changed word of the image; kClean when
@@ -80,10 +80,17 @@ class CleanPrefix {
   };
 
   /// Forward every batch_size chunk of the subset from the deepest cut at
-  /// or before `dirty_child`, handing fn(first_row, chunk_logits).
-  template <class Fn>
+  /// or before `dirty_child`, handing before_child(child, first_row,
+  /// chunk_input) each top-level child's input and fn(first_row,
+  /// chunk_logits) each chunk's output.
+  template <class BeforeChild, class Fn>
   void forward_chunks(nn::Module& model, std::size_t dirty_child,
-                      Fn fn) const;
+                      BeforeChild before_child, Fn fn) const;
+
+  /// Top-1 of the same forward.
+  template <class BeforeChild>
+  double forward_top1(nn::Module& model, std::size_t dirty_child,
+                      BeforeChild before_child) const;
 
   std::shared_ptr<const EvalBatch> subset_;
   std::int64_t batch_size_ = 64;

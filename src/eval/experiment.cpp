@@ -233,10 +233,10 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
     ctx->prefix = prefix;
     const auto rebuild_prefix = [ctx, subset, ec] {
       // The restored image holds the parameters a zero-flip trial
-      // evaluates; one lane's image bytes bound the cached activations.
+      // evaluates.
       ctx->image->restore();
       *ctx->prefix = std::make_shared<const CleanPrefix>(
-          *ctx->model, *ctx->image, subset, ec, ctx->image->byte_count());
+          *ctx->model, *ctx->image, subset, ec);
     };
     if (lane == 0 || !*prefix) rebuild_prefix();
     fault::CampaignWorker w;

@@ -35,17 +35,20 @@ double evaluate_accuracy(nn::Module& model, const data::Dataset& dataset,
     const std::int64_t count = std::min(config.batch_size, total - done);
     Tensor images = dataset.batch(done, count, &labels);
     const Variable out = model.forward(Variable(std::move(images)));
-    const auto pred = argmax_rows(out.value());
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (pred[static_cast<std::size_t>(i)] ==
-          labels[static_cast<std::size_t>(i)]) {
-        ++correct;
-      }
-    }
+    correct += count_correct(out.value(), labels.data());
     done += count;
   }
   return total > 0 ? static_cast<double>(correct) / static_cast<double>(total)
                    : 0.0;
+}
+
+std::int64_t count_correct(const Tensor& logits, const std::int64_t* labels) {
+  std::int64_t correct = 0;
+  const auto pred = argmax_rows(logits);
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    if (pred[i] == labels[i]) ++correct;
+  }
+  return correct;
 }
 
 }  // namespace fitact::ev

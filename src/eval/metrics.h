@@ -36,4 +36,9 @@ struct EvalBatch {
                                        const data::Dataset& dataset,
                                        const EvalConfig& config = {});
 
+/// Rows of `logits` [N, classes] whose argmax equals labels[row]: the count
+/// behind evaluate_accuracy and the campaign evaluation (eval/clean_prefix.h).
+[[nodiscard]] std::int64_t count_correct(const Tensor& logits,
+                                         const std::int64_t* labels);
+
 }  // namespace fitact::ev

@@ -65,7 +65,7 @@ InjectionRecord Injector::commit_trial(std::uint64_t events) {
     changed_.push_back(word);
   }
   generation_ = image_->generation();
-  return InjectionRecord{events, lowest_word()};
+  return InjectionRecord{events};
 }
 
 // Every draw below is sorted before its events apply: events commute (each

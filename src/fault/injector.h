@@ -29,9 +29,6 @@ namespace fitact::fault {
 
 struct InjectionRecord {
   std::uint64_t fault_events = 0;  ///< sampled anchor positions this trial
-  /// Lowest word the trial changed; the image's word_count() when its
-  /// events left every word clean.
-  std::uint64_t lowest_word = 0;
 };
 
 class Injector {
@@ -62,8 +59,8 @@ class Injector {
   /// inject changed.
   void restore();
 
-  /// The last inject's InjectionRecord::lowest_word until restore(), and
-  /// word_count() after it.
+  /// Lowest word the last inject changed, until restore(); word_count()
+  /// after restore() or when the inject's events left every word clean.
   [[nodiscard]] std::uint64_t lowest_word() const noexcept {
     return changed_.empty() ? word_count() : changed_.front();
   }

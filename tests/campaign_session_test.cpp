@@ -309,10 +309,10 @@ Tensor resumed_logits(const CampaignLane& lane) {
 /// one zero-flip trial, spread over the first `lanes` workers (each lane's
 /// share on its own thread, running kernels inline as campaign lanes do),
 /// and requires every resumed forward to equal a full forward of the same
-/// faulted lane bit for bit.
+/// faulted lane bit for bit. `subset` is `dataset`'s eval subset under `ec`.
 void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& workers,
-                                std::size_t lanes, const EvalBatch& subset,
-                                const EvalConfig& ec,
+                                std::size_t lanes, const data::Dataset& dataset,
+                                const EvalBatch& subset, const EvalConfig& ec,
                                 const std::string& context) {
   const auto lane_of = [&](std::size_t i) -> CampaignLane& {
     return *std::static_pointer_cast<CampaignLane>(workers[i].keepalive);
@@ -321,6 +321,9 @@ void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& worker
   EXPECT_FALSE(prefix.cut_children().empty()) << context;
   const Tensor clean = full_logits(*lane_of(0).model, subset, ec.batch_size);
   EXPECT_DOUBLE_EQ(prefix.clean_top1(), top1_of(clean, subset)) << context;
+  EXPECT_DOUBLE_EQ(prefix.clean_top1(),
+                   evaluate_accuracy(*lane_of(0).model, dataset, ec))
+      << context;
 
   const auto targets = word_per_child(lane_of(0));
   std::atomic<int> changed_logits{0};
@@ -334,8 +337,8 @@ void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& worker
         if (k++ % lanes != l) continue;
         const std::string where = context + ", lane " + std::to_string(l) +
                                   ", flip in child " + std::to_string(child);
-        const fault::InjectionRecord rec = lane.injector->inject_at(word, 30);
-        EXPECT_EQ(rec.lowest_word, word) << where;
+        lane.injector->inject_at(word, 30);
+        EXPECT_EQ(lane.injector->lowest_word(), word) << where;
         EXPECT_LE(prefix.dirty_child(word), child) << where;
         const Tensor full = full_logits(*lane.model, subset, ec.batch_size);
         EXPECT_TRUE(bit_identical(resumed_logits(lane), full)) << where;
@@ -346,8 +349,9 @@ void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& worker
       // Zero flips: the clean top-1 with no forward, and logits resumed
       // from the deepest cut.
       ut::Rng rng(l);
-      const fault::InjectionRecord none = lane.injector->inject_exact(0, rng);
-      EXPECT_EQ(none.lowest_word, lane.injector->word_count()) << context;
+      lane.injector->inject_exact(0, rng);
+      EXPECT_EQ(lane.injector->lowest_word(), lane.injector->word_count())
+          << context;
       EXPECT_TRUE(bit_identical(resumed_logits(lane), clean))
           << context << ", zero flips, lane " << l;
       EXPECT_DOUBLE_EQ(lane.top1(), prefix.clean_top1()) << context;
@@ -387,7 +391,7 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
     };
 
     for (const std::size_t lanes : {1u, 4u}) {
-      expect_resumed_equals_full(workers, lanes, subset, ec,
+      expect_resumed_equals_full(workers, lanes, *pm.test, subset, ec,
                                  name + " clip_act, lanes " +
                                      std::to_string(lanes));
     }
@@ -395,7 +399,7 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
                         /*skip_post_training=*/true);
     resync();
     for (const std::size_t lanes : {1u, 4u}) {
-      expect_resumed_equals_full(workers, lanes, subset, ec,
+      expect_resumed_equals_full(workers, lanes, *pm.test, subset, ec,
                                  name + " after protect_model, lanes " +
                                      std::to_string(lanes));
     }
@@ -405,7 +409,7 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
     pm.touch();
     resync();
     for (const std::size_t lanes : {1u, 4u}) {
-      expect_resumed_equals_full(workers, lanes, subset, ec,
+      expect_resumed_equals_full(workers, lanes, *pm.test, subset, ec,
                                  name + " after touch, lanes " +
                                      std::to_string(lanes));
     }

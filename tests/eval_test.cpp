@@ -4,15 +4,19 @@
 
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "core/activation.h"
 #include "data/synthetic_cifar.h"
+#include "eval/clean_prefix.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "eval/stats.h"
 #include "eval/trainer.h"
 #include "models/registry.h"
+#include "quant/param_image.h"
 
 namespace fitact::ev {
 namespace {
@@ -91,6 +95,56 @@ TEST(Metrics, MaxSamplesCapsEvaluation) {
   ec.batch_size = 8;
   (void)evaluate_accuracy(m, ds, ec);
   EXPECT_EQ(m.seen, 20);
+}
+
+TEST(Metrics, CleanPrefixMatchesDatasetOverloadChunkForChunk) {
+  // Predicts a class from each image and records every chunk's pixel sum,
+  // so the campaign evaluation over a materialised subset and the dataset
+  // overload are compared on chunking and chunk contents. The model is not
+  // a Sequential, so every CleanPrefix forward runs all of it.
+  struct PixelSumModel final : nn::Module {
+    std::vector<double> chunk_sums;
+    Variable forward(const Variable& x) override {
+      const std::int64_t batch = x.shape()[0];
+      const std::int64_t per = x.numel() / batch;
+      Tensor logits = Tensor::zeros(Shape{batch, 4});
+      double sum = 0.0;
+      for (std::int64_t b = 0; b < batch; ++b) {
+        double image = 0.0;
+        for (std::int64_t i = 0; i < per; ++i) {
+          image += x.value()[b * per + i];
+        }
+        const auto label = static_cast<std::int64_t>(std::fabs(image)) % 4;
+        logits[b * 4 + label] = 1.0f;
+        sum += image;
+      }
+      chunk_sums.push_back(sum);
+      return Variable(std::move(logits), false);
+    }
+  };
+  data::SyntheticCifarConfig cfg;
+  cfg.num_classes = 4;
+  cfg.size = 64;
+  const data::SyntheticCifar ds(cfg);
+  EvalConfig ec;
+  ec.max_samples = 30;
+  ec.batch_size = 7;  // chunks of 7, 7, 7, 7, 2
+  PixelSumModel from_dataset;
+  PixelSumModel from_prefix;
+  const double want = evaluate_accuracy(from_dataset, ds, ec);
+  const auto subset =
+      std::make_shared<const EvalBatch>(materialize_eval_batch(ds, ec));
+  ASSERT_EQ(subset->labels.size(), 30u);
+  const quant::ParamImage image(from_prefix);  // no parameters: empty
+  const CleanPrefix prefix(from_prefix, image, subset, ec);
+  EXPECT_TRUE(prefix.cut_children().empty());
+  EXPECT_EQ(prefix.clean_top1(), want);
+  EXPECT_EQ(from_prefix.chunk_sums.size(), 5u);
+  EXPECT_EQ(from_prefix.chunk_sums, from_dataset.chunk_sums);
+  // A trial that changed words forwards the whole model in the same chunks.
+  from_prefix.chunk_sums.clear();
+  EXPECT_EQ(prefix.top1(from_prefix, 0), want);
+  EXPECT_EQ(from_prefix.chunk_sums, from_dataset.chunk_sums);
 }
 
 TEST(Trainer, LossDecreasesOnLearnableTask) {

@@ -265,7 +265,6 @@ TEST(Injector, SparseWritesMatchFullWriteBack) {
           ++lowest;
         }
         EXPECT_EQ(rec.fault_events, events) << context;
-        EXPECT_EQ(rec.lowest_word, lowest) << context;
         EXPECT_EQ(inj.lowest_word(), lowest) << context;
         twin_image.write_back(words);
         expect_same_parameters(*net, *twin, "after inject, " + context);
