@@ -87,26 +87,36 @@ void BM_SgemmNarrowScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmNarrowScalar)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
 
-// Args: {channels in = out, map side, batch}. {64, 2, 64} is vgg16's 2x2
-// convs at the campaign's batch, which run batch-wide.
+// Args: {channels in, channels out, map side, batch, kernel}; padding keeps
+// the map's side. Stride-1 convs over maps of 16+ positions run
+// kern::conv_direct per sample: vgg16's at the campaign's batch 64 and
+// resnet50's 1x1 32->8 on a 32x32 map at serving's batch 8. {64, 64, 2, 64,
+// 3} is vgg16's 2x2 convs, which run batch-wide.
 void BM_Conv2dForward(benchmark::State& state) {
-  const auto ch = state.range(0);
-  const auto side = state.range(1);
-  const auto batch = state.range(2);
+  const auto in_c = state.range(0);
+  const auto out_c = state.range(1);
+  const auto side = state.range(2);
+  const auto batch = state.range(3);
+  const auto kernel = state.range(4);
   ut::Rng rng(2);
-  const Variable x(Tensor::randn(Shape{batch, ch, side, side}, rng), false);
-  const Variable w(Tensor::randn(Shape{ch, ch, 3, 3}, rng), false);
+  const Variable x(Tensor::randn(Shape{batch, in_c, side, side}, rng), false);
+  const Variable w(Tensor::randn(Shape{out_c, in_c, kernel, kernel}, rng),
+                   false);
   const NoGradGuard no_grad;
   for (auto _ : state) {
-    const Variable y = ag::conv2d(x, w, Variable(), 1, 1);
+    const Variable y = ag::conv2d(x, w, Variable(), 1, kernel / 2);
     benchmark::DoNotOptimize(y.value().data());
   }
 }
 BENCHMARK(BM_Conv2dForward)
-    ->Args({8, 32, 1})
-    ->Args({16, 32, 1})
-    ->Args({32, 32, 1})
-    ->Args({64, 2, 64});
+    ->Args({8, 8, 32, 1, 3})
+    ->Args({16, 16, 32, 1, 3})
+    ->Args({32, 32, 32, 1, 3})
+    ->Args({8, 8, 32, 64, 3})
+    ->Args({32, 32, 8, 64, 3})
+    ->Args({64, 64, 4, 64, 3})
+    ->Args({32, 8, 32, 8, 1})
+    ->Args({64, 64, 2, 64, 3});
 
 void activation_bench(benchmark::State& state, core::Scheme scheme) {
   constexpr std::int64_t kFeat = 16 * 16 * 16;

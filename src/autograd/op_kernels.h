@@ -18,12 +18,13 @@
 // unfused plans and eager forwards all execute one kernel sequence.
 //
 // The hot inner loops (ReLU, bound-clamp with event counting, FitReLU,
-// elementwise add, bias adds, and the GEMM behind linear/conv) dispatch
-// through the runtime kernel layer (tensor/kernels/kernels.h): AVX2/FMA on
-// hosts that have it, the portable scalar backend otherwise. The elementwise
-// kernels are bit-identical across backends, so the plan-vs-eager output
-// contract is unaffected by dispatch; forcing the scalar backend
-// (FITACT_KERNELS=scalar) A/Bs the whole forward path on any host.
+// elementwise add, bias adds, the GEMM behind linear/conv and the direct
+// stride-1 convolution) dispatch through the runtime kernel layer
+// (tensor/kernels/kernels.h): AVX2/FMA on hosts that have it, the portable
+// scalar backend otherwise. Both engines dispatch to the same backend, so
+// the plan-vs-eager output contract is unaffected by dispatch; forcing the
+// scalar backend (FITACT_KERNELS=scalar) A/Bs the whole forward path on
+// any host.
 #pragma once
 
 #include <algorithm>
@@ -160,7 +161,8 @@ inline void linear_forward(std::int64_t batch, std::int64_t in,
 }
 
 /// One sample of a conv2d forward: im2col into col_scratch
-/// (col_rows()*col_cols() floats), one GEMM, bias row-add.
+/// (col_rows()*col_cols() floats), one GEMM, bias row-add. conv2d_forward's
+/// route for strided convs, and the reference its other routes must equal.
 inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
                                   const float* x_sample, const float* w,
                                   const float* bias_or_null, float* col_scratch,
@@ -177,31 +179,53 @@ inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
   }
 }
 
-/// Whether conv2d_forward runs this geometry batch-wide: a per-sample
-/// output map narrower than sgemm's register tile would restage the whole
-/// weight matrix for a handful of columns on every sample.
-[[nodiscard]] inline bool conv2d_batch_wide(const Conv2dGeometry& geo) noexcept {
-  return geo.col_cols() < kSgemmTileN;
+/// The three ways conv2d_forward runs a conv, chosen from its geometry
+/// alone (never from the batch, the backend or the values):
+///   batch_wide — a per-sample output map under kSgemmTileN positions, too
+///                narrow for sgemm's register tile: one GEMM over the
+///                whole batch's im2col matrix.
+///   direct     — stride 1 otherwise: kern::conv_direct per sample, over a
+///                zero-bordered copy of the sample (pad 0: the input
+///                itself), with no im2col matrix.
+///   im2col     — any other stride: conv2d_forward_sample per sample.
+enum class ConvRoute { batch_wide, direct, im2col };
+
+[[nodiscard]] inline ConvRoute conv2d_route(
+    const Conv2dGeometry& geo) noexcept {
+  if (geo.col_cols() < kSgemmTileN) return ConvRoute::batch_wide;
+  return geo.stride == 1 ? ConvRoute::direct : ConvRoute::im2col;
 }
 
-/// Scratch floats conv2d_forward needs for `batch` samples: one sample's
-/// im2col matrix, or batch-wide the whole batch's plus the GEMM product.
+/// Scratch floats conv2d_forward needs for `batch` samples: batch-wide the
+/// whole batch's im2col matrix plus the GEMM product, direct one
+/// zero-bordered input sample (none at pad 0), im2col one sample's matrix.
 [[nodiscard]] inline std::int64_t conv2d_scratch_floats(
     const Conv2dGeometry& geo, std::int64_t out_c,
     std::int64_t batch) noexcept {
   const std::int64_t ohw = geo.col_cols();
-  return conv2d_batch_wide(geo) ? (geo.col_rows() + out_c) * batch * ohw
-                                : geo.col_rows() * ohw;
+  switch (conv2d_route(geo)) {
+    case ConvRoute::batch_wide:
+      return (geo.col_rows() + out_c) * batch * ohw;
+    case ConvRoute::direct:
+      return geo.padding == 0 ? 0
+                              : geo.in_channels * (geo.in_h + 2 * geo.padding) *
+                                    (geo.in_w + 2 * geo.padding);
+    case ConvRoute::im2col:
+      break;
+  }
+  return geo.col_rows() * ohw;
 }
 
 /// conv2d forward over `batch` NCHW samples, the one routine behind the
-/// eager op and the plans' conv ops. Maps of kSgemmTileN positions or more
-/// run conv2d_forward_sample per sample. Narrower maps run batch-wide:
-/// im2col every sample into one [C*k*k, batch*h*w] matrix, one GEMM, then
-/// scatter to NCHW and add the bias. Either way every output element is the
-/// same k-ordered multiply-add chain (sgemm's per-element contract), so the
-/// results are bit-identical to the per-sample path on every backend and
-/// for any split of a batch across calls.
+/// eager op and the plans' conv ops, by conv2d_route. Batch-wide, im2col
+/// every sample into one [C*k*k, batch*h*w] matrix, run one GEMM, then
+/// scatter to NCHW and add the bias. Direct, copy each sample into the
+/// scratch plane's interior (its zero border is written once per call) and
+/// run kern::conv_direct, then add the bias. Every route computes each
+/// output element as the same k-ordered multiply-add chain (sgemm's
+/// per-element contract, which conv_direct keeps), so the results are
+/// bit-identical to conv2d_forward_sample on every backend and for any
+/// split of a batch across calls.
 inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
                            std::int64_t batch, const float* x, const float* w,
                            const float* bias_or_null, float* scratch,
@@ -210,10 +234,38 @@ inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
   const std::int64_t ohw = geo.col_cols();
   const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
   const std::int64_t out_stride = out_c * ohw;
-  if (!conv2d_batch_wide(geo)) {
+  const ConvRoute route = conv2d_route(geo);
+  if (route == ConvRoute::im2col) {
     for (std::int64_t s = 0; s < batch; ++s) {
       conv2d_forward_sample(geo, out_c, x + s * in_stride, w, bias_or_null,
                             scratch, out + s * out_stride);
+    }
+    return;
+  }
+  if (route == ConvRoute::direct) {
+    const std::int64_t pad = geo.padding;
+    const std::int64_t hp = geo.in_h + 2 * pad;
+    const std::int64_t wp = geo.in_w + 2 * pad;
+    if (pad > 0) std::fill_n(scratch, geo.in_channels * hp * wp, 0.0f);
+    for (std::int64_t s = 0; s < batch; ++s) {
+      const float* sample = x + s * in_stride;
+      if (pad > 0) {
+        for (std::int64_t c = 0; c < geo.in_channels; ++c) {
+          for (std::int64_t y = 0; y < geo.in_h; ++y) {
+            std::copy_n(sample + (c * geo.in_h + y) * geo.in_w, geo.in_w,
+                        scratch + (c * hp + y + pad) * wp + pad);
+          }
+        }
+        sample = scratch;
+      }
+      float* const o = out + s * out_stride;
+      kern::conv_direct(out_c, geo.in_channels, hp, wp, geo.kernel_h,
+                        geo.kernel_w, sample, w, o);
+      if (bias_or_null != nullptr) {
+        for (std::int64_t c = 0; c < out_c; ++c) {
+          kern::bias_add_const(o + c * ohw, bias_or_null[c], ohw);
+        }
+      }
     }
     return;
   }

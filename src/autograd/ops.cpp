@@ -218,9 +218,11 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
   const std::int64_t out_stride = out_c * ohw;
 
   // conv2d_forward's results do not depend on how the batch is split.
-  // Batch-wide geometries give each pool thread one contiguous run of
-  // samples (the whole batch when kernels run inline); the others balance
-  // one sample at a time, which keeps every core busy on heavy convs.
+  // Inline kernels (campaign lanes) run the whole batch in one call, so
+  // the scratch is allocated and a padded plane's border zeroed once.
+  // Otherwise batch-wide geometries give each pool thread one contiguous
+  // run of samples, and the others balance one sample at a time, which
+  // keeps every core busy on heavy convs.
   const auto forward_run = [&](std::size_t begin, std::size_t end) {
     const auto first = static_cast<std::int64_t>(begin);
     const auto count = static_cast<std::int64_t>(end - begin);
@@ -229,7 +231,7 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
     conv2d_forward(geo, out_c, count, px + first * in_stride, pw, pb,
                    scratch.data(), out.data() + first * out_stride);
   };
-  if (conv2d_batch_wide(geo)) {
+  if (ut::kernels_inline() || conv2d_route(geo) == ConvRoute::batch_wide) {
     ut::parallel_for(0, static_cast<std::size_t>(batch), forward_run);
   } else {
     ut::global_pool().parallel_for_each(

@@ -761,7 +761,7 @@ void InferencePlan::finalize_liveness() {
 }
 
 std::size_t InferencePlan::scratch_floats(std::int64_t batch) const {
-  // Conv needs its im2col (batch-wide: also its GEMM product), linear a
+  // Conv needs what its route takes (ag::conv2d_scratch_floats), linear a
   // transposed weight; ops run one at a time, so one block serves all.
   // Int8 ops don't participate — their integer scratch is separate, and
   // they never fall back to fp32 (execute throws instead).

@@ -185,6 +185,12 @@ void gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb, float alpha,
   active_table().gemm_panel(mb, nb, kb, alpha, ap, b, ldb, c, ldc);
 }
 
+void conv_direct(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
+                 std::int64_t wp, std::int64_t kh, std::int64_t kw,
+                 const float* xp, const float* w, float* out) noexcept {
+  active_table().conv_direct(out_c, in_c, hp, wp, kh, kw, xp, w, out);
+}
+
 void relu(const float* x, float* o, std::int64_t n) noexcept {
   active_table().relu(x, o, n);
 }

@@ -11,6 +11,9 @@ struct KernelTable {
   void (*gemm_panel)(std::int64_t mb, std::int64_t nb, std::int64_t kb,
                      float alpha, const float* ap, const float* b,
                      std::int64_t ldb, float* c, std::int64_t ldc) noexcept;
+  void (*conv_direct)(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
+                      std::int64_t wp, std::int64_t kh, std::int64_t kw,
+                      const float* xp, const float* w, float* out) noexcept;
   void (*relu)(const float* x, float* o, std::int64_t n) noexcept;
   void (*add)(const float* a, const float* b, float* o,
               std::int64_t n) noexcept;

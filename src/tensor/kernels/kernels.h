@@ -1,12 +1,13 @@
 // Runtime-dispatched CPU microkernels for the serving hot path.
 //
 // Every compute inner loop that serving throughput depends on — the SGEMM
-// panel kernel, ReLU / bound-clamp / FitReLU / bias-add elementwise passes,
-// the clamp-event counter behind the fault detector, and the int8 GEMM,
-// quantize and dequantize kernels — funnels through the entry points
-// declared here. There is one bound-clamp kernel: a fused plan op runs its
-// producer, then clipped_relu (or fitrelu) in place. A process-wide
-// dispatch table binds each entry point to one backend:
+// panel kernel, the direct stride-1 convolution, ReLU / bound-clamp /
+// FitReLU / bias-add elementwise passes, the clamp-event counter behind the
+// fault detector, and the int8 GEMM, quantize and dequantize kernels —
+// funnels through the entry points declared here. There is one bound-clamp
+// kernel: a fused plan op runs its producer, then clipped_relu (or fitrelu)
+// in place. A process-wide dispatch table binds each entry point to one
+// backend:
 //
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
@@ -34,11 +35,15 @@
 //   * gemm_panel accumulates in a backend-specific order (the AVX2 kernel
 //     uses FMA), so backends agree only to the per-element forward-error
 //     bound gemm_fuzz_test enforces — never rely on cross-backend
-//     bit-equality of GEMM results.
+//     bit-equality of GEMM results. conv_direct runs each output element
+//     through the same chain as its backend's gemm_panel, so it equals
+//     im2col + sgemm bit for bit on one backend and inherits GEMM's bound
+//     across backends.
 //   * No kernel skips work based on operand values: a NaN or Inf anywhere
 //     in the inputs reaches the output exactly as IEEE arithmetic dictates.
 //     (Hardware faults produce exactly these values; swallowing them blinds
-//     the fault detector. gemm_fuzz_test pins this.) The one deliberate
+//     the fault detector. gemm_fuzz_test pins this; conv_direct multiplies
+//     its border zeros like any operand, which autograd_test pins.) The one deliberate
 //     exception is the clamp cascade of clipped_relu, which maps a NaN to 0
 //     or b by its branch structure — and counts it as a clamp event, so the
 //     detector still sees it.
@@ -139,6 +144,22 @@ class BackendGuard {
 void gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb, float alpha,
                 const float* ap, const float* b, std::int64_t ldb, float* c,
                 std::int64_t ldc) noexcept;
+
+/// Direct stride-1 convolution of one sample, without an im2col matrix.
+/// xp is the sample already zero-bordered to [in_c, hp, wp] (for a pad-0
+/// conv, the input itself); out receives [out_c, oh, ow], oh = hp - kh + 1,
+/// ow = wp - kw + 1, with w laid out [out_c, in_c, kh, kw]:
+///   out[o][y][x] = sum over taps (c, i, j) of w[o][c][i][j] * xp[c][y+i][x+j]
+/// Each element is the chain the backend's gemm_panel runs for the im2col
+/// product: from +0, taps in (c, i, j) order, border zeros multiplied like
+/// any other operand (never skipped), each step an fma on avx2 (tile edges
+/// included) and an unfused acc + w * x on scalar. So on one backend the
+/// result equals im2col + sgemm (beta 0, alpha 1) bit for bit, NaN and Inf
+/// included; across backends it agrees only to GEMM's error bound. Adds no
+/// bias and allocates nothing.
+void conv_direct(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
+                 std::int64_t wp, std::int64_t kh, std::int64_t kw,
+                 const float* xp, const float* w, float* out) noexcept;
 
 /// o[i] = x[i] > 0 ? x[i] : 0 (NaN -> 0, matching the scalar branch).
 void relu(const float* x, float* o, std::int64_t n) noexcept;

@@ -17,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace fitact::kern {
@@ -105,6 +106,209 @@ void avx2_gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb,
   }
   for (std::int64_t i = mb4; i < mb; ++i) {
     tile1xN(nb, kb, alpha, ap + i * kb, b, ldb, c + i * ldc);
+  }
+}
+
+// ---- direct convolution ----------------------------------------------------
+//
+// avx2_conv_direct computes register tiles of up to 4 output channels x 16
+// output positions (positions q0..q0+15 of the flattened [oh, ow] map, as
+// two 8-lane halves). A position's top-left tap sits at padded offset
+// (q / ow) * wp + q % ow, and tap (c, i, j) adds c * hp * wp + i * wp + j.
+// Lanes of one output row read consecutive floats; every row boundary a
+// half crosses shifts the lanes after it by wp - ow (= kw - 1). A Half
+// builds one half's operand vector for a tap from those row segments and
+// stores its results.
+
+/// All 8 lanes in one row segment (or kw == 1, where rows never shift).
+struct HalfOneRow {
+  const float* src;
+  [[nodiscard]] __m256 load(std::int64_t tap) const noexcept {
+    return _mm256_loadu_ps(src + tap);
+  }
+  void store(float* dst, __m256 v) const noexcept { _mm256_storeu_ps(dst, v); }
+};
+
+/// 8 lanes as two whole rows of a 4-wide map: two 128-bit loads, one
+/// padded row apart.
+struct HalfRowPair {
+  const float* src;
+  std::int64_t wp;
+  [[nodiscard]] __m256 load(std::int64_t tap) const noexcept {
+    return _mm256_loadu2_m128(src + wp + tap, src + tap);
+  }
+  void store(float* dst, __m256 v) const noexcept { _mm256_storeu_ps(dst, v); }
+};
+
+/// Any half, including the map's last partial one: each row segment is a
+/// masked load of its own lanes, ORed into the rest (masked-off lanes read
+/// as +0 bits, so every live lane keeps its exact value). Lanes past the
+/// map's end are neither read nor stored.
+struct HalfAnyRows {
+  const float* src[8];
+  __m256i lanes[8];
+  int segments = 0;
+  __m256i live;
+  [[nodiscard]] __m256 load(std::int64_t tap) const noexcept {
+    __m256 v = _mm256_maskload_ps(src[0] + tap, lanes[0]);
+    for (int s = 1; s < segments; ++s) {
+      v = _mm256_or_ps(v, _mm256_maskload_ps(src[s] + tap, lanes[s]));
+    }
+    return v;
+  }
+  void store(float* dst, __m256 v) const noexcept {
+    _mm256_maskstore_ps(dst, live, v);
+  }
+};
+
+/// Lanes [begin, end) of an 8-lane mask.
+inline __m256i lane_range(std::int64_t begin, std::int64_t end) noexcept {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_andnot_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(begin)), iota),
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(end)), iota));
+}
+
+/// The half whose lane 0 is position q, with `live` (0..8) lanes on the map.
+inline HalfAnyRows any_rows(const float* xp, std::int64_t wp, std::int64_t ow,
+                            std::int64_t q, std::int64_t live) noexcept {
+  HalfAnyRows h;
+  h.live = lane_range(0, live);
+  for (std::int64_t l = 0; l < live;) {
+    const std::int64_t ox = (q + l) % ow;
+    const std::int64_t len = std::min(live - l, ow - ox);
+    // Lane l' of this segment reads src + l' (its padded offset).
+    h.src[h.segments] = xp + ((q + l) / ow) * wp + ox - l;
+    h.lanes[h.segments] = lane_range(l, l + len);
+    ++h.segments;
+    l += len;
+  }
+  if (h.segments == 0) {  // a dead half: read and store nothing
+    h.src[0] = xp;
+    h.lanes[0] = _mm256_setzero_si256();
+    h.segments = 1;
+  }
+  return h;
+}
+
+/// One sample's direct convolution: the shape, and the sweep over register
+/// tiles of up to 4 output channels x 16 positions.
+struct DirectConv {
+  std::int64_t in_c, kh, kw, wp, ow, ohw, plane, taps, shift;
+  const float* xp;
+  const float* w;
+  float* out;
+
+  /// Output channels o..o+kRows-1 over the tile's two halves, starting at
+  /// +0 and taking one fma per tap in (c, i, j) order: per element, exactly
+  /// tile4x16's (or tile1xN's) chain over the im2col matrix. Common kernel
+  /// sizes get constant tap loops.
+  template <int kRows, class Half>
+  void tile(std::int64_t o, std::int64_t q0, const Half& lo,
+            const Half& hi) const noexcept {
+    __m256 acc[kRows][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      acc[r][0] = _mm256_setzero_ps();
+      acc[r][1] = _mm256_setzero_ps();
+    }
+    const float* wt = w + o * taps;
+    const auto tap = [&](std::int64_t off) {
+      const __m256 b0 = lo.load(off);
+      const __m256 b1 = hi.load(off);
+#pragma GCC unroll 4
+      for (int r = 0; r < kRows; ++r) {
+        const __m256 a = _mm256_broadcast_ss(wt + r * taps);
+        acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
+      }
+      ++wt;
+    };
+    if (kh == 1 && kw == 1) {
+      for (std::int64_t c = 0; c < in_c; ++c) tap(c * plane);
+    } else if (kh == 3 && kw == 3) {
+      for (std::int64_t c = 0; c < in_c; ++c) {
+#pragma GCC unroll 3
+        for (int i = 0; i < 3; ++i) {
+          const std::int64_t row = c * plane + i * wp;
+          tap(row);
+          tap(row + 1);
+          tap(row + 2);
+        }
+      }
+    } else {
+      for (std::int64_t c = 0; c < in_c; ++c) {
+        for (std::int64_t i = 0; i < kh; ++i) {
+          for (std::int64_t j = 0; j < kw; ++j) tap(c * plane + i * wp + j);
+        }
+      }
+    }
+    float* const dst = out + o * ohw + q0;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      lo.store(dst + r * ohw, acc[r][0]);
+      hi.store(dst + r * ohw + 8, acc[r][1]);
+    }
+  }
+
+  [[nodiscard]] const float* src_of(std::int64_t q) const noexcept {
+    return xp + (q / ow) * wp + q % ow;
+  }
+
+  /// Output channels o..o+kRows-1 over the whole map, tile by tile, each
+  /// with the cheapest loaders that fit it.
+  template <int kRows>
+  void block(std::int64_t o) const noexcept {
+    for (std::int64_t q0 = 0; q0 < ohw; q0 += 16) {
+      const std::int64_t live = std::min<std::int64_t>(16, ohw - q0);
+      const std::int64_t ox0 = q0 % ow;
+      const std::int64_t ox1 = (q0 + 8) % ow;
+      if (live == 16 && (shift == 0 || (ox0 + 8 <= ow && ox1 + 8 <= ow))) {
+        tile<kRows>(o, q0, HalfOneRow{src_of(q0)}, HalfOneRow{src_of(q0 + 8)});
+      } else if (live == 16 && ow == 4) {
+        tile<kRows>(o, q0, HalfRowPair{src_of(q0), wp},
+                    HalfRowPair{src_of(q0 + 8), wp});
+      } else {
+        tile<kRows>(o, q0,
+                    any_rows(xp, wp, ow, q0, std::min<std::int64_t>(live, 8)),
+                    any_rows(xp, wp, ow, q0 + 8,
+                             std::max<std::int64_t>(live - 8, 0)));
+      }
+    }
+  }
+};
+
+void avx2_conv_direct(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
+                      std::int64_t wp, std::int64_t kh, std::int64_t kw,
+                      const float* xp, const float* w, float* out) noexcept {
+  const std::int64_t ow = wp - kw + 1;
+  const DirectConv conv{.in_c = in_c,
+                        .kh = kh,
+                        .kw = kw,
+                        .wp = wp,
+                        .ow = ow,
+                        .ohw = (hp - kh + 1) * ow,
+                        .plane = hp * wp,
+                        .taps = in_c * kh * kw,
+                        .shift = wp - ow,
+                        .xp = xp,
+                        .w = w,
+                        .out = out};
+  // Channel blocks outermost, so each block's output planes fill in order.
+  std::int64_t o = 0;
+  for (; o + 4 <= out_c; o += 4) conv.block<4>(o);
+  switch (out_c - o) {
+    case 3:
+      conv.block<3>(o);
+      break;
+    case 2:
+      conv.block<2>(o);
+      break;
+    case 1:
+      conv.block<1>(o);
+      break;
+    default:
+      break;
   }
 }
 
@@ -370,7 +574,8 @@ std::uint64_t avx2_fitrelu(const float* x, const float* lambda,
 
 const KernelTable& avx2_table() noexcept {
   static constexpr KernelTable kTable = {
-      avx2_gemm_panel,    avx2_relu,
+      avx2_gemm_panel,    avx2_conv_direct,
+      avx2_relu,
       avx2_add,           avx2_bias_add_row,
       avx2_bias_add_const, avx2_clipped_relu,
       avx2_count_over_bound,

@@ -5,6 +5,7 @@
 // zero-skip the old GEMM panel carried, which silently dropped NaN/Inf
 // propagation from B whenever the matching A element was zero (exactly the
 // values injected hardware faults produce; gemm_fuzz_test now pins this).
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -59,6 +60,67 @@ void scalar_gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb,
         crow[j + 3] += aval * brow[j + 3];
       }
       for (; j < nb; ++j) crow[j] += aval * brow[j];
+    }
+  }
+}
+
+/// Each output element starts at +0 and takes one unfused multiply-add per
+/// tap in (c, i, j) order: the chain scalar_gemm_panel runs over the im2col
+/// matrix. To keep the inner loop long on narrow maps, a band of output rows
+/// accumulates as one contiguous span of the padded plane, row stride wp:
+/// the kw - 1 slots between rows hold sums nobody reads, and the span ends
+/// at the band's last output position, so no read leaves the sample. Four
+/// output channels share each span's input loads.
+void scalar_conv_direct(std::int64_t out_c, std::int64_t in_c,
+                        std::int64_t hp, std::int64_t wp, std::int64_t kh,
+                        std::int64_t kw, const float* xp, const float* w,
+                        float* out) noexcept {
+  constexpr std::int64_t kSpan = 256;
+  constexpr std::int64_t kRows = 4;
+  const std::int64_t oh = hp - kh + 1;
+  const std::int64_t ow = wp - kw + 1;
+  const std::int64_t taps = in_c * kh * kw;
+  // Whole rows per band, or one row in kSpan-wide pieces when it is wider.
+  const std::int64_t band_rows = ow <= kSpan ? (kSpan - ow) / wp + 1 : 1;
+  float acc[kRows][kSpan];
+  for (std::int64_t o = 0; o < out_c; o += kRows) {
+    const std::int64_t rows_o = std::min(kRows, out_c - o);
+    for (std::int64_t y0 = 0; y0 < oh; y0 += band_rows) {
+      const std::int64_t rows = std::min(band_rows, oh - y0);
+      for (std::int64_t x0 = 0; x0 < ow; x0 += kSpan) {
+        const std::int64_t cols = std::min(kSpan, ow - x0);
+        const std::int64_t span = (rows - 1) * wp + cols;
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          std::fill_n(acc[r], span, 0.0f);
+        }
+        const float* wt = w + o * taps;
+        for (std::int64_t c = 0; c < in_c; ++c) {
+          for (std::int64_t i = 0; i < kh; ++i) {
+            for (std::int64_t j = 0; j < kw; ++j, ++wt) {
+              // No zero-skip on a weight or on the border zeros it meets:
+              // 0 * Inf = NaN must reach the output. Rows past out_c take
+              // weight 0 into sums nobody reads.
+              float wv[kRows];
+              for (std::int64_t r = 0; r < kRows; ++r) {
+                wv[r] = r < rows_o ? wt[r * taps] : 0.0f;
+              }
+              const float* src = xp + (c * hp + y0 + i) * wp + x0 + j;
+              for (std::int64_t v = 0; v < span; ++v) {
+                acc[0][v] += wv[0] * src[v];
+                acc[1][v] += wv[1] * src[v];
+                acc[2][v] += wv[2] * src[v];
+                acc[3][v] += wv[3] * src[v];
+              }
+            }
+          }
+        }
+        for (std::int64_t r = 0; r < rows_o; ++r) {
+          for (std::int64_t y = 0; y < rows; ++y) {
+            std::copy_n(acc[r] + y * wp, cols,
+                        out + ((o + r) * oh + y0 + y) * ow + x0);
+          }
+        }
+      }
     }
   }
 }
@@ -210,7 +272,8 @@ std::uint64_t scalar_fitrelu(const float* x, const float* lambda,
 
 const KernelTable& scalar_table() noexcept {
   static constexpr KernelTable kTable = {
-      scalar_gemm_panel,    scalar_relu,
+      scalar_gemm_panel,    scalar_conv_direct,
+      scalar_relu,
       scalar_add,           scalar_bias_add_row,
       scalar_bias_add_const, scalar_clipped_relu,
       scalar_count_over_bound,

@@ -1,9 +1,9 @@
 // Minimal fixed-size thread pool with a blocking parallel_for.
 //
-// The process-wide pool (global_pool) serves the GEMM kernel and the conv2d
-// im2col driver; it avoids repeated thread creation, defaults to the
-// hardware concurrency, and can be capped via set_global_threads before
-// first use. The fault-injection campaign engine (fault::run_campaign)
+// The process-wide pool (global_pool) serves the GEMM kernel and the eager
+// conv2d's sample loop; it avoids repeated thread creation, defaults to
+// the hardware concurrency, and can be capped via set_global_threads
+// before first use. The fault-injection campaign engine (fault::run_campaign)
 // instead constructs its own ThreadPool sized to CampaignConfig::threads,
 // one lane per model replica; nested kernel parallel_for calls from inside
 // those lanes run inline (see tl_in_worker in thread_pool.cpp).

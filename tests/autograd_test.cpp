@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "autograd/variable.h"
 #include "tensor/kernels/kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fitact {
 namespace {
@@ -347,18 +349,84 @@ TEST(Ops, Conv2dBiasBroadcasts) {
   EXPECT_FLOAT_EQ(y.value()[4], 21.0f);
 }
 
-// conv2d_forward runs maps narrower than sgemm's register tile batch-wide
-// (one im2col matrix and one GEMM for the whole batch). Every output must
-// equal the per-sample routine's bit for bit on both kernel backends, and
-// the eager op, which splits the batch over the thread pool, must agree.
-// Channel counts straddle the tile (so the per-sample GEMM runs both its
-// narrow and its row-panel orientation) and C*k*k straddles sgemm's K block.
+/// Index of the first element whose bits differ between got and want (a
+/// NaN matches any NaN: the payload is not part of the kernel contract),
+/// or -1 when all n match.
+std::int64_t first_mismatch(const float* got, const float* want,
+                            std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const bool both_nan = std::isnan(got[i]) && std::isnan(want[i]);
+    if (!both_nan && std::memcmp(got + i, want + i, sizeof(float)) != 0) {
+      return i;
+    }
+  }
+  return -1;
+}
+
+/// Runs x through conv2d_forward (one call over the batch) and through the
+/// eager op, pooled and inline, and expects each to equal
+/// conv2d_forward_sample, the per-sample im2col + sgemm reference, bit for
+/// bit. Returns the reference output.
+std::vector<float> expect_conv_matches_reference(const Conv2dGeometry& geo,
+                                                 const Tensor& x,
+                                                 const Tensor& w,
+                                                 const Tensor* bias,
+                                                 const std::string& context) {
+  const std::int64_t batch = x.shape()[0];
+  const std::int64_t out_c = w.shape()[0];
+  const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
+  const std::int64_t out_stride = out_c * geo.col_cols();
+  const float* pb = bias != nullptr ? bias->data() : nullptr;
+
+  std::vector<float> expected(static_cast<std::size_t>(batch * out_stride));
+  std::vector<float> col(
+      static_cast<std::size_t>(geo.col_rows() * geo.col_cols()));
+  for (std::int64_t s = 0; s < batch; ++s) {
+    ag::conv2d_forward_sample(geo, out_c, x.data() + s * in_stride, w.data(),
+                              pb, col.data(), expected.data() + s * out_stride);
+  }
+  const auto n = static_cast<std::int64_t>(expected.size());
+
+  std::vector<float> actual(expected.size());
+  std::vector<float> scratch(static_cast<std::size_t>(
+      ag::conv2d_scratch_floats(geo, out_c, batch)));
+  ag::conv2d_forward(geo, out_c, batch, x.data(), w.data(), pb, scratch.data(),
+                     actual.data());
+  EXPECT_EQ(first_mismatch(actual.data(), expected.data(), n), -1) << context;
+
+  const NoGradGuard no_grad;
+  const auto eager = [&] {
+    return ag::conv2d(Variable(x), Variable(w),
+                      bias != nullptr ? Variable(*bias) : Variable(),
+                      geo.stride, geo.padding);
+  };
+  EXPECT_EQ(first_mismatch(eager().value().data(), expected.data(), n), -1)
+      << "eager " << context;
+  // Under inline kernels (campaign lanes) the eager op runs the whole batch
+  // in one conv2d_forward call rather than one pool task per sample.
+  const ut::InlineKernelScope inline_kernels;
+  EXPECT_EQ(first_mismatch(eager().value().data(), expected.data(), n), -1)
+      << "inline eager " << context;
+  return expected;
+}
+
+// conv2d_forward picks one of three routes from the geometry: maps
+// narrower than sgemm's register tile run batch-wide (one im2col matrix and
+// one GEMM for the whole batch), other stride-1 convs run kern::conv_direct
+// per sample over a zero-bordered copy, and strided convs run
+// conv2d_forward_sample. Every output must equal that per-sample routine's
+// bit for bit on both kernel backends, and the eager op, which splits the
+// batch over the thread pool, must agree.
 TEST(Ops, Conv2dBatchWideMatchesPerSampleBitForBit) {
   std::vector<kern::Backend> backends{kern::Backend::scalar};
   if (kern::avx2_supported()) backends.push_back(kern::Backend::avx2);
   ut::Rng rng(17);
   for (const kern::Backend backend : backends) {
     const kern::BackendGuard guard(backend);
+    const std::string be = kern::backend_name(backend);
+    // Batch-wide boundary. Channel counts straddle the tile (so the
+    // per-sample GEMM runs both its narrow and its row-panel orientation)
+    // and C*k*k straddles sgemm's K block.
     for (const std::int64_t stride : {1, 2}) {
       for (const std::int64_t side : {1, 2, 3, 4}) {  // output map side
         for (const std::int64_t batch : {1, 3, 64}) {
@@ -372,51 +440,89 @@ TEST(Ops, Conv2dBatchWideMatchesPerSampleBitForBit) {
               geo.stride = stride;
               geo.padding = 1;
               ASSERT_EQ(geo.out_h(), side);
-              EXPECT_EQ(ag::conv2d_batch_wide(geo), side < 4);
-              const std::string context =
-                  std::string(kern::backend_name(backend)) + " stride " +
-                  std::to_string(stride) + " map " + std::to_string(side) +
-                  " batch " + std::to_string(batch) + " channels " +
-                  std::to_string(in_c) + "->" + std::to_string(out_c) +
-                  (with_bias ? " bias" : "");
-
+              EXPECT_EQ(ag::conv2d_route(geo),
+                        side < 4      ? ag::ConvRoute::batch_wide
+                        : stride == 1 ? ag::ConvRoute::direct
+                                      : ag::ConvRoute::im2col);
               const Tensor x = Tensor::randn(
                   Shape{batch, in_c, geo.in_h, geo.in_w}, rng);
               const Tensor w = Tensor::randn(Shape{out_c, in_c, 3, 3}, rng);
               const Tensor b = Tensor::randn(Shape{out_c}, rng);
-              const float* bias = with_bias ? b.data() : nullptr;
-              const std::int64_t in_stride = in_c * geo.in_h * geo.in_w;
-              const std::int64_t out_stride = out_c * side * side;
-
-              std::vector<float> expected(
-                  static_cast<std::size_t>(batch * out_stride));
-              std::vector<float> col(
-                  static_cast<std::size_t>(geo.col_rows() * geo.col_cols()));
-              for (std::int64_t s = 0; s < batch; ++s) {
-                ag::conv2d_forward_sample(geo, out_c, x.data() + s * in_stride,
-                                          w.data(), bias, col.data(),
-                                          expected.data() + s * out_stride);
-              }
-              std::vector<float> actual(expected.size());
-              std::vector<float> scratch(static_cast<std::size_t>(
-                  ag::conv2d_scratch_floats(geo, out_c, batch)));
-              ag::conv2d_forward(geo, out_c, batch, x.data(), w.data(), bias,
-                                 scratch.data(), actual.data());
-              EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                                    actual.size() * sizeof(float)),
-                        0)
-                  << context;
-
-              const NoGradGuard no_grad;
-              const Variable eager =
-                  ag::conv2d(Variable(x), Variable(w),
-                             with_bias ? Variable(b) : Variable(), stride, 1);
-              EXPECT_EQ(std::memcmp(eager.value().data(), expected.data(),
-                                    actual.size() * sizeof(float)),
-                        0)
-                  << "eager " << context;
+              (void)expect_conv_matches_reference(
+                  geo, x, w, with_bias ? &b : nullptr,
+                  be + " stride " + std::to_string(stride) + " map " +
+                      std::to_string(side) + " batch " +
+                      std::to_string(batch) + " channels " +
+                      std::to_string(in_c) + "->" + std::to_string(out_c) +
+                      (with_bias ? " bias" : ""));
             }
           }
+        }
+      }
+    }
+    // Direct route. Map sides the 16-position tile does not divide (and
+    // whose rows cross its 8-lane halves), out_c around the 4-channel tile,
+    // pad 0 read in place; batch and bias alternate across the matrix.
+    int cycle = 0;
+    for (const auto& [kernel, pad] :
+         {std::pair<std::int64_t, std::int64_t>{1, 0}, {3, 1}, {5, 2}}) {
+      for (const std::int64_t side : {4, 5, 7, 8, 16, 32}) {
+        for (const std::int64_t out_c : {3, 4, 13}) {
+          for (const std::int64_t in_c : {1, 3, 32}) {
+            const std::int64_t batch = cycle % 2 == 0 ? 1 : 3;
+            const bool with_bias = cycle / 2 % 2 == 1;
+            ++cycle;
+            Conv2dGeometry geo;
+            geo.in_channels = in_c;
+            geo.in_h = geo.in_w = side;
+            geo.kernel_h = geo.kernel_w = kernel;
+            geo.padding = pad;
+            ASSERT_EQ(geo.out_h(), side);
+            ASSERT_EQ(ag::conv2d_route(geo), ag::ConvRoute::direct);
+            const Tensor x =
+                Tensor::randn(Shape{batch, in_c, side, side}, rng);
+            const Tensor w =
+                Tensor::randn(Shape{out_c, in_c, kernel, kernel}, rng);
+            const Tensor b = Tensor::randn(Shape{out_c}, rng);
+            (void)expect_conv_matches_reference(
+                geo, x, w, with_bias ? &b : nullptr,
+                be + " direct k" + std::to_string(kernel) + " map " +
+                    std::to_string(side) + " batch " + std::to_string(batch) +
+                    " channels " + std::to_string(in_c) + "->" +
+                    std::to_string(out_c) + (with_bias ? " bias" : ""));
+          }
+        }
+      }
+    }
+    // Special values on the direct route: a NaN and an Inf in the input and
+    // an Inf weight on tap (0, 0), which meets a border zero along the
+    // output's first row and column. Inf * 0 = NaN there: padding taps are
+    // multiplied, never skipped. Side 7 splits tiles across rows; side 16
+    // puts a whole tile on the first row, where that tap reads only zeros.
+    for (const std::int64_t side : {7, 16}) {
+      Conv2dGeometry geo;
+      geo.in_channels = 3;
+      geo.in_h = geo.in_w = side;
+      geo.kernel_h = geo.kernel_w = 3;
+      geo.padding = 1;
+      const std::int64_t hw = side * side;
+      Tensor x = Tensor::randn(Shape{2, 3, side, side}, rng);
+      Tensor w = Tensor::randn(Shape{5, 3, 3, 3}, rng);
+      const Tensor b = Tensor::randn(Shape{5}, rng);
+      const float inf = std::numeric_limits<float>::infinity();
+      x.data()[(0 * 3 + 1) * hw + 2 * side + 3] = std::nanf("");
+      x.data()[(1 * 3 + 2) * hw + 4 * side + 5] = inf;
+      w.data()[(2 * 3 + 1) * 9] = inf;
+      const std::string context =
+          be + " direct special values map " + std::to_string(side);
+      const std::vector<float> out =
+          expect_conv_matches_reference(geo, x, w, &b, context);
+      for (std::int64_t s = 0; s < 2; ++s) {
+        const float* plane = out.data() + (s * 5 + 2) * hw;
+        for (std::int64_t i = 0; i < side; ++i) {
+          EXPECT_TRUE(std::isnan(plane[i])) << context << " row 0 col " << i;
+          EXPECT_TRUE(std::isnan(plane[i * side]))
+              << context << " col 0 row " << i;
         }
       }
     }

@@ -625,11 +625,13 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
 // Acceptance contract: steady-state execute performs zero heap
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
 // pack buffer is thread_local), then eight measured executes must leave
-// the global allocation counter untouched. tinycnn's GEMMs all take the
-// row-panel path; vgg16's convs over 2x2 maps (n = 4 < 16) take the
-// transposed narrow-product path at every batch size.
+// the global allocation counter untouched. The models cover every conv
+// route (ag::conv2d_route): tinycnn's and vgg16's stride-1 convs run the
+// direct kernel over a zero-bordered copy, vgg16's convs over 2x2 maps run
+// batch-wide, and resnet50 adds 1x1 convs that read their input in place
+// and stride-2 convs that run im2col + sgemm.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
-  for (const char* name : {"tinycnn", "vgg16"}) {
+  for (const char* name : {"tinycnn", "vgg16", "resnet50"}) {
     const auto model = zoo_model(name, core::Scheme::clip_act, 11);
     const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
     ut::Rng rng(5);
