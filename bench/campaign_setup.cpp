@@ -9,9 +9,12 @@
 //      overwrites" item;
 //   2. one full worker-lane construction (replica model + ParamImage +
 //      Injector), the per-lane cost a fresh engine pays at every rate;
-//   3. a simulated R-point rate grid with L lanes: per-rate setup of the
-//      fresh engine (rebuild every lane at every rate) vs a
-//      CampaignSession (build lanes once, light image re-sync per rate).
+//   3. an R-point rate grid with L lanes: per-rate setup of the fresh
+//      engine (rebuild every lane at every rate) vs a CampaignSession (build
+//      lanes once, then run the session at every rate). The session runs
+//      at bit error rate 0, where every trial has no flips and returns the
+//      clean top-1 without a forward, so its row is the engine's whole
+//      per-run overhead: lane re-sync, fan-out and hand-out.
 //
 // Usage: campaign_setup [--model resnet50] [--width 0.125] [--classes 10]
 //                       [--lanes 4] [--rates 5] [--reps 3]
@@ -23,6 +26,7 @@
 #include "core/protection.h"
 #include "data/synthetic_cifar.h"
 #include "eval/experiment.h"
+#include "fault/campaign.h"
 #include "fault/injector.h"
 #include "models/registry.h"
 #include "nn/serialize.h"
@@ -97,9 +101,10 @@ int main(int argc, char** argv) {
   const double legacy_lane_ms = avg_ms(legacy_lane);
 
   // 3. Rate grid: per-rate lane rebuild (legacy random-init replicas, and
-  //    today's skip-init replicas) vs session reuse. Only the setup work
-  //    runs — no trials — so the numbers isolate what moves out of the
-  //    per-rate loop.
+  //    today's skip-init replicas) vs session reuse. The rebuild rows run
+  //    no trials; the session runs two flip-free trials per lane at every
+  //    rate, which cost no forward, so the numbers isolate what stays in
+  //    the per-rate loop.
   const double legacy_grid_ms = avg_ms([&] {
     for (int r = 0; r < rates; ++r) {
       (void)factory(0);  // lane 0 wraps the source; image + injector only
@@ -113,13 +118,13 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < lanes; ++i) workers.push_back(factory(i));
     }
   });
+  fault::CampaignConfig flip_free;
+  flip_free.bit_error_rate = 0.0;
+  flip_free.trials = static_cast<std::int64_t>(2 * lanes);
+  flip_free.threads = lanes;
   const double session_grid_ms = avg_ms([&] {
-    std::vector<fault::CampaignWorker> workers;
-    workers.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) workers.push_back(factory(i));
-    for (int r = 1; r < rates; ++r) {
-      for (auto& w : workers) w.sync(/*source_changed=*/false);
-    }
+    fault::CampaignSession session(factory);
+    for (int r = 0; r < rates; ++r) (void)session.run(flip_free);
   });
   const double legacy_per_rate = legacy_grid_ms / rates;
   const double fresh_per_rate = fresh_grid_ms / rates;

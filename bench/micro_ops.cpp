@@ -118,6 +118,21 @@ BENCHMARK(BM_Conv2dForward)
     ->Args({32, 8, 32, 8, 1})
     ->Args({64, 64, 2, 64, 3});
 
+// Args: {channels, map side}; a 2x2 stride-2 pool at the campaign's batch
+// 64. {8, 32} is scaled vgg16's first pool, {64, 4} its fourth.
+void BM_MaxPool2d(benchmark::State& state) {
+  const auto ch = state.range(0);
+  const auto side = state.range(1);
+  ut::Rng rng(5);
+  const Variable x(Tensor::randn(Shape{64, ch, side, side}, rng), false);
+  const NoGradGuard no_grad;
+  for (auto _ : state) {
+    const Variable y = ag::max_pool2d(x, 2, 2);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+}
+BENCHMARK(BM_MaxPool2d)->Args({8, 32})->Args({64, 4});
+
 void activation_bench(benchmark::State& state, core::Scheme scheme) {
   constexpr std::int64_t kFeat = 16 * 16 * 16;
   ut::Rng rng(3);

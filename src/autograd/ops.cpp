@@ -309,6 +309,13 @@ Variable max_pool2d(const Variable& x, std::int64_t kernel,
     throw std::invalid_argument("max_pool2d: empty output for " + xs.str());
   }
   Tensor out(Shape{batch, ch, oh, ow});
+  if (!grad_enabled() || !x.requires_grad()) {
+    // No backward can read an argmax: run the branch-free loop the plans
+    // use, which selects the same values (NaN included).
+    max_pool2d_forward(batch, ch, h, w, kernel, stride, x.value().data(),
+                       out.data(), nullptr);
+    return Variable(std::move(out));
+  }
   auto indices = std::make_shared<std::vector<std::int64_t>>(
       static_cast<std::size_t>(out.numel()));
 

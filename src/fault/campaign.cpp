@@ -1,9 +1,9 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <stdexcept>
-
-#include "util/thread_pool.h"
 
 namespace fitact::fault {
 
@@ -29,37 +29,32 @@ void aggregate(CampaignResult& result) {
 
 namespace {
 
-/// Lane count for a run: resolve the 0 = auto setting, clamp to the trial
-/// count, and (for parallel runs) shrink to the number of contiguous chunks
-/// parallel_for will actually produce. This is a pure efficiency heuristic
-/// (don't build replicas no chunk will use); correctness relies only on
-/// parallel_for_slotted's slot < size() + 1 contract.
+/// Lane count for a run: resolve the 0 = auto setting and clamp to the
+/// trial count (a lane beyond it would pull no trial). `trials` > 0.
 std::size_t lane_count_for(const CampaignConfig& config, std::size_t trials) {
-  std::size_t lanes =
+  const std::size_t lanes =
       config.threads == 0 ? ut::default_thread_count() : config.threads;
-  lanes = std::min(lanes, trials);
-  if (lanes > 1) {
-    const std::size_t chunk = (trials + lanes - 1) / lanes;
-    lanes = (trials + chunk - 1) / chunk;
-  }
-  return std::max<std::size_t>(lanes, 1);
+  return std::clamp<std::size_t>(lanes, 1, trials);
 }
 
 /// The trial loop shared by the one-shot entry points and CampaignSession:
-/// fan `trials` out over the first `lanes` entries of `workers`. Every
-/// worker must already be built (and synced); trial t always consumes
-/// stream t and writes slot t, so the result is bit-identical for any lane
-/// count. Lock-free by construction: `streams` and both result vectors are
-/// fully sized before the fan-out, every trial touches disjoint elements,
-/// and parallel_for_slotted's join is the only synchronisation needed (see
+/// runs `trials` trials on the first `lanes` entries of `workers`, on
+/// `pool` (at least lanes - 1 workers) when lanes > 1. Every worker must
+/// already be built; lanes below `resync` call sync(false) on their own
+/// thread before their first trial. Trial t always consumes stream t and
+/// writes slot t, so the result is bit-identical for any lane count and
+/// hand-out order. Lock-free by construction: `streams`, `order` and both
+/// result vectors are fully sized before the fan-out, the atomic counter
+/// hands each trial to exactly one lane, every trial touches disjoint
+/// elements, and parallel_for_slotted's join publishes the results (see
 /// the contract note in campaign.h).
 CampaignResult run_trials(std::vector<CampaignWorker>& workers,
-                          std::size_t lanes, const CampaignConfig& config,
+                          std::size_t lanes, std::size_t resync,
+                          ut::ThreadPool* pool, const CampaignConfig& config,
                           std::size_t trials) {
   CampaignResult result;
   result.accuracies.assign(trials, 0.0);
   result.flip_counts.assign(trials, 0);
-  if (trials == 0) return result;
 
   // Pre-split every trial's stream from the root in serial order: trial t
   // always sees the same stream no matter which lane runs it.
@@ -71,9 +66,29 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
   FaultModel model = config.fault_model;
   model.bit_error_rate = config.bit_error_rate;
 
-  const auto run_range = [&](CampaignWorker& w, std::size_t begin,
-                             std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
+  // Costliest first: a trial whose lowest word is lower resumes from an
+  // earlier clean prefix. Ties keep trial order, and trials without events
+  // (word_count()) come last. A single lane needs no order and skips the
+  // draws.
+  std::vector<std::size_t> order(trials);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (lanes > 1) {
+    std::vector<std::uint64_t> lowest(trials);
+    for (std::size_t t = 0; t < trials; ++t) {
+      lowest[t] = workers[0].injector->lowest_drawn_word(model, streams[t]);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return lowest[a] < lowest[b];
+                     });
+  }
+
+  std::atomic<std::size_t> next{0};
+  const auto run_lane = [&](std::size_t lane) {
+    CampaignWorker& w = workers[lane];
+    if (lane < resync && w.sync) w.sync(/*source_changed=*/false);
+    for (std::size_t i = next++; i < trials; i = next++) {
+      const std::size_t t = order[i];
       const InjectionRecord rec = w.injector->inject(model, streams[t]);
       try {
         result.accuracies[t] = w.evaluate();
@@ -89,22 +104,16 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
   };
 
   if (lanes <= 1) {
-    run_range(workers.at(0), 0, trials);
+    run_lane(0);
   } else {
-    // The calling thread runs one chunk itself; each concurrently running
-    // chunk checks out a distinct slot (< lanes), and a slot's worker is
-    // reused when the chunking produces more chunks than lanes. A lane
-    // that throws surfaces here: parallel_for_slotted finishes the other
-    // chunks and rethrows the first exception on this thread.
-    ut::ThreadPool pool(lanes - 1);
-    pool.parallel_for_slotted(
-        0, trials,
-        [&](std::size_t slot, std::size_t begin, std::size_t end) {
-          if (slot >= lanes || slot >= workers.size()) {
-            throw std::logic_error(
-                "run_campaign: slot id exceeds the lane count");
-          }
-          run_range(workers[slot], begin, end);
+    // One chunk per lane: the calling thread runs lane 0 and each pool
+    // worker one other lane (a chunk spans several lanes only when
+    // parallel_for runs inline). A lane that throws surfaces here:
+    // parallel_for_slotted finishes the other lanes and rethrows the first
+    // exception on this thread.
+    pool->parallel_for_slotted(
+        0, lanes, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t lane = begin; lane < end; ++lane) run_lane(lane);
         });
   }
   aggregate(result);
@@ -129,7 +138,9 @@ CampaignResult run_campaign(const WorkerFactory& make_worker,
   std::vector<CampaignWorker> workers;
   workers.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) workers.push_back(make_worker(i));
-  return run_trials(workers, lanes, config, trials);
+  std::unique_ptr<ut::ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<ut::ThreadPool>(lanes - 1);
+  return run_trials(workers, lanes, /*resync=*/0, pool.get(), config, trials);
 }
 
 CampaignResult run_campaign(Injector& injector,
@@ -164,11 +175,14 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
   }
   const std::size_t lanes = lane_count_for(config, trials);
 
+  // Lanes cached before this run that re-snapshot on their own thread.
+  std::size_t resync = 0;
   if (stale_) {
     // The source model changed: re-sync every cached lane (not only the
     // ones this run uses — a lane skipped now must not carry stale bounds
-    // into a later, wider run). Lanes without a sync hook cannot be
-    // refreshed in place and are rebuilt from the factory.
+    // into a later, wider run), serially and before any trial, because
+    // replicas copy from the lane-0 model. Lanes without a sync hook cannot
+    // be refreshed in place and are rebuilt from the factory.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       if (workers_[i].sync) {
         workers_[i].sync(/*source_changed=*/true);
@@ -177,14 +191,12 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
       }
     }
     stale_ = false;
-  } else if (!first_run_) {
-    // Reuse: re-snapshot each lane's clean image, mirroring the snapshot a
-    // freshly built worker would take of the restored (quantisation
-    // round-tripped) parameters. Keeps session results byte-identical to
-    // fresh-replica runs.
-    for (std::size_t i = 0; i < std::min(workers_.size(), lanes); ++i) {
-      if (workers_[i].sync) workers_[i].sync(/*source_changed=*/false);
-    }
+  } else {
+    // Reuse: each lane re-snapshots its clean image, mirroring the
+    // snapshot a freshly built worker would take of the restored
+    // (quantisation round-tripped) parameters. Keeps session results
+    // byte-identical to fresh-replica runs.
+    resync = std::min(workers_.size(), lanes);
   }
 
   // Grow the lane set if this run needs more lanes than any earlier one.
@@ -193,9 +205,11 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
   for (std::size_t i = workers_.size(); i < lanes; ++i) {
     workers_.push_back(make_worker_(i));
   }
-
-  first_run_ = false;
-  return run_trials(workers_, lanes, config, trials);
+  if (lanes > 1 && (!pool_ || pool_->size() < lanes - 1)) {
+    pool_.reset();  // join the old workers before starting the new ones
+    pool_ = std::make_unique<ut::ThreadPool>(lanes - 1);
+  }
+  return run_trials(workers_, lanes, resync, pool_.get(), config, trials);
 }
 
 }  // namespace fitact::fault

@@ -2,20 +2,36 @@
 // a fixed bit error rate, producing the accuracy distribution behind the
 // paper's Fig. 5 (box plots) and Fig. 6 (means).
 //
-// The engine fans trials out over a thread pool. Per-trial RNG streams are
-// pre-split from the campaign seed in serial order, each trial writes its
-// results into a fixed slot, and every worker lane operates on its own
-// model replica, so a campaign's CampaignResult is bit-identical for any
-// `threads` setting (including the serial threads = 1 path).
+// The engine fans trials out over worker lanes, each operating on its own
+// model replica. Per-trial RNG streams are pre-split from the campaign seed
+// in serial order and trial t writes its results into slot t, so a
+// campaign's CampaignResult is bit-identical for any `threads` setting
+// (including the serial threads = 1 path) and any hand-out order.
+//
+// Hand-out: a run with more than one lane orders its trials costliest
+// first — by the lowest word each trial's draw touches
+// (Injector::lowest_drawn_word), ascending, ties by trial index, trials
+// without events last — and every lane pulls the next trial of that order
+// from one shared counter until none is left. A trial that changes a lower
+// word resumes its forward from an earlier clean prefix, so pulling the
+// expensive trials first lets the lanes finish together.
+//
+// Threads: a CampaignSession owns one ut::ThreadPool of lanes - 1 workers
+// for its lifetime (rebuilt only when a run needs more lanes); the calling
+// thread runs lane 0 and each pool worker one other lane. The one-shot
+// run_campaign builds a pool per call.
 //
 // Concurrency contract: the engine holds no locks of its own. Cross-thread
 // isolation comes from structure — trial t writes only result slot t and
 // reads only stream t (both sized before the fan-out, so no reallocation
-// races), and each concurrently running chunk owns a distinct worker lane
-// via ut::ThreadPool::parallel_for_slotted, whose join publishes every
-// slot's writes to the calling thread. The locking that backs this lives in
-// the pool and is annotated there (util/thread_annotations.h); the TSan CI
-// lane checks the disjointness claim dynamically.
+// races), the hand-out counter is the only shared mutable state, and each
+// lane runs on one thread at a time via ut::ThreadPool::parallel_for_slotted
+// over the lane indices, whose join publishes every lane's writes to the
+// calling thread. A reused lane's CampaignWorker::sync(false) runs on that
+// lane's thread while other lanes already run trials, so it may touch only
+// its own lane. The locking that backs this lives in the pool and is
+// annotated there (util/thread_annotations.h); the TSan CI lane checks the
+// disjointness claim dynamically.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +40,7 @@
 #include <vector>
 
 #include "fault/injector.h"
+#include "util/thread_pool.h"
 
 namespace fitact::fault {
 
@@ -73,11 +90,15 @@ struct CampaignWorker {
   /// with its source before a run. Called with `source_changed` = true when
   /// the session was invalidated (the source model was re-protected or its
   /// parameters changed) — the lane must re-copy protection + state from
-  /// the source and re-snapshot its clean image. Called with false on every
-  /// later reuse — the lane only re-snapshots its clean image from its own
-  /// model, which mirrors the image a freshly built worker would capture
-  /// (the lane's model holds the restored, quantisation-round-tripped
-  /// parameters after the previous run). Must leave `injector` valid.
+  /// the source and re-snapshot its clean image. Those calls run serially
+  /// on the calling thread and finish before any trial starts. Called with
+  /// false on every later reuse — the lane only re-snapshots its clean
+  /// image from its own model, which mirrors the image a freshly built
+  /// worker would capture (the lane's model holds the restored,
+  /// quantisation-round-tripped parameters after the previous run). That
+  /// call runs on the lane's own thread, once, right before the lane's
+  /// first trial of the run, while other lanes may already run trials: it
+  /// must touch only this lane's state. Must leave `injector` valid.
   /// Workers without the hook are rebuilt from the factory instead of
   /// re-synced when the session is invalidated.
   std::function<void(bool source_changed)> sync;
@@ -104,12 +125,13 @@ CampaignResult run_campaign(Injector& injector,
                             const CampaignConfig& config);
 
 /// Persistent campaign engine for sweeps: owns the worker lanes (replica
-/// models, parameter images, injectors) across every run() of a rate grid
-/// instead of rebuilding them per rate, which removes replica construction
-/// from the per-rate cost. Results are bit-identical to calling
-/// run_campaign with the same factory and config at every thread count:
-/// the trial-stream and slot contracts are unchanged, and before each reuse
-/// a lane re-snapshots its clean image exactly as a fresh worker would.
+/// models, parameter images, injectors) and the threads that run them
+/// across every run() of a rate grid instead of rebuilding them per rate,
+/// which removes replica construction and thread start-up from the
+/// per-rate cost. Results are bit-identical to calling run_campaign with
+/// the same factory and config at every thread count: the trial-stream and
+/// slot contracts are unchanged, and before each reuse a lane re-snapshots
+/// its clean image (on its own thread) exactly as a fresh worker would.
 ///
 /// Call invalidate() whenever the source model the factory replicates from
 /// changes (re-protection, post-training): the next run() re-syncs every
@@ -136,7 +158,9 @@ class CampaignSession {
  private:
   WorkerFactory make_worker_;
   std::vector<CampaignWorker> workers_;
-  bool first_run_ = true;
+  /// One worker per lane beyond lane 0 (which runs on the calling thread);
+  /// null until a run needs a second lane.
+  std::unique_ptr<ut::ThreadPool> pool_;
   bool stale_ = false;
 };
 

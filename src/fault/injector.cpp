@@ -73,23 +73,39 @@ InjectionRecord Injector::commit_trial(std::uint64_t events) {
 // application gives the words the draw order would, and puts all events on
 // one word next to each other.
 
-InjectionRecord Injector::inject(const FaultModel& model, ut::Rng& rng) {
+std::vector<std::uint64_t> Injector::draw(const FaultModel& model,
+                                          ut::Rng& rng) const {
   if (model.bit_lo < 0 || model.bit_hi > 31 || model.bit_lo > model.bit_hi) {
     throw std::invalid_argument("Injector: invalid fault-model bit range");
   }
-  const auto width = static_cast<std::uint64_t>(model.range_width());
-  const std::uint64_t eligible = image_->word_count() * width;
+  const std::uint64_t eligible =
+      image_->word_count() * static_cast<std::uint64_t>(model.range_width());
   const std::uint64_t k = rng.binomial(eligible, model.bit_error_rate);
   // Positions are indices into the (word, bit-in-range) grid; distinct so
   // two events never cancel at the same anchor.
   auto positions = rng.sample_distinct(eligible, k);
   std::sort(positions.begin(), positions.end());
+  return positions;
+}
+
+std::uint64_t Injector::lowest_drawn_word(const FaultModel& model,
+                                          ut::Rng rng) const {
+  const auto positions = draw(model, rng);
+  return positions.empty()
+             ? word_count()
+             : positions.front() /
+                   static_cast<std::uint64_t>(model.range_width());
+}
+
+InjectionRecord Injector::inject(const FaultModel& model, ut::Rng& rng) {
+  const auto positions = draw(model, rng);
+  const auto width = static_cast<std::uint64_t>(model.range_width());
   begin_trial();
   for (const auto pos : positions) {
     apply_event(pos / width, model.bit_lo + static_cast<int>(pos % width),
                 model);
   }
-  return commit_trial(k);
+  return commit_trial(positions.size());
 }
 
 InjectionRecord Injector::inject(double bit_error_rate, ut::Rng& rng) {

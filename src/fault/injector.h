@@ -65,6 +65,14 @@ class Injector {
     return changed_.empty() ? word_count() : changed_.front();
   }
 
+  /// Lowest word that inject(model, rng) would put an event on, drawn from
+  /// a copy of `rng`: word_count() when the draw has no events. Bit flips
+  /// and bursts always change their words, so under them this is the
+  /// lowest_word() that inject reports; under stuck-at faults it is a lower
+  /// bound. Touches neither the image nor the model.
+  [[nodiscard]] std::uint64_t lowest_drawn_word(const FaultModel& model,
+                                                ut::Rng rng) const;
+
   [[nodiscard]] std::uint64_t bit_count() const noexcept {
     return image_->bit_count();
   }
@@ -73,6 +81,10 @@ class Injector {
   }
 
  private:
+  /// inject(model, rng)'s event positions, ascending, as indices into the
+  /// (word, bit-in-range) grid of range_width() bits per word.
+  [[nodiscard]] std::vector<std::uint64_t> draw(const FaultModel& model,
+                                                ut::Rng& rng) const;
   /// Restore, then start an empty trial.
   void begin_trial();
   /// Events arrive in ascending word order.

@@ -3,10 +3,12 @@
 // The process-wide pool (global_pool) serves the GEMM kernel and the eager
 // conv2d's sample loop; it avoids repeated thread creation, defaults to
 // the hardware concurrency, and can be capped via set_global_threads
-// before first use. The fault-injection campaign engine (fault::run_campaign)
-// instead constructs its own ThreadPool sized to CampaignConfig::threads,
-// one lane per model replica; nested kernel parallel_for calls from inside
-// those lanes run inline (see tl_in_worker in thread_pool.cpp).
+// before first use. The fault-injection campaign engine runs its lanes on
+// a pool of its own instead: a fault::CampaignSession keeps one ThreadPool
+// of lanes - 1 workers for its lifetime (the one-shot fault::run_campaign
+// builds one per call), one lane per model replica; nested kernel
+// parallel_for calls from inside those lanes run inline (see tl_in_worker
+// in thread_pool.cpp).
 //
 // Locking discipline (machine-checked under clang -Wthread-safety, see
 // util/thread_annotations.h): the task queue and the stop flag are guarded
@@ -48,11 +50,12 @@ class ThreadPool {
   /// parallel_for variant that also hands fn an execution-slot id. The
   /// pool guarantees the id is < size() + 1 and unique among concurrently
   /// running chunks (slots are recycled as chunks finish), independent of
-  /// how the range is chunked. Callers that need per-execution state — one
-  /// model replica per fault-campaign lane — index it by slot instead of
-  /// re-deriving the pool's chunking policy. If fn throws, every chunk is
-  /// still driven to completion and the first exception is rethrown on the
-  /// calling thread afterwards (exceptions never unwind a pool worker).
+  /// how the range is chunked. Callers that need per-execution state index
+  /// it by slot instead of re-deriving the pool's chunking policy. If fn
+  /// throws, every chunk is still driven to completion and the first
+  /// exception is rethrown on the calling thread afterwards (exceptions
+  /// never unwind a pool worker). The campaign engine runs one chunk per
+  /// lane over the range of lane indices for this guarantee.
   void parallel_for_slotted(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t slot, std::size_t, std::size_t)>&

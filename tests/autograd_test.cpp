@@ -298,6 +298,61 @@ TEST(Ops, MaxPoolForwardAndRouting) {
   EXPECT_FLOAT_EQ(x.grad()[1], 1.0f);  // routed to the argmax only
 }
 
+TEST(Ops, MaxPoolWithoutGradSelectsTheGradPathsValues) {
+  // Six 2x2 windows of a 4x6 map, each listed (0,0), (0,1), (1,0), (1,1),
+  // and the window position the gradient must reach: a leading NaN, a
+  // trailing NaN, signed zeros in both orders, a tied maximum and an
+  // all-equal window.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float windows[6][4] = {{nan, 1.0f, 2.0f, 0.0f},
+                               {1.0f, nan, 3.0f, 2.0f},
+                               {-0.0f, 0.0f, -1.0f, -2.0f},
+                               {0.0f, -0.0f, -3.0f, -0.0f},
+                               {4.0f, 7.0f, 7.0f, 1.0f},
+                               {-5.0f, -5.0f, -5.0f, -5.0f}};
+  const int first_max[6] = {0, 2, 0, 0, 1, 0};
+  const auto at = [](int window, int k) {
+    return (window / 3 * 2 + k / 2) * 6 + window % 3 * 2 + k % 2;
+  };
+  Variable x(Tensor::zeros(Shape{1, 1, 4, 6}), true);
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 4; ++k) x.value()[at(i, k)] = windows[i][k];
+  }
+  const auto bits_equal = [](const Variable& a, const Variable& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.value().data(), b.value().data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+               0;
+  };
+
+  Variable with_grad = ag::max_pool2d(x, 2, 2);
+  ASSERT_TRUE(with_grad.requires_grad());
+  Variable no_grad;
+  {
+    const NoGradGuard guard;
+    no_grad = ag::max_pool2d(x, 2, 2);
+  }
+  const Variable constant_input =
+      ag::max_pool2d(Variable(x.value(), false), 2, 2);
+  EXPECT_FALSE(no_grad.requires_grad());
+  EXPECT_FALSE(constant_input.requires_grad());
+  EXPECT_TRUE(bits_equal(no_grad, with_grad));
+  EXPECT_TRUE(bits_equal(constant_input, with_grad));
+  EXPECT_TRUE(std::isnan(with_grad.value()[0]));
+  EXPECT_EQ(with_grad.value()[1], 3.0f);
+  EXPECT_TRUE(std::signbit(with_grad.value()[2]));
+  EXPECT_FALSE(std::signbit(with_grad.value()[3]));
+  EXPECT_EQ(with_grad.value()[4], 7.0f);
+
+  with_grad.backward();
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(x.grad()[at(i, k)], k == first_max[i] ? 1.0f : 0.0f)
+          << "window " << i << ", position " << k;
+    }
+  }
+}
+
 TEST(Ops, GlobalAvgPool) {
   Variable x(Tensor::zeros(Shape{1, 2, 2, 2}), true);
   for (std::int64_t i = 0; i < 4; ++i) x.value()[i] = 2.0f;       // c0

@@ -6,8 +6,11 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/activation.h"
@@ -50,15 +53,17 @@ void expect_equal_results(const fault::CampaignResult& a,
 }
 
 // The satellite contract: cached replicas across a >= 3-point rate grid are
-// byte-identical to fresh-replica runs at threads = 1/2/8, including after
-// an intervening protect_model re-protection (stale-bounds regression).
+// byte-identical to fresh-replica runs at threads = 1/2/3/8 (7 trials, so
+// 2 and 3 lanes pull unequal trial counts), including after an intervening
+// protect_model re-protection (stale-bounds regression).
 TEST(CampaignSession, GridMatchesFreshRunsAcrossThreadCounts) {
   const std::vector<double> rate_grid = {1e-6, 1e-5, 1e-4};
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     // Two identically prepared models: one swept through a session with
     // cached replicas, one through fresh-replica one-shot campaigns.
     ExperimentScale scale = tiny_scale();
+    scale.trials = 7;
     scale.campaign_threads = threads;
     PreparedModel cached = prepare_model("tinycnn", 10, scale, "", 29);
     PreparedModel fresh = prepare_model("tinycnn", 10, scale, "", 29);
@@ -463,6 +468,230 @@ TEST(CleanPrefix, SessionTrialsEqualFullForwardCampaigns) {
     pm.touch();
     expect_sessions_match("after touch");
   }
+}
+
+// --- engine fan-out ------------------------------------------------------
+
+/// A generic worker factory whose lanes log every call the engine makes:
+/// builds, both kinds of sync, and evaluate, each with its thread. Every
+/// lane is an identical tinycnn whose model holds its decoded clean image
+/// from the start, and evaluate() sums the lane's parameters, so a trial's
+/// result depends on its faults alone.
+class LoggingLanes {
+ public:
+  enum class Call { build, sync_changed, sync_reuse, evaluate };
+  struct Entry {
+    Call call;
+    std::size_t lane;
+    std::thread::id thread;
+  };
+  struct Lane {
+    std::shared_ptr<nn::Module> net;
+    std::unique_ptr<quant::ParamImage> image;
+    std::unique_ptr<fault::Injector> injector;
+  };
+
+  [[nodiscard]] fault::WorkerFactory factory() {
+    return [this](std::size_t lane) {
+      log(Call::build, lane);
+      models::ModelConfig mc;
+      mc.width_mult = 0.25f;
+      mc.seed = 3;
+      auto ctx = std::make_shared<Lane>();
+      ctx->net = models::make_tinycnn(mc);
+      ctx->image = std::make_unique<quant::ParamImage>(*ctx->net);
+      ctx->image->restore();
+      ctx->injector = std::make_unique<fault::Injector>(*ctx->image);
+      lanes_.push_back(ctx);
+      fault::CampaignWorker w;
+      w.keepalive = ctx;
+      w.injector = ctx->injector.get();
+      w.evaluate = [this, ctx, lane] {
+        log(Call::evaluate, lane);
+        if (evaluations_.fetch_add(1) == throw_at_) {
+          throw std::runtime_error("evaluate failed");
+        }
+        double sum = 0.0;
+        for (auto& p : ctx->net->named_parameters()) {
+          for (const float v : p.var.value().span()) sum += v;
+        }
+        return sum;
+      };
+      w.sync = [this, ctx, lane](bool source_changed) {
+        log(source_changed ? Call::sync_changed : Call::sync_reuse, lane);
+        ctx->image->refresh();
+      };
+      return w;
+    };
+  }
+
+  /// Make the evaluate() call `calls` calls from now throw (0 = the next
+  /// one). Call between runs only.
+  void throw_in(int calls) { throw_at_ = evaluations_.load() + calls; }
+  void never_throw() { throw_at_ = -1; }
+
+  /// The calls logged since the last take(), in the order they happened.
+  std::vector<Entry> take() {
+    const std::lock_guard<std::mutex> lock(m_);
+    return std::exchange(log_, {});
+  }
+
+  /// Every lane built so far, in build order.
+  [[nodiscard]] const std::vector<std::shared_ptr<Lane>>& lanes() const {
+    return lanes_;
+  }
+
+ private:
+  void log(Call call, std::size_t lane) {
+    const std::lock_guard<std::mutex> lock(m_);
+    log_.push_back({call, lane, std::this_thread::get_id()});
+  }
+
+  std::mutex m_;
+  std::vector<Entry> log_;
+  std::vector<std::shared_ptr<Lane>> lanes_;  // built on the calling thread
+  std::atomic<int> evaluations_{0};
+  int throw_at_ = -1;  // written between runs only
+};
+
+fault::CampaignConfig engine_config(std::size_t threads, std::uint64_t seed) {
+  fault::CampaignConfig cfg;
+  cfg.bit_error_rate = 1e-3;  // every trial flips many words
+  cfg.trials = 8;
+  cfg.seed = seed;
+  cfg.threads = threads;
+  return cfg;
+}
+
+TEST(CampaignEngine, ReusedLanesResyncOnTheirOwnThreadBeforeTheirFirstTrial) {
+  LoggingLanes logged;
+  fault::CampaignSession session(logged.factory());
+  (void)session.run(engine_config(4, 505));
+  (void)logged.take();
+
+  // A wider reuse run: lanes 0-3 re-sync, lanes 4 and 5 are built for it.
+  const fault::CampaignConfig wide = engine_config(6, 506);
+  const fault::CampaignResult result = session.run(wide);
+  const auto calls = logged.take();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t first_trial = calls.size();
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (calls[i].call == LoggingLanes::Call::evaluate) {
+      first_trial = std::min(first_trial, i);
+    }
+    if (calls[i].call == LoggingLanes::Call::build) {
+      EXPECT_GE(calls[i].lane, 4u);
+      EXPECT_LT(i, first_trial) << "lane " << calls[i].lane
+                                << " was built after a trial started";
+    }
+  }
+  std::size_t trials = 0;
+  for (std::size_t lane = 0; lane < 6; ++lane) {
+    SCOPED_TRACE(::testing::Message() << "lane " << lane);
+    std::size_t syncs = 0;
+    std::size_t lane_trials = 0;
+    std::thread::id sync_thread;
+    for (const auto& c : calls) {
+      if (c.lane != lane) continue;
+      switch (c.call) {
+        case LoggingLanes::Call::build:
+          break;
+        case LoggingLanes::Call::sync_changed:
+          ADD_FAILURE() << "source_changed re-sync in a reuse run";
+          break;
+        case LoggingLanes::Call::sync_reuse:
+          ++syncs;
+          sync_thread = c.thread;
+          EXPECT_EQ(lane_trials, 0u) << "re-synced after its first trial";
+          break;
+        case LoggingLanes::Call::evaluate:
+          ++lane_trials;
+          if (syncs > 0) {
+            EXPECT_EQ(c.thread, sync_thread);
+          }
+          break;
+      }
+    }
+    trials += lane_trials;
+    // Lanes built for this run snapshot their image when built.
+    EXPECT_EQ(syncs, lane < 4 ? 1u : 0u);
+    // Lane 0 runs on the calling thread, every other lane on a worker.
+    if (syncs > 0) {
+      if (lane == 0) {
+        EXPECT_EQ(sync_thread, caller);
+      } else {
+        EXPECT_NE(sync_thread, caller);
+      }
+    }
+  }
+  EXPECT_EQ(trials, 8u);
+
+  // The hand-out order changed which lane ran a trial and when, not what
+  // the trial read or where its result went.
+  LoggingLanes serial_lanes;
+  fault::CampaignConfig serial = wide;
+  serial.threads = 1;
+  expect_equal_results(result,
+                       fault::run_campaign(serial_lanes.factory(), serial),
+                       "6 lanes vs 1");
+}
+
+TEST(CampaignEngine, SourceChangedResyncFinishesBeforeAnyTrial) {
+  LoggingLanes logged;
+  fault::CampaignSession session(logged.factory());
+  (void)session.run(engine_config(4, 606));
+  (void)logged.take();
+
+  session.invalidate();
+  (void)session.run(engine_config(4, 607));
+  std::size_t syncs = 0;
+  std::size_t trials = 0;
+  for (const auto& c : logged.take()) {
+    if (c.call == LoggingLanes::Call::sync_changed) {
+      ++syncs;
+      EXPECT_EQ(trials, 0u) << "lane " << c.lane
+                            << " re-synced after a trial started";
+      EXPECT_EQ(c.thread, std::this_thread::get_id());
+    } else {
+      // Lanes re-synced from the source do not re-snapshot again.
+      EXPECT_EQ(c.call, LoggingLanes::Call::evaluate) << "lane " << c.lane;
+      ++trials;
+    }
+  }
+  EXPECT_EQ(syncs, 4u);
+  EXPECT_EQ(trials, 8u);
+}
+
+TEST(CampaignEngine, ThrowingTrialLeavesEveryLaneCleanAndTheSessionUsable) {
+  LoggingLanes logged;
+  fault::CampaignSession session(logged.factory());
+  (void)session.run(engine_config(4, 808));
+
+  logged.throw_in(3);
+  EXPECT_THROW((void)session.run(engine_config(4, 809)), std::runtime_error);
+
+  // Every lane's model holds its decoded clean image, as a lane that never
+  // ran a trial does.
+  LoggingLanes reference;
+  (void)reference.factory()(0);
+  const auto clean = reference.lanes().front()->net->named_parameters();
+  ASSERT_EQ(logged.lanes().size(), 4u);
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    const auto params = logged.lanes()[lane]->net->named_parameters();
+    ASSERT_EQ(params.size(), clean.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(bit_identical(params[i].var.value(), clean[i].var.value()))
+          << "lane " << lane << ", " << params[i].name;
+    }
+  }
+
+  // The session's lanes and threads survive the exception.
+  logged.never_throw();
+  LoggingLanes fresh;
+  expect_equal_results(session.run(engine_config(4, 810)),
+                       fault::run_campaign(fresh.factory(),
+                                           engine_config(4, 810)),
+                       "run after the throw");
 }
 
 // --- init-skipping construction path ------------------------------------

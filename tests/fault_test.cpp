@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/experiment.h"
 #include "fault/campaign.h"
 #include "fault/injector.h"
 #include "nn/layers.h"
@@ -291,6 +292,62 @@ TEST(Injector, SparseWritesMatchFullWriteBack) {
     }
     EXPECT_TRUE(shared_word) << "no trial put two events on one word";
   }
+}
+
+// lowest_drawn_word is the campaign engine's hand-out key. Over the paper's
+// rate grid on an image of vgg16's campaign size (~263k words), drawn from
+// copies of 50 trial streams, it must name the lowest word a bit-flip
+// inject from the same stream changes, word_count() for a draw without
+// events, and a lower bound under stuck-at faults (an event on a bit that
+// already holds its value changes nothing), without writing the image or
+// the model.
+TEST(Injector, LowestDrawnWordPredictsInject) {
+  ut::Rng init(7);
+  auto net = std::make_shared<nn::Sequential>();
+  net->add(std::make_shared<nn::Linear>(512, 512, true, init));
+  const auto clean_twin = std::make_shared<nn::Sequential>();
+  clean_twin->add(std::make_shared<nn::Linear>(512, 512, true, init));
+  quant::ParamImage image(*net);
+  image.restore();
+  nn::copy_state(*net, *clean_twin);
+  Injector inj(image);
+
+  bool empty_draw = false;
+  bool strict_bound = false;
+  ut::Rng root(20);
+  for (const double rate : ev::paper_fault_rates()) {
+    for (int s = 0; s < 50; ++s) {
+      for (const FaultType type :
+           {FaultType::bit_flip, FaultType::stuck_at_one}) {
+        SCOPED_TRACE(::testing::Message() << "rate " << rate << ", stream "
+                                          << s << ", " << to_string(type));
+        FaultModel model;
+        model.type = type;
+        model.bit_error_rate = rate;
+        ut::Rng stream = root.split();
+        const std::uint64_t generation = image.generation();
+        const std::uint64_t predicted = inj.lowest_drawn_word(model, stream);
+        EXPECT_EQ(image.generation(), generation);
+        expect_same_parameters(*net, *clean_twin, "after the query");
+
+        const InjectionRecord rec = inj.inject(model, stream);
+        if (rec.fault_events == 0) {
+          EXPECT_EQ(predicted, inj.word_count());
+          empty_draw = true;
+        }
+        if (type == FaultType::bit_flip) {
+          EXPECT_EQ(predicted, inj.lowest_word());
+        } else {
+          EXPECT_LE(predicted, inj.lowest_word());
+          strict_bound |= predicted < inj.lowest_word();
+        }
+        inj.restore();
+      }
+    }
+  }
+  // Both special cases occurred, so neither check above passed vacuously.
+  EXPECT_TRUE(empty_draw);
+  EXPECT_TRUE(strict_bound);
 }
 
 TEST(Campaign, RunsTrialsAndRestores) {
