@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   ec.max_samples = scale.eval_samples;
 
   // One session across all 20 (fault model, scheme) parameter-fault
-  // campaigns; protect_model re-syncs the cached lanes between cells.
+  // campaigns; protect_model has the cached lanes rebuilt between cells.
   ev::CampaignSession session(pm, scale);
   for (const auto& fc : cases) {
     std::vector<std::string> row{fc.label};

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   ut::TextTable table(
       {"k", "max |FitReLU - Naive|", "clean acc", "acc under fault"});
   // Replica lanes persist across the k sweep; pm.touch() flags the direct
-  // re-protection + post-training so the session re-syncs them.
+  // re-protection + post-training so the session rebuilds them.
   ev::CampaignSession session(pm, scale);
   for (const float k : {1.0f, 2.0f, 5.0f, 10.0f, 25.0f, 50.0f}) {
     const double dev = max_deviation_from_naive(k, 2.0f);

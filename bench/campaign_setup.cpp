@@ -14,7 +14,9 @@
 //      lanes once, then run the session at every rate). The session runs
 //      at bit error rate 0, where every trial has no flips and returns the
 //      clean top-1 without a forward, so its row is the engine's whole
-//      per-run overhead: lane re-sync, fan-out and hand-out.
+//      per-run overhead: fan-out and hand-out over lanes reused as the
+//      last run left them (the lanes are rebuilt only when the source
+//      changes, which this grid never does).
 //
 // Usage: campaign_setup [--model resnet50] [--width 0.125] [--classes 10]
 //                       [--lanes 4] [--rates 5] [--reps 3]

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   const std::vector<core::Scheme> schemes = {
       core::Scheme::fitrelu, core::Scheme::clip_act, core::Scheme::ranger,
       core::Scheme::relu};
-  // One session for the whole grid: worker-lane replicas are built once and
-  // re-synced when protect_model changes the source, instead of being
-  // rebuilt for all 20 (scheme, rate) campaigns.
+  // One session for the whole grid: worker-lane replicas are built once per
+  // scheme (protect_model changes the source, so the session rebuilds
+  // them), instead of for all 20 (scheme, rate) campaigns.
   ev::CampaignSession session(pm, scale);
   for (const auto scheme : schemes) {
     const ev::ProtectReport rep = ev::protect_model(pm, scheme, scale);

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
       ut::TextTable table({"scheme", "1e-7", "1e-6", "3e-6", "1e-5", "3e-5"});
       // Replica lanes live across the scheme x rate grid for this model;
-      // protect_model marks the session stale and the lanes re-sync.
+      // protect_model marks the session stale and the lanes are rebuilt.
       ev::CampaignSession session(pm, scale);
       for (const auto scheme : schemes) {
         ev::protect_model(pm, scheme, scale);

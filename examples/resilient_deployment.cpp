@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   ut::TextTable table({"scheme", "clean acc", "acc@1e-5", "acc@1e-4",
                        "acc@3e-4", "param Mb", "bound params"});
-  // One lane set across the scheme x rate report; protect_model re-syncs it.
+  // One lane set across the scheme x rate report; protect_model rebuilds it.
   ev::CampaignSession session(pm, scale);
   for (const auto scheme :
        {core::Scheme::relu, core::Scheme::ranger, core::Scheme::clip_act,

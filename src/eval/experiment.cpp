@@ -191,7 +191,7 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
   ec.max_samples = scale.test_size;
   report.clean_accuracy = evaluate_accuracy(*pm.model, *pm.test, ec);
   // Profiling, scheme application, and post-training all changed the model:
-  // any live CampaignSession must re-sync its replicas.
+  // any live CampaignSession must rebuild its lanes.
   pm.touch();
   return report;
 }
@@ -210,8 +210,7 @@ std::shared_ptr<nn::Module> replicate_model(const PreparedModel& pm) {
 }
 
 double CampaignLane::top1() const {
-  const CleanPrefix& clean = **prefix;
-  return clean.top1(*model, clean.dirty_child(injector->lowest_word()));
+  return prefix->top1(*model, prefix->dirty_child(injector->lowest_word()));
 }
 
 fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
@@ -220,8 +219,8 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
   // share it read-only across lanes rather than regenerate it per trial.
   const auto subset =
       std::make_shared<const EvalBatch>(materialize_eval_batch(*pm.test, ec));
-  // Built when lane 0 is built or re-synced from a changed source (or when
-  // a lane is built before lane 0), always on the calling thread.
+  // Rebuilt whenever lane 0 is built (or a lane is built before lane 0),
+  // always on the calling thread; each lane copies it when built.
   const auto prefix = std::make_shared<std::shared_ptr<const CleanPrefix>>();
   return [&pm, subset, ec, prefix](std::size_t lane) {
     auto ctx = std::make_shared<CampaignLane>();
@@ -230,34 +229,18 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
         std::make_unique<quant::ParamImage>(*ctx->model,
                                             /*include_buffers=*/false);
     ctx->injector = std::make_unique<fault::Injector>(*ctx->image);
-    ctx->prefix = prefix;
-    const auto rebuild_prefix = [ctx, subset, ec] {
+    if (lane == 0 || !*prefix) {
       // The restored image holds the parameters a zero-flip trial
       // evaluates.
       ctx->image->restore();
-      *ctx->prefix = std::make_shared<const CleanPrefix>(
-          *ctx->model, *ctx->image, subset, ec);
-    };
-    if (lane == 0 || !*prefix) rebuild_prefix();
+      *prefix = std::make_shared<const CleanPrefix>(*ctx->model, *ctx->image,
+                                                    subset, ec);
+    }
+    ctx->prefix = *prefix;
     fault::CampaignWorker w;
     w.keepalive = ctx;
     w.injector = ctx->injector.get();
     w.evaluate = [ctx] { return ctx->top1(); };
-    w.sync = [ctx, &pm, lane, rebuild_prefix](bool source_changed) {
-      if (source_changed && ctx->model != pm.model) {
-        // Re-protection may have changed schemes, bound extents, or (after
-        // post-training) parameter values on the source; carry all of it
-        // over before re-snapshotting. Lane 0 wraps the source itself.
-        core::replicate_protection(*pm.model, *ctx->model);
-        nn::copy_state(*pm.model, *ctx->model);
-        ctx->model->set_training(false);
-      }
-      // refresh() re-walks the parameter tree, so replaced bound storage is
-      // picked up; the injector sees the image's new generation and
-      // rewrites the whole image before its next trial.
-      ctx->image->refresh();
-      if (source_changed && lane == 0) rebuild_prefix();
-    };
     return w;
   };
 }

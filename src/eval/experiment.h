@@ -74,13 +74,14 @@ struct PreparedModel {
   bool from_cache = false;
   bool profiled = false;
   /// Monotonic counter of model-state changes, used by CampaignSession to
-  /// decide when its cached replicas must re-sync from `model`.
+  /// decide when its cached lanes must be rebuilt from `model`.
   /// protect_model bumps it automatically; code that mutates the model
   /// directly (core::apply_protection, core::post_train_bounds, manual
   /// parameter edits) must call touch() afterwards.
   std::uint64_t state_epoch = 0;
 
-  /// Record that `model` changed outside protect_model, so sessions resync.
+  /// Record that `model` changed outside protect_model, so sessions rebuild
+  /// their lanes.
   void touch() noexcept { ++state_epoch; }
 };
 
@@ -121,9 +122,8 @@ struct CampaignLane {
   std::shared_ptr<nn::Module> model;  ///< pm.model on lane 0, else a replica
   std::unique_ptr<quant::ParamImage> image;
   std::unique_ptr<fault::Injector> injector;
-  /// The factory's clean prefix, shared by all its lanes; replaced on the
-  /// calling thread between runs, read by the lanes during them.
-  std::shared_ptr<std::shared_ptr<const CleanPrefix>> prefix;
+  /// The factory's clean prefix when the lane was built.
+  std::shared_ptr<const CleanPrefix> prefix;
 
   /// Top-1 under the lane's current faults: what the worker's evaluate
   /// returns.
@@ -135,23 +135,24 @@ struct CampaignLane {
 /// replica + parameter image + injector; all lanes evaluate accuracy on
 /// pm.test under `ec`. The evaluated subset is materialised once, here, and
 /// shared read-only by every lane and trial. Trials resume past their clean
-/// prefix (eval/clean_prefix.h): building lane 0, and re-syncing it from a
-/// changed source, restores pm.model to its clean image and forwards the
-/// subset once; a trial then forwards only from the deepest cached cut
-/// before its lowest changed word, and a trial that changed no word
-/// forwards nothing. Results equal full forwards bit for bit. `pm` must
-/// outlive the campaign run, and the lanes' activation sites must forward
-/// deterministically (no input corruptor installed).
+/// prefix (eval/clean_prefix.h): building lane 0 (first, or again after the
+/// source changed) restores pm.model to its clean image and forwards the
+/// subset once, and every lane built after it copies that prefix; a trial
+/// then forwards only from the deepest cached cut before its lowest changed
+/// word, and a trial that changed no word forwards nothing. Results equal
+/// full forwards bit for bit. `pm` must outlive the campaign run, and the
+/// lanes' activation sites must forward deterministically (no input
+/// corruptor installed).
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 
 /// Persistent campaign engine over a prepared model: keeps the worker-lane
 /// replicas (models, parameter images, injectors) alive across an entire
-/// rate grid instead of rebuilding them for every rate. Replicas re-sync
-/// from `pm.model` (core::replicate_protection + nn::copy_state) only when
-/// `pm.state_epoch` moves — protect_model bumps it; call pm.touch() after
-/// mutating the model directly. Campaign results are byte-identical to
-/// fresh-replica campaign_at_rate calls at every thread count.
+/// rate grid instead of rebuilding them for every rate. The lanes are
+/// rebuilt from `pm.model` only when `pm.state_epoch` moves — protect_model
+/// bumps it; call pm.touch() after mutating the model directly. Campaign
+/// results are byte-identical to fresh-replica campaign_at_rate calls at
+/// every thread count.
 ///
 /// `pm` must outlive the session; `scale` fixes trials / eval samples /
 /// lanes for every run.

@@ -37,21 +37,18 @@ std::size_t lane_count_for(const CampaignConfig& config, std::size_t trials) {
   return std::clamp<std::size_t>(lanes, 1, trials);
 }
 
-/// The trial loop shared by the one-shot entry points and CampaignSession:
-/// runs `trials` trials on the first `lanes` entries of `workers`, on
-/// `pool` (at least lanes - 1 workers) when lanes > 1. Every worker must
-/// already be built; lanes below `resync` call sync(false) on their own
-/// thread before their first trial. Trial t always consumes stream t and
-/// writes slot t, so the result is bit-identical for any lane count and
-/// hand-out order. Lock-free by construction: `streams`, `order` and both
-/// result vectors are fully sized before the fan-out, the atomic counter
-/// hands each trial to exactly one lane, every trial touches disjoint
-/// elements, and parallel_for_slotted's join publishes the results (see
-/// the contract note in campaign.h).
+/// CampaignSession's trial loop: runs `trials` trials on the first `lanes`
+/// entries of `workers`, on `pool` (at least lanes - 1 workers) when
+/// lanes > 1. Every worker must already be built. Trial t always consumes
+/// stream t and writes slot t, so the result is bit-identical for any lane
+/// count and hand-out order. Lock-free by construction: `streams`, `order`
+/// and both result vectors are fully sized before the fan-out, the atomic
+/// counter hands each trial to exactly one lane, every trial touches
+/// disjoint elements, and parallel_for_slotted's join publishes the results
+/// (see the contract note in campaign.h).
 CampaignResult run_trials(std::vector<CampaignWorker>& workers,
-                          std::size_t lanes, std::size_t resync,
-                          ut::ThreadPool* pool, const CampaignConfig& config,
-                          std::size_t trials) {
+                          std::size_t lanes, ut::ThreadPool* pool,
+                          const CampaignConfig& config, std::size_t trials) {
   CampaignResult result;
   result.accuracies.assign(trials, 0.0);
   result.flip_counts.assign(trials, 0);
@@ -86,7 +83,6 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
   std::atomic<std::size_t> next{0};
   const auto run_lane = [&](std::size_t lane) {
     CampaignWorker& w = workers[lane];
-    if (lane < resync && w.sync) w.sync(/*source_changed=*/false);
     for (std::size_t i = next++; i < trials; i = next++) {
       const std::size_t t = order[i];
       const InjectionRecord rec = w.injector->inject(model, streams[t]);
@@ -124,23 +120,7 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
 
 CampaignResult run_campaign(const WorkerFactory& make_worker,
                             const CampaignConfig& config) {
-  const std::size_t trials =
-      config.trials > 0 ? static_cast<std::size_t>(config.trials) : 0;
-  if (trials == 0) {
-    CampaignResult empty;
-    aggregate(empty);
-    return empty;
-  }
-  const std::size_t lanes = lane_count_for(config, trials);
-  // Every lane is built before the first trial runs: replica lanes
-  // typically clone the lane-0 model, which the campaign is about to
-  // corrupt, so construction must not overlap the trials.
-  std::vector<CampaignWorker> workers;
-  workers.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) workers.push_back(make_worker(i));
-  std::unique_ptr<ut::ThreadPool> pool;
-  if (lanes > 1) pool = std::make_unique<ut::ThreadPool>(lanes - 1);
-  return run_trials(workers, lanes, /*resync=*/0, pool.get(), config, trials);
+  return CampaignSession(make_worker).run(config);
 }
 
 CampaignResult run_campaign(Injector& injector,
@@ -175,30 +155,18 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
   }
   const std::size_t lanes = lane_count_for(config, trials);
 
-  // Lanes cached before this run that re-snapshot on their own thread.
-  std::size_t resync = 0;
+  // Every lane is built on the calling thread before the first trial runs:
+  // replica lanes typically clone the lane-0 model, which the trials are
+  // about to corrupt. After invalidate(), rebuild every cached lane (not
+  // only the ones this run uses — a lane skipped now must not carry stale
+  // bounds into a later, wider run), in lane order so that lane 0 is
+  // rebuilt before the replicas clone it.
   if (stale_) {
-    // The source model changed: re-sync every cached lane (not only the
-    // ones this run uses — a lane skipped now must not carry stale bounds
-    // into a later, wider run), serially and before any trial, because
-    // replicas copy from the lane-0 model. Lanes without a sync hook cannot
-    // be refreshed in place and are rebuilt from the factory.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (workers_[i].sync) {
-        workers_[i].sync(/*source_changed=*/true);
-      } else {
-        workers_[i] = make_worker_(i);
-      }
+      workers_[i] = make_worker_(i);
     }
     stale_ = false;
-  } else {
-    // Reuse: each lane re-snapshots its clean image, mirroring the
-    // snapshot a freshly built worker would take of the restored
-    // (quantisation round-tripped) parameters. Keeps session results
-    // byte-identical to fresh-replica runs.
-    resync = std::min(workers_.size(), lanes);
   }
-
   // Grow the lane set if this run needs more lanes than any earlier one.
   // New lanes clone the source as it stands now, exactly like a fresh run.
   workers_.reserve(lanes);
@@ -209,7 +177,7 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
     pool_.reset();  // join the old workers before starting the new ones
     pool_ = std::make_unique<ut::ThreadPool>(lanes - 1);
   }
-  return run_trials(workers_, lanes, resync, pool_.get(), config, trials);
+  return run_trials(workers_, lanes, pool_.get(), config, trials);
 }
 
 }  // namespace fitact::fault

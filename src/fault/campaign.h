@@ -18,8 +18,8 @@
 //
 // Threads: a CampaignSession owns one ut::ThreadPool of lanes - 1 workers
 // for its lifetime (rebuilt only when a run needs more lanes); the calling
-// thread runs lane 0 and each pool worker one other lane. The one-shot
-// run_campaign builds a pool per call.
+// thread runs lane 0 and each pool worker one other lane. run_campaign is a
+// one-run session.
 //
 // Concurrency contract: the engine holds no locks of its own. Cross-thread
 // isolation comes from structure — trial t writes only result slot t and
@@ -27,11 +27,10 @@
 // races), the hand-out counter is the only shared mutable state, and each
 // lane runs on one thread at a time via ut::ThreadPool::parallel_for_slotted
 // over the lane indices, whose join publishes every lane's writes to the
-// calling thread. A reused lane's CampaignWorker::sync(false) runs on that
-// lane's thread while other lanes already run trials, so it may touch only
-// its own lane. The locking that backs this lives in the pool and is
-// annotated there (util/thread_annotations.h); the TSan CI lane checks the
-// disjointness claim dynamically.
+// calling thread. Lanes are built on the calling thread before the fan-out,
+// and a reused lane is untouched between runs. The locking that backs this
+// lives in the pool and is annotated there (util/thread_annotations.h); the
+// TSan CI lane checks the disjointness claim dynamically.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +48,10 @@ struct CampaignConfig {
   std::int64_t trials = 16;
   std::uint64_t seed = 1234;
   /// Worker lanes for the parallel engine: 1 runs serially on the calling
-  /// thread, 0 uses one lane per hardware thread. Only the factory overload
-  /// of run_campaign can use more than one lane (each lane needs its own
-  /// model replica); results are bit-identical for every value.
+  /// thread, 0 uses one lane per hardware thread. Only runs over a worker
+  /// factory (CampaignSession, the factory overload of run_campaign) can use
+  /// more than one lane (each lane needs its own model replica); results
+  /// are bit-identical for every value.
   ///
   /// Utilization note: inside a lane, nested kernel parallelism (GEMM /
   /// conv parallel_for) runs inline, while at threads = 1 evaluate() fans
@@ -86,22 +86,6 @@ struct CampaignWorker {
   std::shared_ptr<void> keepalive;
   Injector* injector = nullptr;
   std::function<double()> evaluate;
-  /// Optional hook for CampaignSession reuse: bring the lane back in sync
-  /// with its source before a run. Called with `source_changed` = true when
-  /// the session was invalidated (the source model was re-protected or its
-  /// parameters changed) — the lane must re-copy protection + state from
-  /// the source and re-snapshot its clean image. Those calls run serially
-  /// on the calling thread and finish before any trial starts. Called with
-  /// false on every later reuse — the lane only re-snapshots its clean
-  /// image from its own model, which mirrors the image a freshly built
-  /// worker would capture (the lane's model holds the restored,
-  /// quantisation-round-tripped parameters after the previous run). That
-  /// call runs on the lane's own thread, once, right before the lane's
-  /// first trial of the run, while other lanes may already run trials: it
-  /// must touch only this lane's state. Must leave `injector` valid.
-  /// Workers without the hook are rebuilt from the factory instead of
-  /// re-synced when the session is invalidated.
-  std::function<void(bool source_changed)> sync;
 };
 
 /// Builds the worker for one lane (0-based). Lane 0 may wrap the original
@@ -111,9 +95,9 @@ struct CampaignWorker {
 /// the trials then corrupt).
 using WorkerFactory = std::function<CampaignWorker(std::size_t lane)>;
 
-/// Runs the campaign over `config.threads` lanes built by `make_worker`.
-/// Each lane's model is restored to its clean image after every trial and
-/// at the end.
+/// Runs the campaign over `config.threads` lanes built by `make_worker`:
+/// CampaignSession(make_worker).run(config). Each lane's model is restored
+/// to its clean image after every trial and at the end.
 CampaignResult run_campaign(const WorkerFactory& make_worker,
                             const CampaignConfig& config);
 
@@ -128,16 +112,17 @@ CampaignResult run_campaign(Injector& injector,
 /// models, parameter images, injectors) and the threads that run them
 /// across every run() of a rate grid instead of rebuilding them per rate,
 /// which removes replica construction and thread start-up from the
-/// per-rate cost. Results are bit-identical to calling run_campaign with
-/// the same factory and config at every thread count: the trial-stream and
-/// slot contracts are unchanged, and before each reuse a lane re-snapshots
-/// its clean image (on its own thread) exactly as a fresh worker would.
+/// per-rate cost. A cached lane has one lifecycle: the factory builds it,
+/// its injector restores it after every trial, and the factory rebuilds it
+/// after invalidate(). Results are bit-identical to calling run_campaign
+/// with the same factory and config at every thread count: the trial-stream
+/// and slot contracts are unchanged, and a reused lane holds exactly the
+/// clean image a fresh one would (every clean word round-trips through
+/// quant::decode, so its restored model re-encodes to the same words).
 ///
 /// Call invalidate() whenever the source model the factory replicates from
-/// changes (re-protection, post-training): the next run() re-syncs every
-/// cached lane through its CampaignWorker::sync hook (lanes without the
-/// hook are rebuilt from the factory). Not thread-safe; drive one session
-/// from one thread.
+/// changes (re-protection, post-training). Not thread-safe; drive one
+/// session from one thread.
 class CampaignSession {
  public:
   explicit CampaignSession(WorkerFactory make_worker);
@@ -146,8 +131,8 @@ class CampaignSession {
   /// config needs more than any earlier run.
   CampaignResult run(const CampaignConfig& config);
 
-  /// Mark the cached lanes stale; the next run() re-syncs them from the
-  /// source before injecting.
+  /// Mark the cached lanes stale: the next run() first rebuilds every
+  /// cached lane from the factory, in lane order, on the calling thread.
   void invalidate() noexcept { stale_ = true; }
 
   /// Lanes currently cached (0 before the first run).

@@ -27,7 +27,12 @@ inline constexpr float kEpsilon = 1.0f / kScale;
 /// the representable range. NaN encodes to 0.
 [[nodiscard]] std::int32_t encode(float x) noexcept;
 
-/// Decode a Q1.15.16 word to float (exact; every word is representable).
+/// Decode a Q1.15.16 word to float. Not exact for every word: float keeps
+/// 24 significant bits, so a word above 2^24 in magnitude (one with a high
+/// integer bit set, such as a flipped one) decodes rounded and does not
+/// round-trip through encode. Every word encode produces does:
+/// encode(decode(encode(x))) == encode(x) for every float x, so a model
+/// restored from an image re-snapshots to the same clean words.
 [[nodiscard]] constexpr float decode(std::int32_t q) noexcept {
   return static_cast<float>(q) / kScale;
 }

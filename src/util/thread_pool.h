@@ -5,10 +5,9 @@
 // the hardware concurrency, and can be capped via set_global_threads
 // before first use. The fault-injection campaign engine runs its lanes on
 // a pool of its own instead: a fault::CampaignSession keeps one ThreadPool
-// of lanes - 1 workers for its lifetime (the one-shot fault::run_campaign
-// builds one per call), one lane per model replica; nested kernel
-// parallel_for calls from inside those lanes run inline (see tl_in_worker
-// in thread_pool.cpp).
+// of lanes - 1 workers for its lifetime (fault::run_campaign is a one-run
+// session), one lane per model replica; nested kernel parallel_for calls
+// from inside those lanes run inline (see tl_in_worker in thread_pool.cpp).
 //
 // Locking discipline (machine-checked under clang -Wthread-safety, see
 // util/thread_annotations.h): the task queue and the stop flag are guarded

@@ -2,6 +2,7 @@
 // a rate grid) and the init-skipping model construction path replicas use.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -108,7 +109,7 @@ TEST(CampaignSession, TouchForcesResyncAfterDirectMutation) {
                        campaign_at_rate(fresh, 1e-5, scale, 61), "warm-up");
 
   // Mutate both models identically outside protect_model (what the
-  // granularity/k ablations do); pm.touch() must trigger the re-sync.
+  // granularity/k ablations do); pm.touch() must trigger the rebuild.
   core::ProtectionOptions opts;
   opts.granularity = core::Granularity::per_layer;
   core::apply_protection(*cached.model, core::Scheme::ranger, opts);
@@ -207,7 +208,6 @@ TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {
       }
       return sum;
     };
-    w.sync = [ctx](bool) { ctx->image->refresh(); };
     return w;
   };
 
@@ -305,9 +305,8 @@ std::map<std::size_t, std::uint64_t> word_per_child(const CampaignLane& lane) {
 /// The lane's logits from the forward its top1() runs (a lane without
 /// changed words resumes from the deepest cut).
 Tensor resumed_logits(const CampaignLane& lane) {
-  const CleanPrefix& prefix = **lane.prefix;
-  return prefix.logits(*lane.model,
-                       prefix.dirty_child(lane.injector->lowest_word()));
+  return lane.prefix->logits(
+      *lane.model, lane.prefix->dirty_child(lane.injector->lowest_word()));
 }
 
 /// Forces one high-bit flip into each top-level child that owns words, plus
@@ -322,7 +321,7 @@ void expect_resumed_equals_full(const std::vector<fault::CampaignWorker>& worker
   const auto lane_of = [&](std::size_t i) -> CampaignLane& {
     return *std::static_pointer_cast<CampaignLane>(workers[i].keepalive);
   };
-  const CleanPrefix& prefix = **lane_of(0).prefix;
+  const CleanPrefix& prefix = *lane_of(0).prefix;
   EXPECT_FALSE(prefix.cut_children().empty()) << context;
   const Tensor clean = full_logits(*lane_of(0).model, subset, ec.batch_size);
   EXPECT_DOUBLE_EQ(prefix.clean_top1(), top1_of(clean, subset)) << context;
@@ -391,8 +390,8 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
     for (std::size_t l = 0; l < 4; ++l) workers.push_back(factory(l));
     // What CampaignSession::run does for its cached lanes once the source
     // changed (protect_model / touch() invalidate the session).
-    const auto resync = [&] {
-      for (auto& w : workers) w.sync(/*source_changed=*/true);
+    const auto rebuild = [&] {
+      for (std::size_t l = 0; l < workers.size(); ++l) workers[l] = factory(l);
     };
 
     for (const std::size_t lanes : {1u, 4u}) {
@@ -402,7 +401,7 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
     }
     (void)protect_model(pm, core::Scheme::fitrelu, scale,
                         /*skip_post_training=*/true);
-    resync();
+    rebuild();
     for (const std::size_t lanes : {1u, 4u}) {
       expect_resumed_equals_full(workers, lanes, *pm.test, subset, ec,
                                  name + " after protect_model, lanes " +
@@ -412,7 +411,7 @@ TEST(CleanPrefix, ResumedTrialsEqualFullForwardsOnEveryZooModel) {
     opts.granularity = core::Granularity::per_layer;
     core::apply_protection(*pm.model, core::Scheme::ranger, opts);
     pm.touch();
-    resync();
+    rebuild();
     for (const std::size_t lanes : {1u, 4u}) {
       expect_resumed_equals_full(workers, lanes, *pm.test, subset, ec,
                                  name + " after touch, lanes " +
@@ -470,16 +469,73 @@ TEST(CleanPrefix, SessionTrialsEqualFullForwardCampaigns) {
   }
 }
 
+// A reused lane is not re-snapshotted between runs: its injector restored
+// the model after every trial, and every clean word round-trips through
+// quant::decode, so a fresh image over the lane's model must reproduce the
+// lane's own clean words bit for bit. Checked after every run of a rate
+// that flips many words, on every zoo model, under clip_act, ranger and
+// post-trained FitReLU (whose bounds the post-training moves off the
+// fixed-point grid).
+TEST(CampaignSession, RestoredLanesReencodeToTheirCleanWords) {
+  ExperimentScale scale = tiny_scale();
+  scale.train_size = 32;
+  scale.profile_samples = 16;
+  EvalConfig ec;
+  ec.batch_size = 8;
+  ec.max_samples = 9;
+  const std::pair<std::string, float> zoo[] = {
+      {"tinycnn", 0.25f},
+      {"alexnet", 0.0625f},
+      {"vgg16", 0.0625f},
+      {"resnet50", 0.03125f}};
+  for (const auto& [name, width] : zoo) {
+    PreparedModel pm = untrained_model(name, width, scale);
+    std::vector<std::shared_ptr<CampaignLane>> lanes;
+    fault::CampaignSession session(
+        [&lanes, base = make_campaign_worker_factory(pm, ec)](std::size_t l) {
+          fault::CampaignWorker w = base(l);
+          lanes.resize(std::max(lanes.size(), l + 1));
+          lanes[l] = std::static_pointer_cast<CampaignLane>(w.keepalive);
+          return w;
+        });
+    fault::CampaignConfig cc;
+    cc.bit_error_rate = 1e-3;  // every trial flips ~3% of the words
+    cc.trials = 8;
+    cc.threads = 4;
+    for (const core::Scheme scheme :
+         {core::Scheme::clip_act, core::Scheme::ranger,
+          core::Scheme::fitrelu}) {
+      (void)protect_model(pm, scheme, scale);
+      session.invalidate();
+      for (const std::uint64_t seed : {91u, 92u}) {
+        cc.seed = seed;
+        const fault::CampaignResult result = session.run(cc);
+        ASSERT_EQ(lanes.size(), 4u);
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+          const quant::ParamImage fresh(*lanes[l]->model,
+                                        /*include_buffers=*/false);
+          EXPECT_EQ(fresh.clean_words(), lanes[l]->image->clean_words())
+              << name << " " << core::to_string(scheme) << ", seed "
+              << seed << ", lane " << l;
+        }
+        EXPECT_GT(*std::min_element(result.flip_counts.begin(),
+                                    result.flip_counts.end()),
+                  0u);
+      }
+    }
+  }
+}
+
 // --- engine fan-out ------------------------------------------------------
 
 /// A generic worker factory whose lanes log every call the engine makes:
-/// builds, both kinds of sync, and evaluate, each with its thread. Every
-/// lane is an identical tinycnn whose model holds its decoded clean image
-/// from the start, and evaluate() sums the lane's parameters, so a trial's
-/// result depends on its faults alone.
+/// builds and evaluates, each with its thread. Every lane is an identical
+/// tinycnn whose model holds its decoded clean image from the start, and
+/// evaluate() sums the lane's parameters, so a trial's result depends on
+/// its faults alone.
 class LoggingLanes {
  public:
-  enum class Call { build, sync_changed, sync_reuse, evaluate };
+  enum class Call { build, evaluate };
   struct Entry {
     Call call;
     std::size_t lane;
@@ -516,10 +572,6 @@ class LoggingLanes {
           for (const float v : p.var.value().span()) sum += v;
         }
         return sum;
-      };
-      w.sync = [this, ctx, lane](bool source_changed) {
-        log(source_changed ? Call::sync_changed : Call::sync_reuse, lane);
-        ctx->image->refresh();
       };
       return w;
     };
@@ -563,68 +615,46 @@ fault::CampaignConfig engine_config(std::size_t threads, std::uint64_t seed) {
   return cfg;
 }
 
-TEST(CampaignEngine, ReusedLanesResyncOnTheirOwnThreadBeforeTheirFirstTrial) {
+/// One run's log, split into the lanes it built (in build order) and its
+/// trial count. Every build must run on the calling thread before the
+/// run's first trial, lane 0's trials on the calling thread and every other
+/// lane's on a pool worker.
+struct RunLog {
+  std::vector<std::size_t> built;
+  std::size_t trials = 0;
+};
+
+RunLog split_run_log(const std::vector<LoggingLanes::Entry>& calls) {
+  const std::thread::id caller = std::this_thread::get_id();
+  RunLog run;
+  for (const auto& c : calls) {
+    if (c.call == LoggingLanes::Call::build) {
+      run.built.push_back(c.lane);
+      EXPECT_EQ(run.trials, 0u)
+          << "lane " << c.lane << " was built after a trial started";
+      EXPECT_EQ(c.thread, caller) << "lane " << c.lane;
+    } else {
+      ++run.trials;
+      EXPECT_EQ(c.thread == caller, c.lane == 0) << "lane " << c.lane;
+    }
+  }
+  return run;
+}
+
+TEST(CampaignEngine, ReuseRunBuildsOnlyItsNewLanes) {
   LoggingLanes logged;
   fault::CampaignSession session(logged.factory());
   (void)session.run(engine_config(4, 505));
   (void)logged.take();
 
-  // A wider reuse run: lanes 0-3 re-sync, lanes 4 and 5 are built for it.
+  // A wider reuse run: lanes 0-3 are used as the last run left them, lanes
+  // 4 and 5 are built for it.
   const fault::CampaignConfig wide = engine_config(6, 506);
   const fault::CampaignResult result = session.run(wide);
-  const auto calls = logged.take();
-  const std::thread::id caller = std::this_thread::get_id();
-  std::size_t first_trial = calls.size();
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    if (calls[i].call == LoggingLanes::Call::evaluate) {
-      first_trial = std::min(first_trial, i);
-    }
-    if (calls[i].call == LoggingLanes::Call::build) {
-      EXPECT_GE(calls[i].lane, 4u);
-      EXPECT_LT(i, first_trial) << "lane " << calls[i].lane
-                                << " was built after a trial started";
-    }
-  }
-  std::size_t trials = 0;
-  for (std::size_t lane = 0; lane < 6; ++lane) {
-    SCOPED_TRACE(::testing::Message() << "lane " << lane);
-    std::size_t syncs = 0;
-    std::size_t lane_trials = 0;
-    std::thread::id sync_thread;
-    for (const auto& c : calls) {
-      if (c.lane != lane) continue;
-      switch (c.call) {
-        case LoggingLanes::Call::build:
-          break;
-        case LoggingLanes::Call::sync_changed:
-          ADD_FAILURE() << "source_changed re-sync in a reuse run";
-          break;
-        case LoggingLanes::Call::sync_reuse:
-          ++syncs;
-          sync_thread = c.thread;
-          EXPECT_EQ(lane_trials, 0u) << "re-synced after its first trial";
-          break;
-        case LoggingLanes::Call::evaluate:
-          ++lane_trials;
-          if (syncs > 0) {
-            EXPECT_EQ(c.thread, sync_thread);
-          }
-          break;
-      }
-    }
-    trials += lane_trials;
-    // Lanes built for this run snapshot their image when built.
-    EXPECT_EQ(syncs, lane < 4 ? 1u : 0u);
-    // Lane 0 runs on the calling thread, every other lane on a worker.
-    if (syncs > 0) {
-      if (lane == 0) {
-        EXPECT_EQ(sync_thread, caller);
-      } else {
-        EXPECT_NE(sync_thread, caller);
-      }
-    }
-  }
-  EXPECT_EQ(trials, 8u);
+  const RunLog run = split_run_log(logged.take());
+  EXPECT_EQ(run.built, (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(run.trials, 8u);
+  EXPECT_EQ(session.lane_count(), 6u);
 
   // The hand-out order changed which lane ran a trial and when, not what
   // the trial read or where its result went.
@@ -636,7 +666,7 @@ TEST(CampaignEngine, ReusedLanesResyncOnTheirOwnThreadBeforeTheirFirstTrial) {
                        "6 lanes vs 1");
 }
 
-TEST(CampaignEngine, SourceChangedResyncFinishesBeforeAnyTrial) {
+TEST(CampaignEngine, InvalidateRebuildsEveryLaneInOrderBeforeAnyTrial) {
   LoggingLanes logged;
   fault::CampaignSession session(logged.factory());
   (void)session.run(engine_config(4, 606));
@@ -644,22 +674,9 @@ TEST(CampaignEngine, SourceChangedResyncFinishesBeforeAnyTrial) {
 
   session.invalidate();
   (void)session.run(engine_config(4, 607));
-  std::size_t syncs = 0;
-  std::size_t trials = 0;
-  for (const auto& c : logged.take()) {
-    if (c.call == LoggingLanes::Call::sync_changed) {
-      ++syncs;
-      EXPECT_EQ(trials, 0u) << "lane " << c.lane
-                            << " re-synced after a trial started";
-      EXPECT_EQ(c.thread, std::this_thread::get_id());
-    } else {
-      // Lanes re-synced from the source do not re-snapshot again.
-      EXPECT_EQ(c.call, LoggingLanes::Call::evaluate) << "lane " << c.lane;
-      ++trials;
-    }
-  }
-  EXPECT_EQ(syncs, 4u);
-  EXPECT_EQ(trials, 8u);
+  const RunLog run = split_run_log(logged.take());
+  EXPECT_EQ(run.built, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(run.trials, 8u);
 }
 
 TEST(CampaignEngine, ThrowingTrialLeavesEveryLaneCleanAndTheSessionUsable) {

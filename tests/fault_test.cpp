@@ -542,11 +542,11 @@ TEST(Campaign, MoreLanesThanTrials) {
   EXPECT_EQ(serial.accuracies, r.accuracies);
 }
 
-TEST(Campaign, SessionWithoutSyncHookRebuildsOnInvalidate) {
-  // Lanes clone a shared source at build time and carry no sync hook: an
-  // invalidated session must rebuild them through the factory. A stale lane
-  // would keep evaluating the pre-mutation parameter values, so reuse
-  // instead of rebuild shows up as a result difference.
+TEST(Campaign, SessionRebuildsEveryCachedLaneOnInvalidate) {
+  // Lanes clone a shared source at build time: an invalidated session must
+  // rebuild them through the factory. A stale lane would keep evaluating
+  // the pre-mutation parameter values, so reuse instead of rebuild shows up
+  // as a result difference.
   const auto source = small_net(3);
   const auto make_source_clone_worker = [&source](std::size_t) {
     struct Lane {
@@ -591,6 +591,21 @@ TEST(Campaign, SessionWithoutSyncHookRebuildsOnInvalidate) {
   // The mutation must be visible in the results, or the rebuild check
   // above would pass vacuously on stale lanes.
   EXPECT_NE(first.accuracies, rebuilt.accuracies);
+
+  // A narrow run after invalidate() still rebuilds the lanes it does not
+  // use: lanes 2 and 3 must not carry the old source into the wider run.
+  source->named_parameters()[0].var.value()[0] += 1.0f;
+  session.invalidate();
+  for (const std::size_t threads : {2u, 4u}) {
+    cfg.threads = threads;
+    const CampaignResult cached = session.run(cfg);
+    const CampaignResult fresh_run = run_campaign(make_source_clone_worker, cfg);
+    EXPECT_EQ(fresh_run.accuracies, cached.accuracies)
+        << "threads = " << threads;
+    EXPECT_EQ(fresh_run.flip_counts, cached.flip_counts)
+        << "threads = " << threads;
+  }
+  EXPECT_EQ(session.lane_count(), 4u);
 }
 
 TEST(Campaign, ReproducibleWithSameSeed) {
