@@ -179,6 +179,46 @@ void BM_ActivationFitReluScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   activation_bench(state, core::Scheme::fitrelu);
 }
+
+// FitReLU (k = 8, per-neuron bounds) on inputs drawn to match the census of
+// a post-trained FitAct vgg16's activation inputs: ~52% have x <= 0, ~36%
+// have t = k(l - x) >= 17, where the output is exactly x, and ~12% need the
+// exp; 63% of aligned 8-lane groups hold no lane that needs it.
+// BM_ActivationFitRelu's uniform inputs give almost no such group.
+void BM_ActivationFitReluCensus(benchmark::State& state) {
+  constexpr std::int64_t kFeat = 16 * 16 * 16;
+  ut::Rng rng(3);
+  core::ActivationConfig cfg;
+  cfg.scheme = core::Scheme::fitrelu;
+  cfg.granularity = core::Granularity::per_neuron;
+  core::BoundedActivation act(cfg);
+  const Tensor bounds = Tensor::rand_uniform(Shape{kFeat}, rng, 3.0f, 5.0f);
+  act.set_bounds(bounds, true);
+  Tensor x(Shape{4, 16, 16, 16});
+  for (std::int64_t group = 0; group < x.numel(); group += 8) {
+    // 37% of groups mix in exp lanes, at 31.6% of their lanes (11.7% of
+    // all); the other lanes split 59:41 between x <= 0 and t >= 17.6.
+    const bool mixed = rng.uniform(0.0f, 1.0f) < 0.37f;
+    for (std::int64_t i = group; i < group + 8; ++i) {
+      const float l = bounds[i % kFeat];
+      if (mixed && rng.uniform(0.0f, 1.0f) < 0.316f) {
+        x[i] = rng.uniform(l - 2.0f, l + 1.0f);  // t in (-8, 16]
+      } else if (rng.uniform(0.0f, 1.0f) < 0.59f) {
+        x[i] = rng.uniform(-3.0f, 0.0f);
+      } else {
+        x[i] = rng.uniform(0.05f, l - 2.2f);
+      }
+    }
+  }
+  const Variable xv(x, false);
+  const NoGradGuard no_grad;
+  for (auto _ : state) {
+    const Variable y = act.forward(xv);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * kFeat);
+}
+
 BENCHMARK(BM_ActivationRelu);
 BENCHMARK(BM_ActivationClipAct);
 BENCHMARK(BM_ActivationClipActScalar);
@@ -186,6 +226,7 @@ BENCHMARK(BM_ActivationRanger);
 BENCHMARK(BM_ActivationFitReluNaive);
 BENCHMARK(BM_ActivationFitRelu);
 BENCHMARK(BM_ActivationFitReluScalar);
+BENCHMARK(BM_ActivationFitReluCensus);
 
 // Whole-model inference A/B: the eager forward (fresh tensors per op, graph
 // bookkeeping) vs the recorded plan (pre-planned arena, zero steady-state

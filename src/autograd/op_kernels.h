@@ -183,7 +183,7 @@ inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
 /// alone (never from the batch, the backend or the values):
 ///   batch_wide — a per-sample output map under kSgemmTileN positions, too
 ///                narrow for sgemm's register tile: one GEMM over the
-///                whole batch's im2col matrix.
+///                whole batch's column matrix (im2col_batch).
 ///   direct     — stride 1 otherwise: kern::conv_direct per sample, over a
 ///                zero-bordered copy of the sample (pad 0: the input
 ///                itself), with no im2col matrix.
@@ -197,7 +197,7 @@ enum class ConvRoute { batch_wide, direct, im2col };
 }
 
 /// Scratch floats conv2d_forward needs for `batch` samples: batch-wide the
-/// whole batch's im2col matrix plus the GEMM product, direct one
+/// whole batch's column matrix plus the GEMM product, direct one
 /// zero-bordered input sample (none at pad 0), im2col one sample's matrix.
 [[nodiscard]] inline std::int64_t conv2d_scratch_floats(
     const Conv2dGeometry& geo, std::int64_t out_c,
@@ -217,15 +217,16 @@ enum class ConvRoute { batch_wide, direct, im2col };
 }
 
 /// conv2d forward over `batch` NCHW samples, the one routine behind the
-/// eager op and the plans' conv ops, by conv2d_route. Batch-wide, im2col
-/// every sample into one [C*k*k, batch*h*w] matrix, run one GEMM, then
-/// scatter to NCHW and add the bias. Direct, copy each sample into the
-/// scratch plane's interior (its zero border is written once per call) and
-/// run kern::conv_direct, then add the bias. Every route computes each
-/// output element as the same k-ordered multiply-add chain (sgemm's
-/// per-element contract, which conv_direct keeps), so the results are
-/// bit-identical to conv2d_forward_sample on every backend and for any
-/// split of a batch across calls.
+/// eager op and the plans' conv ops, by conv2d_route. Batch-wide, build
+/// the whole batch's [C*k*k, batch*h*w] column matrix with im2col_batch
+/// (each row in one pass over the batch; sample s's columns are its
+/// im2col), run one GEMM, then scatter to NCHW and add the bias. Direct,
+/// copy each sample into the scratch plane's interior (its zero border is
+/// written once per call) and run kern::conv_direct, then add the bias.
+/// Every route computes each output element as the same k-ordered
+/// multiply-add chain (sgemm's per-element contract, which conv_direct
+/// keeps), so the results are bit-identical to conv2d_forward_sample on
+/// every backend and for any split of a batch across calls.
 inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
                            std::int64_t batch, const float* x, const float* w,
                            const float* bias_or_null, float* scratch,
@@ -272,9 +273,7 @@ inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
   const std::int64_t n = batch * ohw;
   float* const col = scratch;
   float* const product = scratch + ckk * n;
-  for (std::int64_t s = 0; s < batch; ++s) {
-    im2col(geo, x + s * in_stride, col + s * ohw, n);
-  }
+  im2col_batch(geo, batch, x, col);
   sgemm(false, false, out_c, n, ckk, 1.0f, w, ckk, col, n, 0.0f, product, n);
   for (std::int64_t s = 0; s < batch; ++s) {
     for (std::int64_t c = 0; c < out_c; ++c) {

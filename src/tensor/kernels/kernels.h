@@ -39,14 +39,17 @@
 //     through the same chain as its backend's gemm_panel, so it equals
 //     im2col + sgemm bit for bit on one backend and inherits GEMM's bound
 //     across backends.
-//   * No kernel skips work based on operand values: a NaN or Inf anywhere
-//     in the inputs reaches the output exactly as IEEE arithmetic dictates.
-//     (Hardware faults produce exactly these values; swallowing them blinds
-//     the fault detector. gemm_fuzz_test pins this; conv_direct multiplies
-//     its border zeros like any operand, which autograd_test pins.) The one deliberate
-//     exception is the clamp cascade of clipped_relu, which maps a NaN to 0
-//     or b by its branch structure — and counts it as a clamp event, so the
-//     detector still sees it.
+//   * No kernel skips work based on operand values where that could change
+//     a result: a NaN or Inf anywhere in the inputs reaches the output
+//     exactly as IEEE arithmetic dictates. (Hardware faults produce exactly
+//     these values; swallowing them blinds the fault detector.
+//     gemm_fuzz_test pins this; conv_direct multiplies its border zeros
+//     like any operand, which autograd_test pins.) fitrelu skips its exp
+//     only where the full formula's result is exactly 0 or x, and a NaN
+//     fails that test (kernels_test pins it against the full formula). The
+//     one deliberate exception is the clamp cascade of clipped_relu, which
+//     maps a NaN to 0 or b by its branch structure — and counts it as a
+//     clamp event, so the detector still sees it.
 #pragma once
 
 #include <cstdint>
@@ -207,7 +210,10 @@ std::uint64_t count_over_bound(const float* x, const float* bound,
 /// t = k * (l - x):
 ///   x <= 0  -> 0
 ///   else    -> x * s, s = (t >= 0 ? 1 : e) / (1 + e), e = table_expf(-|t|)
-/// s is the sigmoid of t; a NaN x, or a NaN t where x > 0, gives NaN.
+/// s is the sigmoid of t; a NaN x, or a NaN t where x > 0, gives NaN. For
+/// t >= 17, e < 2^-24 and 1 + e rounds to 1, so the result is exactly x:
+/// both backends return it without the exp (avx2 for any 8-lane vector
+/// whose lanes are all x <= 0 or t >= 17), which changes no output bit.
 /// Returns the number of elements with !(x <= l) (a NaN x counts, as in
 /// clipped_relu) when `count` is set, 0 otherwise.
 std::uint64_t fitrelu(const float* x, const float* lambda,

@@ -511,16 +511,25 @@ inline __m256 exp8_nonpositive(__m256 a) noexcept {
 
 /// The scalar backend's fitrelu1 on 8 lanes: x <= 0 -> 0, else
 /// x * ((t >= 0 ? 1 : e) / (1 + e)) with t = k * (l - x), e = exp(-|t|).
+/// That is exactly x where t >= kFitReluUnitT, so a vector whose every lane
+/// has x <= 0 or t >= kFitReluUnitT (NaN fails both) skips the exp halves
+/// and the divide.
 inline __m256 fitrelu8(__m256 x, __m256 l, __m256 k) noexcept {
   const __m256 zero = _mm256_setzero_ps();
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 t = _mm256_mul_ps(k, _mm256_sub_ps(l, x));
+  const __m256 nonpos = _mm256_cmp_ps(x, zero, _CMP_LE_OQ);
+  const __m256 unit =
+      _mm256_cmp_ps(t, _mm256_set1_ps(kFitReluUnitT), _CMP_GE_OQ);
+  if (_mm256_movemask_ps(_mm256_or_ps(nonpos, unit)) == 0xff) {
+    return _mm256_blendv_ps(x, zero, nonpos);
+  }
   const __m256 e = exp8_nonpositive(_mm256_or_ps(t, _mm256_set1_ps(-0.0f)));
   const __m256 num =
       _mm256_blendv_ps(e, one, _mm256_cmp_ps(t, zero, _CMP_GE_OQ));
   const __m256 y =
       _mm256_mul_ps(x, _mm256_div_ps(num, _mm256_add_ps(one, e)));
-  return _mm256_blendv_ps(y, zero, _mm256_cmp_ps(x, zero, _CMP_LE_OQ));
+  return _mm256_blendv_ps(y, zero, nonpos);
 }
 
 /// One span of n elements under one bound (*l) or, when kRowwise, the bound

@@ -231,10 +231,12 @@ std::uint64_t scalar_count_over_bound(const float* x, const float* bound,
 /// for x > 0, else 0. The sigmoid is 1 / (1 + e) for t >= 0 and e / (1 + e)
 /// below, with e = exp(-|t|) in both cases: the same values
 /// ag::stable_sigmoid computes, from one exp argument that is never
-/// positive and one division.
+/// positive and one division. From t = kFitReluUnitT on that value is
+/// exactly x, which is returned without the exp.
 inline float fitrelu1(float x, float l, float k) noexcept {
   if (x <= 0.0f) return 0.0f;
   const float t = k * (l - x);
+  if (t >= kFitReluUnitT) return x;
   const float e = table_expf(-std::fabs(t));
   return x * ((t >= 0.0f ? 1.0f : e) / (1.0f + e));
 }

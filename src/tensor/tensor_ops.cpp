@@ -1,6 +1,7 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -140,8 +141,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void im2col(const Conv2dGeometry& g, const float* image, float* col,
-            std::int64_t ld) {
+void im2col(const Conv2dGeometry& g, const float* image, float* col) {
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t hw = g.in_h * g.in_w;
@@ -150,7 +150,7 @@ void im2col(const Conv2dGeometry& g, const float* image, float* col,
     const float* chan = image + c * hw;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        float* dst = col + row * ld;
+        float* dst = col + row * oh * ow;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + kh - g.padding;
           if (iy < 0 || iy >= g.in_h) {
@@ -161,9 +161,12 @@ void im2col(const Conv2dGeometry& g, const float* image, float* col,
           const std::int64_t x0 = kw - g.padding;  // ix = x*stride + x0
           if (g.stride == 1) {
             // Contiguous copy of the valid middle, zero-fill the borders.
-            std::int64_t x_lo = std::max<std::int64_t>(0, -x0);
-            std::int64_t x_hi = std::min<std::int64_t>(ow, g.in_w - x0);
-            if (x_hi < x_lo) x_hi = x_lo;
+            // A tap whose columns all fall in the padding (a kernel wider
+            // than the map) zero-fills the whole row and copies nothing.
+            const std::int64_t x_lo =
+                std::min(ow, std::max<std::int64_t>(0, -x0));
+            const std::int64_t x_hi =
+                std::max(x_lo, std::min<std::int64_t>(ow, g.in_w - x0));
             std::fill_n(dst + y * ow, static_cast<std::size_t>(x_lo), 0.0f);
             if (x_hi > x_lo) {
               std::memcpy(dst + y * ow + x_lo, src_row + x0 + x_lo,
@@ -179,6 +182,45 @@ void im2col(const Conv2dGeometry& g, const float* image, float* col,
                   (ix >= 0 && ix < g.in_w) ? src_row[ix] : 0.0f;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+void im2col_batch(const Conv2dGeometry& g, std::int64_t batch,
+                  const float* images, float* col) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t ohw = oh * ow;
+  assert(ohw < kSgemmTileN);
+  const std::int64_t hw = g.in_h * g.in_w;
+  const std::int64_t in_stride = g.in_channels * hw;
+  const std::int64_t n = batch * ohw;
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  // Per output position, the offset in its channel plane that tap (kh, kw)
+  // reads, or -1 where the tap lies in the padding.
+  std::int64_t src[kSgemmTileN - 1];
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      for (std::int64_t y = 0; y < oh; ++y) {
+        const std::int64_t iy = y * g.stride + kh - g.padding;
+        for (std::int64_t x = 0; x < ow; ++x) {
+          const std::int64_t ix = x * g.stride + kw - g.padding;
+          src[y * ow + x] = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w
+                                ? iy * g.in_w + ix
+                                : -1;
+        }
+      }
+      for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        const float* plane = images + c * hw;
+        float* dst = col + (c * taps + kh * g.kernel_w + kw) * n;
+        for (std::int64_t s = 0; s < batch; ++s) {
+          for (std::int64_t p = 0; p < ohw; ++p) {
+            dst[p] = src[p] < 0 ? 0.0f : plane[src[p]];
+          }
+          plane += in_stride;
+          dst += ohw;
         }
       }
     }

@@ -64,16 +64,17 @@ struct Conv2dGeometry {
 };
 
 /// Expand one image [C,H,W] into the column matrix [C*kH*kW, Hout*Wout].
-/// `image` points at C*H*W floats; `col` at col_rows() rows spaced `ld`
-/// floats apart (ld >= col_cols(); a batch-wide conv lays its samples side
-/// by side in one matrix).
-void im2col(const Conv2dGeometry& g, const float* image, float* col,
-            std::int64_t ld);
+/// `image` points at C*H*W floats; `col` at col_rows()*col_cols().
+void im2col(const Conv2dGeometry& g, const float* image, float* col);
 
-/// The same into a packed [col_rows(), col_cols()] matrix.
-inline void im2col(const Conv2dGeometry& g, const float* image, float* col) {
-  im2col(g, image, col, g.col_cols());
-}
+/// The batch-wide conv's column matrix: `batch` images [C,H,W], packed one
+/// after another, side by side in one [C*kH*kW, batch*Hout*Wout] matrix,
+/// whose columns [s*col_cols(), (s+1)*col_cols()) are sample s's im2col.
+/// Only for output maps under kSgemmTileN (tensor/gemm.h) positions: each
+/// tap's source offsets for the map sit in one stack table, and each matrix
+/// row is written for the whole batch in one pass.
+void im2col_batch(const Conv2dGeometry& g, std::int64_t batch,
+                  const float* images, float* col);
 
 /// Scatter-accumulate a column matrix back into an image gradient buffer
 /// (which must be zero-initialised by the caller).

@@ -481,35 +481,61 @@ TEST(Ops, Conv2dBatchWideMatchesPerSampleBitForBit) {
     const std::string be = kern::backend_name(backend);
     // Batch-wide boundary. Channel counts straddle the tile (so the
     // per-sample GEMM runs both its narrow and its row-panel orientation)
-    // and C*k*k straddles sgemm's K block.
-    for (const std::int64_t stride : {1, 2}) {
-      for (const std::int64_t side : {1, 2, 3, 4}) {  // output map side
-        for (const std::int64_t batch : {1, 3, 64}) {
-          for (const bool with_bias : {false, true}) {
-            for (const auto& [in_c, out_c] :
-                 {std::pair<std::int64_t, std::int64_t>{3, 20}, {32, 6}}) {
-              Conv2dGeometry geo;
-              geo.in_channels = in_c;
-              geo.in_h = geo.in_w = stride * (side - 1) + 1;
-              geo.kernel_h = geo.kernel_w = 3;
-              geo.stride = stride;
-              geo.padding = 1;
-              ASSERT_EQ(geo.out_h(), side);
-              EXPECT_EQ(ag::conv2d_route(geo),
-                        side < 4      ? ag::ConvRoute::batch_wide
-                        : stride == 1 ? ag::ConvRoute::direct
-                                      : ag::ConvRoute::im2col);
-              const Tensor x = Tensor::randn(
-                  Shape{batch, in_c, geo.in_h, geo.in_w}, rng);
-              const Tensor w = Tensor::randn(Shape{out_c, in_c, 3, 3}, rng);
-              const Tensor b = Tensor::randn(Shape{out_c}, rng);
-              (void)expect_conv_matches_reference(
-                  geo, x, w, with_bias ? &b : nullptr,
-                  be + " stride " + std::to_string(stride) + " map " +
-                      std::to_string(side) + " batch " +
-                      std::to_string(batch) + " channels " +
-                      std::to_string(in_c) + "->" + std::to_string(out_c) +
-                      (with_bias ? " bias" : ""));
+    // and C*k*k straddles sgemm's K block. Kernels 1, 3 and 5 at the
+    // padding that keeps the map (kernel 5 on maps of one or two rows has
+    // whole taps in the padding); maps 1x1 to 4x4 and 3x5, the widest one
+    // that runs batch-wide. Every third case puts a NaN and an Inf on
+    // border taps of the first and last sample and an Inf on a weight that
+    // meets the padding.
+    int special_cycle = 0;
+    for (const auto& [kernel, pad] :
+         {std::pair<std::int64_t, std::int64_t>{3, 1}, {1, 0}, {5, 2}}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const auto& [oh, ow] :  // output map
+             {std::pair<std::int64_t, std::int64_t>{1, 1},
+              {2, 2},
+              {3, 3},
+              {4, 4},
+              {3, 5}}) {
+          for (const std::int64_t batch : {1, 3, 64}) {
+            for (const bool with_bias : {false, true}) {
+              for (const auto& [in_c, out_c] :
+                   {std::pair<std::int64_t, std::int64_t>{3, 20}, {32, 6}}) {
+                Conv2dGeometry geo;
+                geo.in_channels = in_c;
+                geo.in_h = stride * (oh - 1) + 1;
+                geo.in_w = stride * (ow - 1) + 1;
+                geo.kernel_h = geo.kernel_w = kernel;
+                geo.stride = stride;
+                geo.padding = pad;
+                ASSERT_EQ(geo.out_h(), oh);
+                ASSERT_EQ(geo.out_w(), ow);
+                EXPECT_EQ(ag::conv2d_route(geo),
+                          oh * ow < 16  ? ag::ConvRoute::batch_wide
+                          : stride == 1 ? ag::ConvRoute::direct
+                                        : ag::ConvRoute::im2col);
+                Tensor x = Tensor::randn(
+                    Shape{batch, in_c, geo.in_h, geo.in_w}, rng);
+                Tensor w =
+                    Tensor::randn(Shape{out_c, in_c, kernel, kernel}, rng);
+                const Tensor b = Tensor::randn(Shape{out_c}, rng);
+                const bool specials = ++special_cycle % 3 == 0;
+                if (specials) {
+                  x.data()[0] = std::nanf("");
+                  x.data()[x.numel() - 1] =
+                      std::numeric_limits<float>::infinity();
+                  w.data()[0] = std::numeric_limits<float>::infinity();
+                }
+                (void)expect_conv_matches_reference(
+                    geo, x, w, with_bias ? &b : nullptr,
+                    be + " k" + std::to_string(kernel) + " stride " +
+                        std::to_string(stride) + " map " +
+                        std::to_string(oh) + "x" + std::to_string(ow) +
+                        " batch " + std::to_string(batch) + " channels " +
+                        std::to_string(in_c) + "->" + std::to_string(out_c) +
+                        (with_bias ? " bias" : "") +
+                        (specials ? " NaN/Inf" : ""));
+              }
             }
           }
         }

@@ -2,7 +2,9 @@
 // flip sampler, injection/restore mechanics, and campaign behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -350,13 +352,27 @@ TEST(Injector, LowestDrawnWordPredictsInject) {
   EXPECT_TRUE(strict_bound);
 }
 
+/// Every parameter word of `net` as bits, in named_parameters() order.
+std::vector<std::uint32_t> param_bits(const nn::Module& net) {
+  std::vector<std::uint32_t> bits;
+  for (const auto& p : net.named_parameters()) {
+    for (const float v : p.var.value().span()) {
+      bits.push_back(std::bit_cast<std::uint32_t>(v));
+    }
+  }
+  return bits;
+}
+
+// After the run every parameter word is the clean image's, bit for bit: a
+// trial loop that skips its final restore() leaves the last trial's flips.
 TEST(Campaign, RunsTrialsAndRestores) {
   auto net = small_net();
   quant::ParamImage img(*net);
   img.restore();
-  const float clean0 = net->named_parameters()[0].var.value()[0];
+  const std::vector<std::uint32_t> clean = param_bits(*net);
   Injector inj(img);
   int evals = 0;
+  int faulted_evals = 0;
   CampaignConfig cfg;
   cfg.bit_error_rate = 1e-3;
   cfg.trials = 7;
@@ -364,13 +380,15 @@ TEST(Campaign, RunsTrialsAndRestores) {
       inj,
       [&] {
         ++evals;
+        faulted_evals += param_bits(*net) != clean ? 1 : 0;
         return 0.5;
       },
       cfg);
   EXPECT_EQ(evals, 7);
+  EXPECT_GT(faulted_evals, 0) << "no trial changed a parameter word";
   EXPECT_EQ(res.accuracies.size(), 7u);
   EXPECT_DOUBLE_EQ(res.mean_accuracy, 0.5);
-  EXPECT_EQ(net->named_parameters()[0].var.value()[0], clean0);
+  EXPECT_EQ(param_bits(*net), clean);
 }
 
 TEST(Campaign, StatisticsComputed) {

@@ -4,8 +4,9 @@
 // the values hardware faults produce (NaN, +-Inf, +-0, subnormals, huge
 // magnitudes), FitReLU exp arguments below expf's underflow threshold, span
 // lengths that are not multiples of the vector width, and every bound
-// extent (1, C, feat). table_expf, the exp inside fitrelu, is swept against
-// std::exp.
+// extent (1, C, feat). FitReLU's exp-free lanes are checked against its
+// formula evaluated in full, and table_expf, the exp inside fitrelu, is
+// swept against std::exp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/op_kernels.h"
@@ -246,6 +248,131 @@ TEST(KernelsNaN, CountedAsClampEventInVectorBodyAndTail) {
                           o.data(), n, true),
                   1u)
             << "fitrelu, " << where;
+      }
+    }
+  }
+}
+
+/// fitrelu's per-element formula (kernels.h) evaluated in full, with no
+/// shortcut: the exp and the division run for every x > 0.
+float fitrelu_full(float x, float l, float k) {
+  if (x <= 0.0f) return 0.0f;
+  const float t = k * (l - x);
+  const float e = table_expf(-std::fabs(t));
+  return x * ((t >= 0.0f ? 1.0f : e) / (1.0f + e));
+}
+
+// Both backends skip the exp where the output is exactly 0 or x: x <= 0, or
+// t = k(l - x) past the point where 1 + exp(-t) rounds to 1 (just above
+// 24 ln 2 = 16.64; the kernels use 17). The expected values come from
+// fitrelu_full, not from the other backend, so a threshold that is wrong
+// the same way on both backends still fails. Lanes sweep t over [10, 24],
+// straddle t = 17 and x = 0 by float neighbours, and carry NaN and +-Inf
+// in x, l and k. Under per-neuron bounds they are laid out in 8-lane
+// vectors that are all exp-free, all exp or mixed, and every prefix length
+// runs the masked tail; single bounds take the same x values. The event
+// count is !(x <= l) whatever path a lane takes.
+TEST(KernelsFitRelu, ExpFreeLanesMatchTheFullFormula) {
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  constexpr float kMin = std::numeric_limits<float>::min();
+  std::vector<Backend> backends{Backend::scalar};
+  if (avx2_supported()) backends.push_back(Backend::avx2);
+  for (const float k : {8.0f, 1.0f, 0.5f, -3.0f, 0.0f, kNaN, kInf, -kInf}) {
+    // Candidate (x, l) lanes.
+    std::vector<std::pair<float, float>> lanes;
+    const bool finite_k = std::isfinite(k) && k != 0.0f;
+    for (const float x : {0.5f, 3.0f, kDenorm, 1e-30f, 100.0f}) {
+      for (int step = 0; step <= 112; ++step) {  // t = 10, 10.125, ..., 24
+        const float t = 10.0f + 0.125f * static_cast<float>(step);
+        lanes.emplace_back(x, x + (finite_k ? t / k : t));
+      }
+      if (finite_k) {  // l - x = 17 / k, then its float neighbours
+        float up = x + 17.0f / k;
+        float down = up;
+        lanes.emplace_back(x, up);
+        for (int i = 0; i < 3; ++i) {
+          up = std::nextafter(up, kInf);
+          down = std::nextafter(down, -kInf);
+          lanes.emplace_back(x, up);
+          lanes.emplace_back(x, down);
+        }
+      }
+    }
+    // x straddling 0: signed zeros, denormals and the smallest normals.
+    for (const float x : {0.0f, -0.0f, kDenorm, -kDenorm, 1e-40f, -1e-40f,
+                          kMin, -kMin, -1.0f, -kInf}) {
+      for (const float l : {1.0f, 3.0f, 1e-39f, 0.0f, -2.0f}) {
+        lanes.emplace_back(x, l);
+      }
+    }
+    for (const float special : {kNaN, kInf, -kInf}) {
+      for (const float other : {0.5f, 3.0f, -1.0f, 0.0f}) {
+        lanes.emplace_back(special, other);
+        lanes.emplace_back(other, special);
+      }
+      lanes.emplace_back(special, special);
+    }
+    // Split them by path. The 17 only shapes the layout; expected values
+    // never use it.
+    std::vector<std::pair<float, float>> free_lanes;
+    std::vector<std::pair<float, float>> exp_lanes;
+    for (const auto& lane : lanes) {
+      const auto [x, l] = lane;
+      (x <= 0.0f || k * (l - x) >= 17.0f ? free_lanes : exp_lanes)
+          .push_back(lane);
+    }
+    ASSERT_FALSE(free_lanes.empty()) << "k=" << k;
+    ASSERT_FALSE(exp_lanes.empty()) << "k=" << k;
+    // Vectors by pattern (F exp-free, E exp) until both lists are used up.
+    static constexpr const char* kPatterns[] = {
+        "FFFFFFFF", "EEEEEEEE", "FEFEFEFE", "FFFFFFFE", "EFFFFFFF",
+        "EEEEEEEF"};
+    std::vector<float> x;
+    std::vector<float> l;
+    std::size_t next_free = 0;
+    std::size_t next_exp = 0;
+    for (std::size_t p = 0;
+         next_free < free_lanes.size() || next_exp < exp_lanes.size(); ++p) {
+      for (const char* c = kPatterns[p % std::size(kPatterns)]; *c; ++c) {
+        const auto& lane =
+            *c == 'F' ? free_lanes[next_free++ % free_lanes.size()]
+                      : exp_lanes[next_exp++ % exp_lanes.size()];
+        x.push_back(lane.first);
+        l.push_back(lane.second);
+      }
+    }
+    const auto size = static_cast<std::int64_t>(x.size());
+    for (std::int64_t n = size; n > size - 8; --n) {  // every tail length
+      // Bound extent n takes the per-neuron layout above, extent 1 one
+      // bound for every lane.
+      const auto check = [&](const float* bound, std::int64_t extent,
+                             const std::string& what) {
+        std::vector<float> want(static_cast<std::size_t>(n));
+        std::uint64_t want_events = 0;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const float li = bound[extent == 1 ? 0 : i];
+          want[i] = fitrelu_full(x[i], li, k);
+          want_events += !(x[i] <= li);
+        }
+        for (const Backend be : backends) {
+          for (const bool count : {false, true}) {
+            std::vector<float> got(want.size());
+            const std::uint64_t events = on(be, [&] {
+              return fitrelu(x.data(), bound, extent, n, 1, k, got.data(), n,
+                             count);
+            });
+            const std::string at = std::string(backend_name(be)) +
+                                   " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n) + " " + what +
+                                   " count=" + std::to_string(count);
+            expect_same(want, got, "fitrelu vs full formula, " + at);
+            EXPECT_EQ(events, count ? want_events : 0u) << at;
+          }
+        }
+      };
+      check(l.data(), n, "per-neuron");
+      for (const float& single : {2.625f, 0.0f, kInf}) {
+        check(&single, 1, "bound=" + std::to_string(single));
       }
     }
   }
