@@ -33,6 +33,7 @@
 #include "models/registry.h"
 #include "nn/serialize.h"
 #include "quant/param_image.h"
+#include "tensor/kernels/kernels.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -63,10 +64,15 @@ int main(int argc, char** argv) {
   pm.train = pm.test;
 
   std::printf("Campaign setup cost: %s (width %.3f, %lld params), "
-              "%zu lanes, %d-rate grid\n\n",
+              "%zu lanes, %d-rate grid\n",
               model_name.c_str(), width,
               static_cast<long long>(pm.model->parameter_count()), lanes,
               rates);
+  // Which kernel bodies this host ran, so a CI log shows whether its runner
+  // took the AVX-512 ones.
+  std::printf("kernels: backend %s, fp32 %s, int8 %s\n\n",
+              kern::backend_name(kern::active_backend()), kern::fp32_variant(),
+              kern::gemm_i8_variant());
 
   const auto avg_ms = [&](const auto& fn) {
     ut::Timer t;

@@ -31,7 +31,9 @@ using namespace fitact;
 // BM_ModelForwardPlannedScalar) are the kernel-dispatch A/B: the unsuffixed
 // form runs whatever backend the process resolved (AVX2 where supported),
 // the Scalar form pins the portable backend for the duration of the
-// benchmark. On a host without AVX2 the pairs coincide.
+// benchmark. On a host without AVX2 the pairs coincide. The GEMM and conv
+// rows are labelled with the fp32 variant they ran (kern::fp32_variant():
+// scalar, avx2, or avx2_avx512 where the avx2 tier runs the AVX-512 bodies).
 
 void sgemm_bench(benchmark::State& state) {
   const auto n = state.range(0);
@@ -45,6 +47,7 @@ void sgemm_bench(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetLabel(kern::fp32_variant());
 }
 
 void BM_Sgemm(benchmark::State& state) { sgemm_bench(state); }
@@ -76,6 +79,7 @@ void sgemm_narrow_bench(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  state.SetLabel(kern::fp32_variant());
 }
 
 void BM_SgemmNarrow(benchmark::State& state) { sgemm_narrow_bench(state); }
@@ -89,9 +93,10 @@ BENCHMARK(BM_SgemmNarrowScalar)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
 
 // Args: {channels in, channels out, map side, batch, kernel}; padding keeps
 // the map's side. Stride-1 convs over maps of 16+ positions run
-// kern::conv_direct per sample: vgg16's at the campaign's batch 64 and
-// resnet50's 1x1 32->8 on a 32x32 map at serving's batch 8. {64, 64, 2, 64,
-// 3} is vgg16's 2x2 convs, which run batch-wide.
+// kern::conv_direct per sample: vgg16's at the campaign's batch 64 (one
+// row per map size, plus its first conv) and resnet50's 1x1 32->8 on a
+// 32x32 map at serving's batch 8. {64, 64, 2, 64, 3} is vgg16's 2x2 convs,
+// which run batch-wide through sgemm's panel.
 void BM_Conv2dForward(benchmark::State& state) {
   const auto in_c = state.range(0);
   const auto out_c = state.range(1);
@@ -107,12 +112,15 @@ void BM_Conv2dForward(benchmark::State& state) {
     const Variable y = ag::conv2d(x, w, Variable(), 1, kernel / 2);
     benchmark::DoNotOptimize(y.value().data());
   }
+  state.SetLabel(kern::fp32_variant());
 }
 BENCHMARK(BM_Conv2dForward)
     ->Args({8, 8, 32, 1, 3})
     ->Args({16, 16, 32, 1, 3})
     ->Args({32, 32, 32, 1, 3})
+    ->Args({3, 8, 32, 64, 3})
     ->Args({8, 8, 32, 64, 3})
+    ->Args({16, 16, 16, 64, 3})
     ->Args({32, 32, 8, 64, 3})
     ->Args({64, 64, 4, 64, 3})
     ->Args({32, 8, 32, 8, 1})

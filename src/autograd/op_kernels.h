@@ -226,7 +226,10 @@ enum class ConvRoute { batch_wide, direct, im2col };
 /// Every route computes each output element as the same k-ordered
 /// multiply-add chain (sgemm's per-element contract, which conv_direct
 /// keeps), so the results are bit-identical to conv2d_forward_sample on
-/// every backend and for any split of a batch across calls.
+/// every backend and for any split of a batch across calls. The scratch
+/// (conv2d_scratch_floats) may hold garbage on entry: every route writes
+/// each scratch float before reading it, the direct route's zero border
+/// included.
 inline void conv2d_forward(const Conv2dGeometry& geo, std::int64_t out_c,
                            std::int64_t batch, const float* x, const float* w,
                            const float* bias_or_null, float* scratch,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -226,10 +227,11 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
   const auto forward_run = [&](std::size_t begin, std::size_t end) {
     const auto first = static_cast<std::int64_t>(begin);
     const auto count = static_cast<std::int64_t>(end - begin);
-    std::vector<float> scratch(
+    // Uninitialised: conv2d_forward writes every scratch float it reads.
+    const auto scratch = std::make_unique_for_overwrite<float[]>(
         static_cast<std::size_t>(conv2d_scratch_floats(geo, out_c, count)));
     conv2d_forward(geo, out_c, count, px + first * in_stride, pw, pb,
-                   scratch.data(), out.data() + first * out_stride);
+                   scratch.get(), out.data() + first * out_stride);
   };
   if (ut::kernels_inline() || conv2d_route(geo) == ConvRoute::batch_wide) {
     ut::parallel_for(0, static_cast<std::size_t>(batch), forward_run);

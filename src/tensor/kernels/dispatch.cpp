@@ -28,6 +28,15 @@ bool cpu_has_avx2_fma() noexcept {
 #endif
 }
 
+bool cpu_has_avx512f() noexcept {
+#if defined(FITACT_HAVE_AVX512F_KERNELS) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 bool cpu_has_avx512_vnni() noexcept {
 #if defined(FITACT_HAVE_AVX512VNNI_KERNELS) && defined(__GNUC__) && \
     (defined(__x86_64__) || defined(__i386__))
@@ -43,20 +52,27 @@ bool cpu_has_avx512_vnni() noexcept {
 const KernelTable* table_for(Backend b) noexcept {
 #if defined(FITACT_HAVE_AVX2_KERNELS)
   if (b == Backend::avx2) {
+    // The AVX-512 bodies are in-tier upgrades, not backends: same public
+    // Backend::avx2, same table except the swapped slots, bit-identical
+    // results. Which slots swap is a property of the host, fixed for the
+    // process.
+    static const KernelTable table = [] {
+      KernelTable t = avx2_table();
+#if defined(FITACT_HAVE_AVX512F_KERNELS)
+      if (cpu_has_avx512f()) {
+        t.gemm_panel = avx2_avx512_gemm_panel;
+        t.conv_direct = avx2_avx512_conv_direct;
+      }
+#endif
 #if defined(FITACT_HAVE_AVX512VNNI_KERNELS)
-    // The VNNI GEMM is an in-tier upgrade, not a backend: same public
-    // Backend::avx2, same table except the one slot, bit-identical results.
-    if (cpu_has_avx512_vnni()) {
-      static const KernelTable vnni_table = [] {
-        KernelTable t = avx2_table();
+      if (cpu_has_avx512_vnni()) {
         t.gemm_i8_dot = avx2_vnni_gemm_i8_dot;
         t.gemm_i8u8_dot = avx2_vnni_gemm_i8u8_dot;
-        return t;
-      }();
-      return &vnni_table;
-    }
+      }
 #endif
-    return &avx2_table();
+      return t;
+    }();
+    return &table;
   }
 #else
   (void)b;
@@ -89,10 +105,10 @@ Backend startup_backend() noexcept {
 
 /// Active table. Memory order: release stores publish a table, acquire
 /// loads read it. The tables themselves are immutable once built, but the
-/// VNNI table is a function-local static built on first use, so a thread
-/// that reads it through this pointer (a pool worker inside a GEMM) must
-/// synchronise with the thread that built it; a relaxed load would let it
-/// see the pointer before the table's contents. On x86 both orders compile
+/// avx2 tier's table is a function-local static built on first use, so a
+/// thread that reads it through this pointer (a pool worker inside a GEMM)
+/// must synchronise with the thread that built it; a relaxed load would let
+/// it see the pointer before the table's contents. On x86 both orders compile
 /// to plain moves. (Backend switches mid-forward are excluded by the
 /// force_backend contract, not by this pointer.)
 std::atomic<const KernelTable*> g_table{nullptr};
@@ -149,6 +165,37 @@ std::size_t gemm_i8u8_variants(const GemmI8U8Variant** out) noexcept {
   // exactly the first n entries.
   *out = variants;
   return n;
+}
+
+std::size_t fp32_variants(const Fp32Variant** out) noexcept {
+  static const Fp32Variant variants[] = {
+      {"scalar", scalar_table().gemm_panel, scalar_table().conv_direct},
+#if defined(FITACT_HAVE_AVX2_KERNELS)
+      {"avx2", avx2_table().gemm_panel, avx2_table().conv_direct},
+#endif
+#if defined(FITACT_HAVE_AVX512F_KERNELS)
+      {"avx2_avx512", avx2_avx512_gemm_panel, avx2_avx512_conv_direct},
+#endif
+  };
+  std::size_t n = 1;  // scalar always runs
+  if (cpu_has_avx2_fma()) {
+    ++n;
+    if (cpu_has_avx512f()) ++n;
+  }
+  // Ordered by capability like gemm_i8_variants: the executable prefix is
+  // exactly the first n entries.
+  *out = variants;
+  return n;
+}
+
+const char* fp32_variant() noexcept {
+  const GemmPanelFn fn = active_table().gemm_panel;
+  const Fp32Variant* variants = nullptr;
+  const std::size_t n = fp32_variants(&variants);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (variants[i].gemm_panel == fn) return variants[i].name;
+  }
+  return "unknown";
 }
 
 const char* gemm_i8_variant() noexcept {

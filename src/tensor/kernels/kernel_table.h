@@ -8,6 +8,9 @@
 namespace fitact::kern {
 
 struct KernelTable {
+  // The two fp32 FMA slots. The avx2 tier fills them with the AVX-512F
+  // bodies on hosts that execute AVX-512F (dispatch.cpp); every body of
+  // the tier runs the same per-element fma chain (kernels.h).
   void (*gemm_panel)(std::int64_t mb, std::int64_t nb, std::int64_t kb,
                      float alpha, const float* ap, const float* b,
                      std::int64_t ldb, float* c, std::int64_t ldc) noexcept;
@@ -181,6 +184,23 @@ void avx2_vnni_gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
                              const std::int8_t* b, std::int64_t ldb,
                              std::int32_t* c, std::int64_t ldc,
                              bool a_unsigned) noexcept;
+#endif
+
+// AVX-512F bodies of the two fp32 FMA slots (kernels_avx2_avx512.cpp). Not
+// a backend of their own: when the host also executes AVX-512F, dispatch.cpp
+// serves the avx2 tier a table whose gemm_panel and conv_direct point here.
+// Each output element runs the AVX2 body's chain (C's value or +0, terms in
+// k or (c, i, j) order, one fma each) in 16-lane tiles, so results are
+// bit-identical to the AVX2 bodies.
+#if defined(FITACT_HAVE_AVX512F_KERNELS)
+void avx2_avx512_gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb,
+                            float alpha, const float* ap, const float* b,
+                            std::int64_t ldb, float* c,
+                            std::int64_t ldc) noexcept;
+void avx2_avx512_conv_direct(std::int64_t out_c, std::int64_t in_c,
+                             std::int64_t hp, std::int64_t wp,
+                             std::int64_t kh, std::int64_t kw, const float* xp,
+                             const float* w, float* out) noexcept;
 #endif
 
 // The AVX2/FMA backend (kernels_avx2.cpp). Declared unconditionally;

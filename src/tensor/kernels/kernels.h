@@ -12,7 +12,11 @@
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
 //            the toolchain can target AVX2; only *selected* when cpuid says
-//            the host executes it)
+//            the host executes it). On a host that also executes AVX-512F
+//            the tier's gemm_panel and conv_direct run 16-lane bodies
+//            (kernels_avx2_avx512.cpp), and on AVX-512 VNNI its int8 GEMM
+//            runs kernels_avx2_vnni_i8.cpp: slot swaps inside the tier,
+//            bit-identical to the bodies they replace, not backends.
 //
 // Dispatch is deliberately per-process, not per-thread or per-call site:
 // campaign determinism across thread counts and the plan-vs-eager
@@ -38,7 +42,10 @@
 //     bit-equality of GEMM results. conv_direct runs each output element
 //     through the same chain as its backend's gemm_panel, so it equals
 //     im2col + sgemm bit for bit on one backend and inherits GEMM's bound
-//     across backends.
+//     across backends. Within the avx2 tier the chain is fixed, whatever
+//     the register tile: the AVX2 and AVX-512 bodies of both slots give
+//     the same bits (NaN payloads aside), which kernels_test pins over
+//     every variant in fp32_variants.
 //   * No kernel skips work based on operand values where that could change
 //     a result: a NaN or Inf anywhere in the inputs reaches the output
 //     exactly as IEEE arithmetic dictates. (Hardware faults produce exactly
@@ -78,6 +85,37 @@ enum class Backend : int {
 /// in-flight forwards: switch backends only between forwards (tests and
 /// startup configuration), never while another thread is inside a kernel.
 Backend force_backend(Backend b) noexcept;
+
+/// Signatures of the two fp32 FMA microkernels (the gemm_panel and
+/// conv_direct contracts below).
+using GemmPanelFn = void (*)(std::int64_t mb, std::int64_t nb, std::int64_t kb,
+                             float alpha, const float* ap, const float* b,
+                             std::int64_t ldb, float* c,
+                             std::int64_t ldc) noexcept;
+using ConvDirectFn = void (*)(std::int64_t out_c, std::int64_t in_c,
+                              std::int64_t hp, std::int64_t wp,
+                              std::int64_t kh, std::int64_t kw,
+                              const float* xp, const float* w,
+                              float* out) noexcept;
+
+/// One pair of fp32 FMA bodies (gemm_panel and conv_direct) this binary
+/// carries and this host can execute.
+struct Fp32Variant {
+  const char* name;  ///< "scalar" | "avx2" | "avx2_avx512"
+  GemmPanelFn gemm_panel;
+  ConvDirectFn conv_direct;
+};
+
+/// Executable fp32 variants, scalar first. The dispatcher binds exactly one
+/// per backend (the avx2 tier upgrades to avx2_avx512 when the host has
+/// AVX-512F), so tests use this to hold every fused variant to the avx2
+/// body bit for bit, including the one dispatch currently bypasses. Not an
+/// option: nothing selects a variant by name.
+[[nodiscard]] std::size_t fp32_variants(const Fp32Variant** out) noexcept;
+
+/// Name of the variant the active table's gemm_panel and conv_direct
+/// dispatch to.
+[[nodiscard]] const char* fp32_variant() noexcept;
 
 /// Signature of an int8 GEMM microkernel (the gemm_i8_dot contract below).
 using GemmI8Fn = void (*)(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -144,6 +182,11 @@ class BackendGuard {
 /// is a packed row-major panel (contiguous kb-stride rows) and B/C point
 /// into full row-major matrices with leading dimensions ldb/ldc. The caller
 /// (tensor/gemm.cpp) owns blocking, packing, beta handling and threading.
+/// Per element, the avx2 tier runs one chain: C's value, then
+/// fma(alpha * a[p], b[p], acc) for p = 0..kb-1, tile edges included. Its
+/// AVX2 body holds it in 4-row x 16-column register tiles, its AVX-512
+/// body in 8-row x 32-column ones with masked column edges; scalar runs
+/// acc + (alpha * a[p]) * b[p], unfused.
 void gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb, float alpha,
                 const float* ap, const float* b, std::int64_t ldb, float* c,
                 std::int64_t ldc) noexcept;
@@ -156,10 +199,12 @@ void gemm_panel(std::int64_t mb, std::int64_t nb, std::int64_t kb, float alpha,
 /// Each element is the chain the backend's gemm_panel runs for the im2col
 /// product: from +0, taps in (c, i, j) order, border zeros multiplied like
 /// any other operand (never skipped), each step an fma on avx2 (tile edges
-/// included) and an unfused acc + w * x on scalar. So on one backend the
-/// result equals im2col + sgemm (beta 0, alpha 1) bit for bit, NaN and Inf
-/// included; across backends it agrees only to GEMM's error bound. Adds no
-/// bias and allocates nothing.
+/// included, in both its AVX2 and AVX-512 bodies) and an unfused
+/// acc + w * x on scalar. So on one backend the result equals im2col +
+/// sgemm (beta 0, alpha 1) bit for bit, NaN and Inf included; across
+/// backends it agrees only to GEMM's error bound. Any kernel size and map
+/// shape is accepted, and no read or write leaves xp's planes or out. Adds
+/// no bias and allocates nothing.
 void conv_direct(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
                  std::int64_t wp, std::int64_t kh, std::int64_t kw,
                  const float* xp, const float* w, float* out) noexcept;

@@ -443,8 +443,11 @@ std::vector<float> expect_conv_matches_reference(const Conv2dGeometry& geo,
   const auto n = static_cast<std::int64_t>(expected.size());
 
   std::vector<float> actual(expected.size());
-  std::vector<float> scratch(static_cast<std::size_t>(
-      ag::conv2d_scratch_floats(geo, out_c, batch)));
+  // NaN-filled, as an uninitialised buffer may be: a route that relies on
+  // zeroed scratch leaves NaN in the output.
+  std::vector<float> scratch(
+      static_cast<std::size_t>(ag::conv2d_scratch_floats(geo, out_c, batch)),
+      std::numeric_limits<float>::quiet_NaN());
   ag::conv2d_forward(geo, out_c, batch, x.data(), w.data(), pb, scratch.data(),
                      actual.data());
   EXPECT_EQ(first_mismatch(actual.data(), expected.data(), n), -1) << context;

@@ -6,14 +6,19 @@
 // lengths that are not multiples of the vector width, and every bound
 // extent (1, C, feat). FitReLU's exp-free lanes are checked against its
 // formula evaluated in full, and table_expf, the exp inside fitrelu, is
-// swept against std::exp.
+// swept against std::exp. The fused fp32 variants of gemm_panel and
+// conv_direct (the avx2 bodies and the AVX-512 ones the avx2 tier swaps
+// in) are held to one fma chain, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -414,6 +419,200 @@ TEST_F(KernelsCrossBackend, FitReluFusesTheExpRangeReduction) {
                 std::bit_cast<std::uint32_t>(want))
           << backend_name(be) << std::hexfloat << ": " << v << " vs " << want;
     }
+  }
+}
+
+// ---- fp32 FMA variants -----------------------------------------------------
+//
+// gemm_panel and conv_direct have one body per variant (fp32_variants).
+// Every variant after scalar, which runs the unfused chain, runs the fused
+// one: each element starts from C's value (gemm_panel) or +0 (conv_direct)
+// and takes one fma per term, in k order or (c, i, j) tap order, border
+// zeros included. The avx2 body is held to that chain evaluated here with
+// std::fma, and every later variant to the avx2 body, bit for bit.
+
+/// gemm_panel's fused chain, element by element.
+void panel_chain(std::int64_t mb, std::int64_t nb, std::int64_t kb,
+                 float alpha, const float* ap, const float* b,
+                 std::int64_t ldb, float* c, std::int64_t ldc) {
+  for (std::int64_t i = 0; i < mb; ++i) {
+    for (std::int64_t j = 0; j < nb; ++j) {
+      float acc = c[i * ldc + j];
+      for (std::int64_t p = 0; p < kb; ++p) {
+        acc = std::fma(alpha * ap[i * kb + p], b[p * ldb + j], acc);
+      }
+      c[i * ldc + j] = acc;
+    }
+  }
+}
+
+/// conv_direct's fused chain, element by element.
+void conv_chain(std::int64_t out_c, std::int64_t in_c, std::int64_t hp,
+                std::int64_t wp, std::int64_t kh, std::int64_t kw,
+                const float* xp, const float* w, float* out) {
+  const std::int64_t oh = hp - kh + 1;
+  const std::int64_t ow = wp - kw + 1;
+  for (std::int64_t o = 0; o < out_c; ++o) {
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t x = 0; x < ow; ++x) {
+        float acc = 0.0f;
+        const float* wt = w + o * in_c * kh * kw;
+        for (std::int64_t c = 0; c < in_c; ++c) {
+          for (std::int64_t i = 0; i < kh; ++i) {
+            for (std::int64_t j = 0; j < kw; ++j) {
+              acc = std::fma(*wt++, xp[(c * hp + y + i) * wp + x + j], acc);
+            }
+          }
+        }
+        out[(o * oh + y) * ow + x] = acc;
+      }
+    }
+  }
+}
+
+/// Uniform values in [-2, 2) with NaN, +Inf and -Inf at three seeded
+/// positions when `specials` is set. values() puts a special in every
+/// fifth slot, which would turn nearly every 40-term chain into NaN.
+std::vector<float> operand(std::size_t n, std::uint64_t seed, bool specials) {
+  ut::Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& e : v) e = rng.uniform(-2.0f, 2.0f);
+  if (specials && n > 0) {
+    v[rng.next_u64() % n] = kNaN;
+    v[rng.next_u64() % n] = kInf;
+    v[rng.next_u64() % n] = -kInf;
+  }
+  return v;
+}
+
+TEST(KernelsFp32Variants, EveryFusedVariantMatchesTheAvx2Body) {
+  const Fp32Variant* variants = nullptr;
+  const std::size_t nv = fp32_variants(&variants);
+  if (nv < 2) GTEST_SKIP() << "host has no AVX2+FMA backend";
+  const Fp32Variant& avx2 = variants[1];
+  ASSERT_STREQ(avx2.name, "avx2");
+  std::uint64_t seed = 7000;
+
+  // gemm_panel: rows straddle the 4- and 8-row tiles, columns the 16- and
+  // 32-column ones, and kb sgemm's 256-deep K block; B and C sit in wider
+  // matrices (ldb, ldc > nb), every third case carries NaN and Inf in A, B
+  // and C, and alpha != 1 takes the multiply the unit path skips.
+  struct PanelCase {
+    std::int64_t mb, nb, kb;
+  };
+  std::vector<PanelCase> panels;
+  for (const std::int64_t mb : {1, 3, 4, 5, 7, 8, 9, 15, 16, 17}) {
+    for (const std::int64_t nb : {1, 8, 15, 16, 17, 31, 32, 33, 48, 65}) {
+      for (const std::int64_t kb : {1, 7, 40}) panels.push_back({mb, nb, kb});
+    }
+  }
+  for (const std::int64_t kb : {255, 256, 257}) {
+    panels.push_back({9, 33, kb});
+    panels.push_back({16, 64, kb});
+  }
+  for (const PanelCase& pc : panels) {
+    for (const float alpha : {1.0f, -0.75f}) {
+      const bool specials = ++seed % 3 == 0;
+      const std::int64_t ldb = pc.nb + 3;
+      const std::int64_t ldc = pc.nb + 5;
+      const auto ap = operand(static_cast<std::size_t>(pc.mb * pc.kb), seed,
+                              specials);
+      const auto b = operand(static_cast<std::size_t>(pc.kb * ldb), seed + 1,
+                             specials);
+      const auto c0 = operand(static_cast<std::size_t>(pc.mb * ldc), seed + 2,
+                              specials);
+      const std::string at = " mb=" + std::to_string(pc.mb) +
+                             " nb=" + std::to_string(pc.nb) +
+                             " kb=" + std::to_string(pc.kb) +
+                             " alpha=" + std::to_string(alpha) +
+                             (specials ? " NaN/Inf" : "");
+      const auto run = [&](GemmPanelFn fn) {
+        std::vector<float> c = c0;
+        fn(pc.mb, pc.nb, pc.kb, alpha, ap.data(), b.data(), ldb, c.data(),
+           ldc);
+        return c;
+      };
+      std::vector<float> want = c0;
+      panel_chain(pc.mb, pc.nb, pc.kb, alpha, ap.data(), b.data(), ldb,
+                  want.data(), ldc);
+      const std::vector<float> got = run(avx2.gemm_panel);
+      expect_same(want, got, "gemm_panel avx2 vs fma chain" + at);
+      for (std::size_t v = 2; v < nv; ++v) {
+        expect_same(got, run(variants[v].gemm_panel),
+                    std::string("gemm_panel ") + variants[v].name +
+                        " vs avx2" + at);
+      }
+    }
+  }
+
+  // conv_direct: kernels 1, 3 and 5 at the pads that keep the map, square
+  // maps of side 1 to 32 and a 3x5 map, in_c 1, 3 and 32 (32 only on maps
+  // up to 8 wide, to bound the reference's cost), and out_c around the 4-,
+  // 8- and 16-channel tiles (all of 1 to 17 on maps up to 8 wide). Every
+  // other case puts NaN and Inf in the input and an Inf weight on tap
+  // (0, 0, 0), which meets a border zero wherever the kernel is wider than
+  // 1: Inf * 0 = NaN there, since padding taps are multiplied.
+  std::vector<std::pair<std::int64_t, std::int64_t>> maps{{3, 5}};
+  for (std::int64_t side = 1; side <= 32; ++side) maps.emplace_back(side, side);
+  int cycle = 0;
+  for (const auto& [kernel, pad] :
+       {std::pair<std::int64_t, std::int64_t>{1, 0}, {3, 1}, {5, 2}}) {
+    for (const auto& [h, w] : maps) {
+      const bool small = std::max(h, w) <= 8;
+      std::vector<std::int64_t> outs{3, 8, 17};
+      if (small) {
+        outs.resize(17);
+        std::iota(outs.begin(), outs.end(), 1);
+      }
+      for (const std::int64_t out_c : outs) {
+        const std::int64_t in_c =
+            std::array<std::int64_t, 3>{1, 3, small ? 32 : 2}[cycle % 3];
+        const bool specials = ++cycle % 2 == 0;
+        const std::int64_t hp = h + 2 * pad;
+        const std::int64_t wp = w + 2 * pad;
+        std::vector<float> xp(static_cast<std::size_t>(in_c * hp * wp), 0.0f);
+        const auto interior = operand(static_cast<std::size_t>(in_c * h * w),
+                                      ++seed, specials);
+        for (std::int64_t c = 0; c < in_c; ++c) {
+          for (std::int64_t y = 0; y < h; ++y) {
+            for (std::int64_t x = 0; x < w; ++x) {
+              xp[static_cast<std::size_t>((c * hp + y + pad) * wp + x + pad)] =
+                  interior[static_cast<std::size_t>((c * h + y) * w + x)];
+            }
+          }
+        }
+        std::vector<float> wt = operand(
+            static_cast<std::size_t>(out_c * in_c * kernel * kernel), ++seed,
+            false);
+        if (specials) wt[0] = kInf;
+        const std::string at = " k=" + std::to_string(kernel) + " map " +
+                               std::to_string(h) + "x" + std::to_string(w) +
+                               " channels " + std::to_string(in_c) + "->" +
+                               std::to_string(out_c) +
+                               (specials ? " NaN/Inf" : "");
+        const std::size_t out_n = static_cast<std::size_t>(out_c * h * w);
+        const auto run = [&](ConvDirectFn fn) {
+          std::vector<float> out(out_n, kNaN);
+          fn(out_c, in_c, hp, wp, kernel, kernel, xp.data(), wt.data(),
+             out.data());
+          return out;
+        };
+        std::vector<float> want(out_n);
+        conv_chain(out_c, in_c, hp, wp, kernel, kernel, xp.data(), wt.data(),
+                   want.data());
+        const std::vector<float> got = run(avx2.conv_direct);
+        expect_same(want, got, "conv_direct avx2 vs fma chain" + at);
+        for (std::size_t v = 2; v < nv; ++v) {
+          expect_same(got, run(variants[v].conv_direct),
+                      std::string("conv_direct ") + variants[v].name +
+                          " vs avx2" + at);
+        }
+      }
+    }
+  }
+  if (nv < 3) {
+    GTEST_SKIP() << "host has no AVX-512F: checked the avx2 body against "
+                    "the fma chain, no other fused variant runs here";
   }
 }
 
