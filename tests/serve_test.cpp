@@ -34,10 +34,11 @@ ExperimentScale tiny_scale() {
   return scale;
 }
 
-PreparedModel prepared(std::uint64_t seed) {
+PreparedModel prepared(std::uint64_t seed,
+                       core::Scheme scheme = core::Scheme::clip_act) {
   const ExperimentScale scale = tiny_scale();
   PreparedModel pm = prepare_model("tinycnn", 10, scale, "", seed);
-  (void)protect_model(pm, core::Scheme::clip_act, scale);
+  (void)protect_model(pm, scheme, scale);
   return pm;
 }
 
@@ -345,6 +346,38 @@ TEST(Serve, CalibrationMeasuresCleanPeakRate) {
   EXPECT_LT(peak, 0.5);  // clean traffic must not clamp half its activations
   // Deterministic: same model, same samples, same rate.
   EXPECT_EQ(peak, peak_clean_clamp_rate(pm, 24));
+}
+
+// Calibration thresholds the statistic lanes serve: one lane serving one
+// sample per batch reports each sample's own peak site clamp rate, so the
+// largest over the first 24 samples equals the calibrated peak over them
+// bit for bit, and sample 0's equals the one-sample calibration. The
+// threshold 1.0 keeps detection on without ever firing (no rate exceeds
+// 1). clip_act's per-layer bounds count in the clipped_relu kernel,
+// fitrelu's per-neuron bounds in the fitrelu kernel.
+TEST(Serve, CalibratedPeakIsTheServedStatistic) {
+  for (const core::Scheme scheme :
+       {core::Scheme::clip_act, core::Scheme::fitrelu}) {
+    PreparedModel pm = prepared(29, scheme);
+    ServeOptions options;
+    options.server.lanes = 1;
+    options.server.max_batch = 1;
+    options.server.detection = true;
+    options.server.clamp_rate_threshold = 1.0;
+    const auto server = make_server(pm, options);
+    const std::string context = core::to_string(scheme);
+    ASSERT_TRUE(server->options().detection) << context;
+
+    const std::vector<Tensor> samples = test_samples(pm, 24);
+    std::vector<double> served;
+    served.reserve(samples.size());
+    for (const auto& s : samples) served.push_back(server->infer(s).clamp_rate);
+    const double served_peak = *std::max_element(served.begin(), served.end());
+    EXPECT_GT(served_peak, 0.0) << context << ": some clean sample clamps";
+    EXPECT_EQ(served_peak, peak_clean_clamp_rate(pm, 24)) << context;
+    EXPECT_EQ(served.front(), peak_clean_clamp_rate(pm, 1)) << context;
+    EXPECT_EQ(server->stats().detections, 0u) << context;
+  }
 }
 
 // A sample budget above the test split is a clamp to the split size, never
