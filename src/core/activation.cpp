@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "nn/plan.h"
-#include "tensor/kernels/kernels.h"
 
 namespace fitact::core {
 
@@ -141,42 +140,14 @@ void BoundedActivation::set_bounds(const Tensor& values, bool trainable) {
   }
 }
 
-void BoundedActivation::count_clamps(const Tensor& x) {
-  // Unbounded sites (plain ReLU, or bounds not yet installed) cannot clamp;
-  // they contribute to neither counter so they don't dilute the model-wide
-  // clamp rate of the bounded sites.
-  if (config_.scheme == Scheme::relu || !bounds_.defined()) return;
-#ifndef NDEBUG
-  // Single-writer enforcement (debug builds): two overlapping counted
-  // forwards mean this model is shared across serving lanes, which would
-  // silently corrupt/double-count the detection statistic. Sequential use
-  // from different threads (e.g. a campaign slot migrating between pool
-  // workers) is legitimate and passes.
-  const bool was_busy = clamp_busy_.exchange(true, std::memory_order_acquire);
-  assert(!was_busy &&
-         "BoundedActivation: concurrent clamp-counting forwards — counting "
-         "must only be enabled on per-lane replicas, never a shared model");
-  (void)was_busy;
-#endif
-  const Tensor& b = bounds_.value();
-  const std::int64_t n = x.numel();
-  // Dispatched count kernel (tensor/kernels): same broadcast rule as the
-  // clip kernels — per-neuron (extent == feat), per-channel (extent ==
-  // channels, bound index fi / hw), or a single layer bound.
-  const std::uint64_t events =
-      kern::count_over_bound(x.data(), b.data(), b.numel(), feat_, hw_, n);
-  clamp_events_ += events;
-  clamp_total_ += static_cast<std::uint64_t>(n);
-#ifndef NDEBUG
-  clamp_busy_.store(false, std::memory_order_release);
-#endif
-}
-
 void BoundedActivation::add_clamp_counts(std::uint64_t events,
                                          std::uint64_t total) noexcept {
 #ifndef NDEBUG
-  // Same single-writer enforcement as count_clamps: overlapping deposits
-  // mean two lanes share one model (see the clamp-counting comment above).
+  // Single-writer enforcement (debug builds): overlapping deposits mean two
+  // lanes share one model, which would silently corrupt or double-count the
+  // detection statistic (see the clamp-counting comment in activation.h).
+  // Sequential use from different threads (a lane migrating between
+  // threads) is legitimate and passes.
   const bool was_busy = clamp_busy_.exchange(true, std::memory_order_acquire);
   assert(!was_busy &&
          "BoundedActivation: concurrent clamp-count deposits — counting "
@@ -234,31 +205,20 @@ Variable BoundedActivation::forward(const Variable& x) {
     corruptor_(corrupted);
     input = Variable(std::move(corrupted), false);
   }
-  const Variable& xin = input;
-  if (clamp_counting_) count_clamps(xin.value());
+  if (config_.scheme != Scheme::relu && !bounds_.defined()) {
+    throw std::logic_error("BoundedActivation(" + to_string(config_.scheme) +
+                           "): bounds not initialised");
+  }
   switch (config_.scheme) {
     case Scheme::relu:
-      return ag::relu(xin);
+      return ag::relu(input);
     case Scheme::clip_act:
-    case Scheme::fitrelu_naive: {
-      if (!bounds_.defined()) {
-        throw std::logic_error("BoundedActivation(" + to_string(config_.scheme) +
-                               "): bounds not initialised");
-      }
-      return ag::clipped_relu(xin, bounds_.value(), ag::ClipMode::zero_above);
-    }
-    case Scheme::ranger: {
-      if (!bounds_.defined()) {
-        throw std::logic_error("BoundedActivation(ranger): bounds not initialised");
-      }
-      return ag::clipped_relu(xin, bounds_.value(), ag::ClipMode::saturate);
-    }
-    case Scheme::fitrelu: {
-      if (!bounds_.defined()) {
-        throw std::logic_error("BoundedActivation(fitrelu): bounds not initialised");
-      }
-      return ag::fitrelu(xin, bounds_, config_.k);
-    }
+    case Scheme::fitrelu_naive:
+      return ag::clipped_relu(input, bounds_.value(), ag::ClipMode::zero_above);
+    case Scheme::ranger:
+      return ag::clipped_relu(input, bounds_.value(), ag::ClipMode::saturate);
+    case Scheme::fitrelu:
+      return ag::fitrelu(input, bounds_, config_.k);
   }
   throw std::logic_error("BoundedActivation: unknown scheme");
 }

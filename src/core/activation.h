@@ -122,26 +122,27 @@ class BoundedActivation final : public nn::Module {
   }
 
   // -- clamp-event counting -------------------------------------------------
-  /// Opt-in counter of activations that hit their bound. While enabled,
-  /// every (non-profiling) forward of a bounded scheme adds the number of
-  /// pre-activation values strictly above their bound to clamp_events() and
-  /// the number of values inspected to clamp_total(). A saturated clamp is
-  /// an observable symptom of an underlying parameter fault (the bounded
-  /// activation is *doing its job* confining the excursion), so the ratio
-  /// events/total is an online fault detector — see serve::InferenceServer.
-  /// Counting never changes the computed output. Counters are plain (not
-  /// atomic): a model instance must be driven from one thread at a time,
-  /// which is already the Module contract. The single-writer rule is what
-  /// lets the serve detector trust the counters — if one model were ever
-  /// shared by two lanes, concurrent forwards would corrupt (or
+  /// Opt-in counter of activations that hit their bound. While enabled, this
+  /// site's activation step inside an nn::InferencePlan adds the number of
+  /// pre-activation values above their bound (or NaN) to clamp_events() and
+  /// the number of values inspected to clamp_total(); eager forward() never
+  /// counts. A saturated clamp is an observable symptom of an underlying
+  /// parameter fault (the bounded activation is *doing its job* confining
+  /// the excursion), so the ratio events/total is an online fault detector —
+  /// see serve::InferenceServer, and ev::peak_clean_clamp_rate for its
+  /// calibration. Counting never changes the computed output. Counters are
+  /// plain (not atomic): a model instance must be driven from one thread at
+  /// a time, which is already the Module contract. The single-writer rule is
+  /// what lets the serve detector trust the counters — if one model were
+  /// ever shared by two lanes, concurrent executions would corrupt (or
   /// double-count) the per-batch rates and the detector would silently
-  /// mis-fire. Debug builds enforce it: count_clamps asserts that no two
-  /// counted forwards overlap (see clamp_busy_ below), so a shared model
-  /// trips an assert instead of corrupting detection. Enable counting only
-  /// on per-lane replicas, never on a model other threads can reach.
+  /// mis-fire. Debug builds enforce it: add_clamp_counts asserts that no two
+  /// deposits overlap (see clamp_busy_ below), so a shared model trips an
+  /// assert instead of corrupting detection. Enable counting only on
+  /// per-lane replicas, never on a model other threads can reach.
   void set_clamp_counting(bool on) noexcept { clamp_counting_ = on; }
   [[nodiscard]] bool clamp_counting() const noexcept { return clamp_counting_; }
-  /// Activations observed strictly above their bound since the last reset.
+  /// Activations observed above their bound (or NaN) since the last reset.
   [[nodiscard]] std::uint64_t clamp_events() const noexcept {
     return clamp_events_;
   }
@@ -158,9 +159,8 @@ class BoundedActivation final : public nn::Module {
 
   /// Fold externally counted clamp statistics into this site's counters.
   /// Planned execution fuses the event count into the activation kernel's
-  /// pass over the data (autograd/op_kernels.h) and deposits it here; the
-  /// single-writer contract and debug enforcement are the same as for
-  /// count_clamps.
+  /// pass over the data (autograd/op_kernels.h) and deposits it here, under
+  /// the single-writer contract above.
   void add_clamp_counts(std::uint64_t events, std::uint64_t total) noexcept;
 
   // -- transient activation faults ------------------------------------------
@@ -181,7 +181,6 @@ class BoundedActivation final : public nn::Module {
  private:
   void observe_geometry(const Shape& xs);
   void update_profile(const Tensor& x);
-  void count_clamps(const Tensor& x);
 
   ActivationConfig config_;
   InputCorruptor corruptor_;
@@ -190,7 +189,7 @@ class BoundedActivation final : public nn::Module {
   std::uint64_t clamp_events_ = 0;
   std::uint64_t clamp_total_ = 0;
   /// Debug-build detector for the single-writer contract above: set for the
-  /// duration of each counted forward; a second thread finding it set means
+  /// duration of each add_clamp_counts; a second thread finding it set means
   /// the model is shared across lanes. Atomic so the check itself is not a
   /// data race under TSan; it carries no synchronisation duty beyond that.
   std::atomic<bool> clamp_busy_{false};

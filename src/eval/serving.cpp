@@ -2,15 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "autograd/variable.h"
 #include "nn/plan.h"
 #include "util/log.h"
 
 namespace fitact::ev {
+namespace {
+
+/// Per-sample [C, H, W] shape of a split, which lane plans are compiled for.
+Shape sample_shape_of(const data::Dataset& split) {
+  const Shape first = split.batch(0, 1, nullptr).shape();
+  return Shape{first[1], first[2], first[3]};
+}
+
+}  // namespace
 
 void ServeOptions::validate() const {
   // A negative clamp_rate_threshold is this layer's "calibrate from clean
@@ -40,7 +49,7 @@ void ServeOptions::validate() const {
 }
 
 double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
-  if (!pm.model || !pm.test) {
+  if (!pm.model || !pm.test || pm.test->size() == 0) {
     throw std::invalid_argument(
         "peak_clean_clamp_rate: prepared model has no model or test split");
   }
@@ -49,30 +58,27 @@ double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
         "peak_clean_clamp_rate: samples must be positive, got " +
         std::to_string(samples));
   }
-  const auto sites = core::collect_activations(*pm.model);
-  std::vector<bool> was_counting;
-  was_counting.reserve(sites.size());
-  for (const auto& site : sites) {
-    was_counting.push_back(site->clamp_counting());
-    site->set_clamp_counting(true);
-  }
+  // Count where lanes count: the activation step of an fp32 batch-1 plan
+  // over a replica, so the threshold is calibrated on the statistic the
+  // lanes serve and pm.model's counters and counting flags stay untouched.
+  const auto replica = replicate_model(pm);
+  const auto sites = core::collect_activations(*replica);
+  for (const auto& site : sites) site->set_clamp_counting(true);
+  const auto plan =
+      nn::InferencePlan::compile(replica, sample_shape_of(*pm.test), 1);
+  float* const input = plan->input_view(1).data();
 
-  const NoGradGuard no_grad;
-  pm.model->set_training(false);
   // Rejecting samples <= 0 above means this is a pure clamp to the split
   // size, never a silent substitution of a driver default.
   const std::int64_t total = std::min<std::int64_t>(samples, pm.test->size());
   double peak = 0.0;
   for (std::int64_t i = 0; i < total; ++i) {
+    const Tensor x = pm.test->batch(i, 1, nullptr);
+    std::memcpy(input, x.data(),
+                static_cast<std::size_t>(x.numel()) * sizeof(float));
     core::reset_clamp_counters(sites);
-    std::vector<std::int64_t> labels;
-    (void)pm.model->forward(Variable(pm.test->batch(i, 1, &labels)));
+    (void)plan->execute(1);
     peak = std::max(peak, core::peak_site_clamp_rate(sites));
-  }
-
-  core::reset_clamp_counters(sites);
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    sites[i]->set_clamp_counting(was_counting[i]);
   }
   return peak;
 }
@@ -131,8 +137,7 @@ std::unique_ptr<serve::InferenceServer> make_server(
                    << peak << ")";
   }
 
-  const Shape first = pm.test->batch(0, 1, nullptr).shape();
-  const Shape sample_shape{first[1], first[2], first[3]};
+  const Shape sample_shape = sample_shape_of(*pm.test);
 
   // Int8 input calibration: the first layer's activation scale comes from
   // the max-abs of real input samples (deeper layers derive theirs from the

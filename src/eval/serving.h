@@ -44,11 +44,14 @@ struct ServeOptions {
 
 /// Peak per-sample, per-site clamp rate of pm.model over the first
 /// `samples` test samples (clean traffic) — the detection statistic
-/// serve::InferenceServer thresholds. `samples` must be positive (throws
-/// std::invalid_argument otherwise; ServeOptions::validate() rejects the
-/// value before it gets here) and is clamped to the test split size.
-/// Enables clamp counting for the measurement and restores the sites'
-/// previous counting state afterwards.
+/// serve::InferenceServer thresholds, counted the way lanes count it: each
+/// sample runs alone through an fp32 batch-1 nn::InferencePlan over a
+/// replica (replicate_model) whose sites count clamp events. pm.model is
+/// left untouched, counters and counting flags included. `samples` must be
+/// positive (throws std::invalid_argument otherwise; ServeOptions::validate()
+/// rejects the value before it gets here) and is clamped to the test split
+/// size. Throws std::invalid_argument when pm has no model or an empty test
+/// split, and nn::PlanError when the model cannot be recorded.
 [[nodiscard]] double peak_clean_clamp_rate(const PreparedModel& pm,
                                            std::int64_t samples);
 
@@ -59,7 +62,8 @@ struct ServeOptions {
 ///      scrub value-stable, so recovered lanes match pm.model bit-for-bit)
 ///      and bumps pm.state_epoch;
 ///   2. calibrates the clamp-rate threshold from clean test traffic when
-///      options ask for it (threshold < 0);
+///      options ask for it (threshold < 0), through peak_clean_clamp_rate's
+///      fp32 plan whatever the lanes' precision;
 ///   3. builds `lanes` independent replicas, each with its own clean
 ///      ParamImage, clamp counting enabled when detection is on;
 ///   4. compiles a fused nn::InferencePlan per lane for the test split's

@@ -262,12 +262,6 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
                                      o, n, count);
 }
 
-std::uint64_t count_over_bound(const float* x, const float* bound,
-                               std::int64_t bound_numel, std::int64_t feat,
-                               std::int64_t hw, std::int64_t n) noexcept {
-  return active_table().count_over_bound(x, bound, bound_numel, feat, hw, n);
-}
-
 std::uint64_t fitrelu(const float* x, const float* lambda,
                       std::int64_t lambda_numel, std::int64_t feat,
                       std::int64_t hw, float k, float* o, std::int64_t n,

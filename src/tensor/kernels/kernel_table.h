@@ -26,10 +26,6 @@ struct KernelTable {
                                 std::int64_t bound_numel, std::int64_t feat,
                                 std::int64_t hw, bool saturate, float* o,
                                 std::int64_t n, bool count) noexcept;
-  std::uint64_t (*count_over_bound)(const float* x, const float* bound,
-                                    std::int64_t bound_numel,
-                                    std::int64_t feat, std::int64_t hw,
-                                    std::int64_t n) noexcept;
   std::uint64_t (*fitrelu)(const float* x, const float* lambda,
                            std::int64_t lambda_numel, std::int64_t feat,
                            std::int64_t hw, float k, float* o, std::int64_t n,

@@ -2,12 +2,12 @@
 //
 // Every compute inner loop that serving throughput depends on — the SGEMM
 // panel kernel, the direct stride-1 convolution, ReLU / bound-clamp /
-// FitReLU / bias-add elementwise passes, the clamp-event counter behind the
-// fault detector, and the int8 GEMM, quantize and dequantize kernels —
-// funnels through the entry points declared here. There is one bound-clamp
-// kernel: a fused plan op runs its producer, then clipped_relu (or fitrelu)
-// in place. A process-wide dispatch table binds each entry point to one
-// backend:
+// FitReLU / bias-add elementwise passes, and the int8 GEMM, quantize and
+// dequantize kernels — funnels through the entry points declared here.
+// There is one bound-clamp kernel: a fused plan op runs its producer, then
+// clipped_relu (or fitrelu) in place, and that pass is also the only count
+// of clamp events behind the fault detector. A process-wide dispatch table
+// binds each entry point to one backend:
 //
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
@@ -28,14 +28,14 @@
 // (see BackendGuard).
 //
 // Semantics contract per backend:
-//   * Elementwise kernels (relu / clip / add / bias / count_over_bound /
-//     fitrelu) are bit-identical across backends, including NaN/Inf
-//     handling and signed zeros (where the result is NaN
-//     it is NaN on both; the payload is not part of the contract) — the
-//     vector forms mirror the scalar branch structure exactly. fitrelu's
-//     sigmoid needs an exp, and both backends evaluate the same one:
-//     table_expf, glibc's table-driven expf algorithm, in double with the
-//     same fused steps. kernels_test pins all of this.
+//   * Elementwise kernels (relu / clip / add / bias / fitrelu), and the
+//     clamp-event counts clip and fitrelu return, are bit-identical across
+//     backends, including NaN/Inf handling and signed zeros (where the
+//     result is NaN it is NaN on both; the payload is not part of the
+//     contract) — the vector forms mirror the scalar branch structure
+//     exactly. fitrelu's sigmoid needs an exp, and both backends evaluate
+//     the same one: table_expf, glibc's table-driven expf algorithm, in
+//     double with the same fused steps. kernels_test pins all of this.
 //   * gemm_panel accumulates in a backend-specific order (the AVX2 kernel
 //     uses FMA), so backends agree only to the per-element forward-error
 //     bound gemm_fuzz_test enforces — never rely on cross-backend
@@ -224,8 +224,8 @@ void bias_add_const(float* row, float value, std::int64_t n) noexcept;
 /// Bounded-ReLU forward with fused clamp-event counting, over n contiguous
 /// elements laid out as complete per-sample feature rows (n % feat == 0).
 /// This clamp cascade is the one every bounded activation in the library
-/// runs, eager or planned, fp32 or int8. Per element, with b = the
-/// element's broadcast bound:
+/// runs, eager or planned, fp32 or int8; only planned execution asks it to
+/// count. Per element, with b = the element's broadcast bound:
 ///   x <= 0  -> 0
 ///   x <= b  -> x
 ///   else    -> saturate ? b : 0        (NaN lands here: both compares fail)
@@ -240,14 +240,6 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
                            std::int64_t bound_numel, std::int64_t feat,
                            std::int64_t hw, bool saturate, float* o,
                            std::int64_t n, bool count) noexcept;
-
-/// Clamp-event count alone (no output written): number of elements with
-/// !(x[i] <= bound[broadcast(i)]), same broadcast rule and NaN rule as
-/// clipped_relu. The standalone pass core::BoundedActivation::count_clamps
-/// runs on the eager path before handing x to the activation op.
-std::uint64_t count_over_bound(const float* x, const float* bound,
-                               std::int64_t bound_numel, std::int64_t feat,
-                               std::int64_t hw, std::int64_t n) noexcept;
 
 /// Trainable FitReLU forward (paper Eq. 6) with fused clamp-event counting,
 /// over n elements laid out as for clipped_relu (same bound broadcast,

@@ -431,41 +431,6 @@ std::uint64_t avx2_clipped_relu(const float* x, const float* bound,
       });
 }
 
-inline std::uint64_t count_span_const(const float* x, float bound,
-                                      std::int64_t n) noexcept {
-  const __m256 bv = _mm256_set1_ps(bound);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) events += count8(_mm256_loadu_ps(x + i), bv);
-  for (; i < n; ++i) events += !(x[i] <= bound);
-  return events;
-}
-
-inline std::uint64_t count_span_rowwise(const float* x, const float* bound,
-                                        std::int64_t n) noexcept {
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    events += count8(_mm256_loadu_ps(x + i), _mm256_loadu_ps(bound + i));
-  }
-  for (; i < n; ++i) events += !(x[i] <= bound[i]);
-  return events;
-}
-
-std::uint64_t avx2_count_over_bound(const float* x, const float* bound,
-                                    std::int64_t bound_numel,
-                                    std::int64_t feat, std::int64_t hw,
-                                    std::int64_t n) noexcept {
-  return over_bound_spans(
-      bound, bound_numel, feat, hw, n,
-      [x](std::int64_t off, std::int64_t len, const float* b) {
-        return count_span_const(x + off, *b, len);
-      },
-      [x](std::int64_t off, std::int64_t len, const float* row) {
-        return count_span_rowwise(x + off, row, len);
-      });
-}
-
 // ---- FitReLU ---------------------------------------------------------------
 
 /// table_expf's double-precision steps (kernels_scalar.cpp) on 4 lanes, for
@@ -587,7 +552,6 @@ const KernelTable& avx2_table() noexcept {
       avx2_relu,
       avx2_add,           avx2_bias_add_row,
       avx2_bias_add_const, avx2_clipped_relu,
-      avx2_count_over_bound,
       avx2_fitrelu,
       avx2_gemm_i8_dot,
       avx2_gemm_i8u8_dot,

@@ -198,35 +198,6 @@ std::uint64_t scalar_clipped_relu(const float* x, const float* bound,
       });
 }
 
-/// Count-only spans mirroring clip_span_*: events += !(x <= bound).
-inline std::uint64_t count_span_const(const float* x, float bound,
-                                      std::int64_t n) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) events += !(x[i] <= bound);
-  return events;
-}
-
-inline std::uint64_t count_span_rowwise(const float* x, const float* bound,
-                                        std::int64_t n) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) events += !(x[i] <= bound[i]);
-  return events;
-}
-
-std::uint64_t scalar_count_over_bound(const float* x, const float* bound,
-                                      std::int64_t bound_numel,
-                                      std::int64_t feat, std::int64_t hw,
-                                      std::int64_t n) noexcept {
-  return over_bound_spans(
-      bound, bound_numel, feat, hw, n,
-      [x](std::int64_t off, std::int64_t len, const float* b) {
-        return count_span_const(x + off, *b, len);
-      },
-      [x](std::int64_t off, std::int64_t len, const float* row) {
-        return count_span_rowwise(x + off, row, len);
-      });
-}
-
 /// FitReLU of one element (paper Eq. 6): x * sigmoid(t), t = k * (l - x),
 /// for x > 0, else 0. The sigmoid is 1 / (1 + e) for t >= 0 and e / (1 + e)
 /// below, with e = exp(-|t|) in both cases: the same values
@@ -278,7 +249,6 @@ const KernelTable& scalar_table() noexcept {
       scalar_relu,
       scalar_add,           scalar_bias_add_row,
       scalar_bias_add_const, scalar_clipped_relu,
-      scalar_count_over_bound,
       scalar_fitrelu,
       scalar_gemm_i8_dot,
       scalar_gemm_i8u8_dot,
