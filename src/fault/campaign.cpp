@@ -44,8 +44,8 @@ std::size_t lane_count_for(const CampaignConfig& config, std::size_t trials) {
 /// count and hand-out order. Lock-free by construction: `streams`, `order`
 /// and both result vectors are fully sized before the fan-out, the atomic
 /// counter hands each trial to exactly one lane, every trial touches
-/// disjoint elements, and parallel_for_slotted's join publishes the results
-/// (see the contract note in campaign.h).
+/// disjoint elements, and parallel_for's join publishes the results (see
+/// the contract note in campaign.h).
 CampaignResult run_trials(std::vector<CampaignWorker>& workers,
                           std::size_t lanes, ut::ThreadPool* pool,
                           const CampaignConfig& config, std::size_t trials) {
@@ -105,12 +105,11 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
     // One chunk per lane: the calling thread runs lane 0 and each pool
     // worker one other lane (a chunk spans several lanes only when
     // parallel_for runs inline). A lane that throws surfaces here:
-    // parallel_for_slotted finishes the other lanes and rethrows the first
+    // parallel_for finishes the other lanes and rethrows the first
     // exception on this thread.
-    pool->parallel_for_slotted(
-        0, lanes, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t lane = begin; lane < end; ++lane) run_lane(lane);
-        });
+    pool->parallel_for(0, lanes, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t lane = begin; lane < end; ++lane) run_lane(lane);
+    });
   }
   aggregate(result);
   return result;

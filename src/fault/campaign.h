@@ -25,9 +25,10 @@
 // isolation comes from structure — trial t writes only result slot t and
 // reads only stream t (both sized before the fan-out, so no reallocation
 // races), the hand-out counter is the only shared mutable state, and each
-// lane runs on one thread at a time via ut::ThreadPool::parallel_for_slotted
-// over the lane indices, whose join publishes every lane's writes to the
-// calling thread. Lanes are built on the calling thread before the fan-out,
+// lane runs on one thread at a time via ut::ThreadPool::parallel_for over
+// the lane indices, whose join publishes every lane's writes to the calling
+// thread and rethrows the first exception a lane raised once every lane
+// has stopped. Lanes are built on the calling thread before the fan-out,
 // and a reused lane is untouched between runs. The locking that backs this
 // lives in the pool and is annotated there (util/thread_annotations.h); the
 // TSan CI lane checks the disjointness claim dynamically.

@@ -25,15 +25,30 @@ struct InWorkerScope {
 };
 
 // Join-point shared by the fan-out entry points: chunks decrement pending
-// under m and the calling thread blocks until it reaches zero. Guarded
-// members are initialised in the constructor (which the thread-safety
-// analysis exempts) before the struct is shared with any worker.
+// under m and the calling thread blocks until it reaches zero. Chunks run
+// through run(), which records the first exception instead of letting it
+// unwind: on a pool worker it would escape worker_loop and terminate the
+// process, and on the calling thread it would return while enqueued chunks
+// still reference the caller's frame. wait_all rethrows it once every chunk
+// has finished. Guarded members are initialised in the constructor (which
+// the thread-safety analysis exempts) before the struct is shared with any
+// worker.
 struct Sync {
   explicit Sync(std::size_t p) : pending(p) {}
   Mutex m;
   CondVar done;
   std::size_t pending FITACT_GUARDED_BY(m);
+  std::exception_ptr error FITACT_GUARDED_BY(m);
 
+  template <typename Fn>
+  void run(const Fn& fn) FITACT_EXCLUDES(m) {
+    try {
+      fn();
+    } catch (...) {
+      const LockGuard lock(m);
+      if (!error) error = std::current_exception();
+    }
+  }
   void finish_one() FITACT_EXCLUDES(m) {
     {
       const LockGuard lock(m);
@@ -42,8 +57,13 @@ struct Sync {
     done.notify_one();
   }
   void wait_all() FITACT_EXCLUDES(m) {
-    const LockGuard lock(m);
-    while (pending != 0) done.wait(m);
+    std::exception_ptr first;
+    {
+      const LockGuard lock(m);
+      while (pending != 0) done.wait(m);
+      first = error;
+    }
+    if (first) std::rethrow_exception(first);
   }
 };
 }  // namespace
@@ -113,7 +133,7 @@ void ThreadPool::parallel_for(
       continue;
     }
     enqueue([fn, b, e, sync] {
-      fn(b, e);
+      sync->run([&] { fn(b, e); });
       sync->finish_one();
     });
   }
@@ -122,64 +142,9 @@ void ThreadPool::parallel_for(
   // the worker-thread chunks.
   {
     const InWorkerScope scope;
-    fn(begin, std::min(end, begin + chunk));
+    sync->run([&] { fn(begin, std::min(end, begin + chunk)); });
   }
   sync->wait_all();
-}
-
-void ThreadPool::parallel_for_slotted(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  // Slot ids are acquired when a chunk starts and released when it ends, so
-  // an id is always < the number of concurrently running chunks, which the
-  // execution model bounds by size() + 1 regardless of chunking policy.
-  // Exceptions are captured here rather than propagated out of the chunk
-  // callback: a throw on a pool worker would escape worker_loop and
-  // std::terminate, and a throw on the calling thread would return from
-  // parallel_for while enqueued chunks still reference this frame.
-  struct State {
-    Mutex m;
-    std::vector<std::size_t> free FITACT_GUARDED_BY(m);
-    std::size_t next FITACT_GUARDED_BY(m) = 0;
-    std::exception_ptr error FITACT_GUARDED_BY(m);
-
-    std::size_t acquire() FITACT_EXCLUDES(m) {
-      const LockGuard lock(m);
-      if (!free.empty()) {
-        const std::size_t s = free.back();
-        free.pop_back();
-        return s;
-      }
-      return next++;
-    }
-    void release(std::size_t s) FITACT_EXCLUDES(m) {
-      const LockGuard lock(m);
-      free.push_back(s);
-    }
-    void record_error() FITACT_EXCLUDES(m) {
-      const LockGuard lock(m);
-      if (!error) error = std::current_exception();
-    }
-    std::exception_ptr take_error() FITACT_EXCLUDES(m) {
-      const LockGuard lock(m);
-      return error;
-    }
-  };
-  auto state = std::make_shared<State>();
-  parallel_for(begin, end, [&fn, state](std::size_t b, std::size_t e) {
-    const std::size_t slot = state->acquire();
-    try {
-      fn(slot, b, e);
-    } catch (...) {
-      state->record_error();
-    }
-    state->release(slot);
-  });
-  // parallel_for has joined every chunk, but take the lock anyway: it costs
-  // nothing uncontended and keeps the guarded-by contract unconditional.
-  if (const std::exception_ptr error = state->take_error()) {
-    std::rethrow_exception(error);
-  }
 }
 
 void ThreadPool::parallel_for_each(std::size_t begin, std::size_t end,
@@ -191,19 +156,20 @@ void ThreadPool::parallel_for_each(std::size_t begin, std::size_t end,
     return;
   }
   if (grain == 0) grain = 1;
+  const std::size_t helpers =
+      std::min(workers_.size(), (end - begin + grain - 1) / grain);
+  auto sync = std::make_shared<Sync>(helpers);
   auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  const auto worker = [next, end, grain, &fn] {
+  // Each index runs under its own run(), so a throwing index skips no other.
+  const auto worker = [next, end, grain, &fn, sync] {
     for (;;) {
       const std::size_t b = next->fetch_add(grain);
       if (b >= end) return;
       const std::size_t e = std::min(end, b + grain);
-      for (std::size_t i = b; i < e; ++i) fn(i);
+      for (std::size_t i = b; i < e; ++i) sync->run([&] { fn(i); });
     }
   };
 
-  const std::size_t helpers =
-      std::min(workers_.size(), (end - begin + grain - 1) / grain);
-  auto sync = std::make_shared<Sync>(helpers);
   for (std::size_t c = 0; c < helpers; ++c) {
     enqueue([worker, sync] {
       worker();

@@ -38,27 +38,20 @@ class ThreadPool {
   /// Run fn(begin..end) partitioned into roughly equal contiguous chunks,
   /// one per worker (plus the calling thread). Blocks until all chunks
   /// complete. fn receives a half-open index range [chunk_begin, chunk_end).
+  /// If fn throws, every other chunk still runs to completion and the first
+  /// exception is rethrown on the calling thread afterwards: exceptions
+  /// never unwind a pool worker, and the call never returns while a chunk
+  /// still runs. (A call made inside a chunk runs inline as one chunk, so
+  /// its exception simply propagates into the enclosing chunk.)
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Run fn once per index in [begin, end), dynamically load-balanced in
-  /// blocks of `grain`. Use for heterogeneous per-item costs (fault trials).
+  /// blocks of `grain`. Use for heterogeneous per-item costs. Exceptions as
+  /// for parallel_for, per index: every other index still runs, then the
+  /// first exception is rethrown on the calling thread.
   void parallel_for_each(std::size_t begin, std::size_t end, std::size_t grain,
                          const std::function<void(std::size_t)>& fn);
-
-  /// parallel_for variant that also hands fn an execution-slot id. The
-  /// pool guarantees the id is < size() + 1 and unique among concurrently
-  /// running chunks (slots are recycled as chunks finish), independent of
-  /// how the range is chunked. Callers that need per-execution state index
-  /// it by slot instead of re-deriving the pool's chunking policy. If fn
-  /// throws, every chunk is still driven to completion and the first
-  /// exception is rethrown on the calling thread afterwards (exceptions
-  /// never unwind a pool worker). The campaign engine runs one chunk per
-  /// lane over the range of lane indices for this guarantee.
-  void parallel_for_slotted(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t slot, std::size_t, std::size_t)>&
-          fn);
 
  private:
   void worker_loop();

@@ -1,9 +1,11 @@
-// Stress tests for ut::ThreadPool: exception capture under
-// parallel_for_slotted when many chunks throw at once (repeatedly, so a
-// leaked slot or a stuck worker surfaces), and nested in-worker parallel_for
-// staying inline — never fanning back into the pool and oversubscribing it.
+// Stress tests for ut::ThreadPool: exception capture under parallel_for and
+// parallel_for_each when many chunks throw at once (repeatedly, so a stuck
+// worker or a call that returns before its chunks finish surfaces), and
+// nested in-worker parallel_for staying inline — never fanning back into
+// the pool and oversubscribing it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -16,31 +18,25 @@
 namespace fitact::ut {
 namespace {
 
-TEST(ThreadPoolStress, SlottedCapturesManyThrowingChunks) {
+TEST(ThreadPoolStress, CapturesManyThrowingChunks) {
   // A 16-worker pool chunks a large range into up to 17 concurrently
   // running chunks; every one of them throws, on every iteration. The
   // contract: each chunk is still driven to completion (full coverage),
-  // exactly one exception is rethrown on the calling thread, slot ids stay
-  // within bounds, and the pool survives to serve the next iteration.
+  // exactly one exception is rethrown on the calling thread, and the pool
+  // survives to serve the next iteration.
   ThreadPool pool(16);
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<std::atomic<int>> hits(513);
-    std::atomic<std::size_t> max_slot{0};
     bool caught = false;
     try {
-      pool.parallel_for_slotted(
-          0, hits.size(), [&](std::size_t slot, std::size_t b, std::size_t e) {
-            std::size_t seen = max_slot.load();
-            while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
-            }
-            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-            throw std::runtime_error("chunk failure");
-          });
+      pool.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        throw std::runtime_error("chunk failure");
+      });
     } catch (const std::runtime_error&) {
       caught = true;
     }
     EXPECT_TRUE(caught) << "iteration " << iter;
-    EXPECT_LT(max_slot.load(), pool.size() + 1) << "iteration " << iter;
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1)
           << "iteration " << iter << " index " << i
@@ -55,7 +51,7 @@ TEST(ThreadPoolStress, SlottedCapturesManyThrowingChunks) {
   EXPECT_EQ(total.load(), 1000);
 }
 
-TEST(ThreadPoolStress, SlottedMixedThrowersStillCoverEverything) {
+TEST(ThreadPoolStress, MixedThrowersStillCoverEverything) {
   // Only some chunks throw (first exception wins); coverage and reusability
   // must hold regardless of which chunk failed.
   ThreadPool pool(8);
@@ -63,21 +59,46 @@ TEST(ThreadPoolStress, SlottedMixedThrowersStillCoverEverything) {
     std::vector<std::atomic<int>> hits(256);
     std::atomic<int> throwers{0};
     try {
-      pool.parallel_for_slotted(
-          0, hits.size(),
-          [&](std::size_t /*slot*/, std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-            if (b % 2 == static_cast<std::size_t>(iter % 2)) {
-              throwers.fetch_add(1);
-              throw std::logic_error("selective failure");
-            }
-          });
+      pool.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        if (b % 2 == static_cast<std::size_t>(iter % 2)) {
+          throwers.fetch_add(1);
+          throw std::logic_error("selective failure");
+        }
+      });
     } catch (const std::logic_error&) {
     }
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "iteration " << iter << " index " << i;
     }
   }
+}
+
+TEST(ThreadPoolStress, ParallelForEachRunsEveryIndexThenRethrows) {
+  // Every index throws, on workers and on the calling thread alike. No
+  // throw may escape a worker's loop (that terminates the process) or
+  // return the call while workers still run fn, which references this
+  // frame: every index runs exactly once, then one exception surfaces.
+  ThreadPool pool(8);
+  for (int iter = 0; iter < 30; ++iter) {
+    std::vector<std::atomic<int>> hits(301);
+    bool caught = false;
+    try {
+      pool.parallel_for_each(0, hits.size(), 3, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        throw std::runtime_error("index failure");
+      });
+    } catch (const std::runtime_error&) {
+      caught = true;
+    }
+    EXPECT_TRUE(caught) << "iteration " << iter;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "iteration " << iter << " index " << i;
+    }
+  }
+  std::atomic<int> total{0};
+  pool.parallel_for_each(0, 100, 7, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 100);
 }
 
 TEST(ThreadPoolStress, NestedParallelForRunsInlineWithoutOversubscription) {
@@ -108,21 +129,20 @@ TEST(ThreadPoolStress, NestedParallelForRunsInlineWithoutOversubscription) {
   EXPECT_LE(nested_threads.size(), pool.size() + 1);
 }
 
-TEST(ThreadPoolStress, ThrowFromNestedInlineCallPropagatesThroughSlotted) {
+TEST(ThreadPoolStress, ThrowFromNestedInlineCallPropagatesThroughOuterChunk) {
   // An exception raised inside a nested (inline) parallel_for unwinds into
-  // the outer chunk, which parallel_for_slotted captures and rethrows on
+  // the outer chunk, which the outer parallel_for captures and rethrows on
   // the calling thread — never into a pool worker's loop.
   ThreadPool pool(4);
   std::atomic<int> chunks_run{0};
   bool caught = false;
   try {
-    pool.parallel_for_slotted(
-        0, 64, [&](std::size_t /*slot*/, std::size_t b, std::size_t e) {
-          chunks_run.fetch_add(1);
-          pool.parallel_for(b, e, [&](std::size_t nb, std::size_t /*ne*/) {
-            if (nb % 2 == 0) throw std::runtime_error("nested failure");
-          });
-        });
+    pool.parallel_for(0, 64, [&](std::size_t b, std::size_t e) {
+      chunks_run.fetch_add(1);
+      pool.parallel_for(b, e, [&](std::size_t nb, std::size_t /*ne*/) {
+        if (nb % 2 == 0) throw std::runtime_error("nested failure");
+      });
+    });
   } catch (const std::runtime_error&) {
     caught = true;
   }
