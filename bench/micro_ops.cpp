@@ -20,6 +20,7 @@
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -34,6 +35,12 @@ using namespace fitact;
 // benchmark. On a host without AVX2 the pairs coincide. The GEMM and conv
 // rows are labelled with the fp32 variant they ran (kern::fp32_variant():
 // scalar, avx2, or avx2_avx512 where the avx2 tier runs the AVX-512 bodies).
+//
+// The GEMM and conv rows (BM_Sgemm*, BM_SgemmNarrow*, BM_Conv2dForward) time
+// one core: each timed loop runs under ut::InlineKernelScope, the way
+// campaign lanes and serving plans run their kernels. Fanned over the
+// global pool, their rounds swung 2-4x with the load of a shared host and
+// timed the pool's hand-off as much as the kernel.
 
 void sgemm_bench(benchmark::State& state) {
   const auto n = state.range(0);
@@ -41,6 +48,7 @@ void sgemm_bench(benchmark::State& state) {
   const Tensor a = Tensor::randn(Shape{n, n}, rng);
   const Tensor b = Tensor::randn(Shape{n, n}, rng);
   Tensor c = Tensor::zeros(Shape{n, n});
+  const ut::InlineKernelScope one_core;
   for (auto _ : state) {
     sgemm(false, false, n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f,
           c.data(), n);
@@ -72,6 +80,7 @@ void sgemm_narrow_bench(benchmark::State& state) {
   const Tensor a = Tensor::randn(trans_a ? Shape{k, m} : Shape{m, k}, rng);
   const Tensor b = Tensor::randn(Shape{k, n}, rng);
   Tensor c = Tensor::zeros(Shape{m, n});
+  const ut::InlineKernelScope one_core;
   for (auto _ : state) {
     sgemm(trans_a, false, m, n, k, 1.0f, a.data(), trans_a ? m : k, b.data(),
           n, 0.0f, c.data(), n);
@@ -108,6 +117,7 @@ void BM_Conv2dForward(benchmark::State& state) {
   const Variable w(Tensor::randn(Shape{out_c, in_c, kernel, kernel}, rng),
                    false);
   const NoGradGuard no_grad;
+  const ut::InlineKernelScope one_core;
   for (auto _ : state) {
     const Variable y = ag::conv2d(x, w, Variable(), 1, kernel / 2);
     benchmark::DoNotOptimize(y.value().data());
