@@ -38,9 +38,9 @@ using namespace fitact;
 //
 // The GEMM and conv rows (BM_Sgemm*, BM_SgemmNarrow*, BM_Conv2dForward) time
 // one core: each timed loop runs under ut::InlineKernelScope, the way
-// campaign lanes and serving plans run their kernels. Fanned over the
-// global pool, their rounds swung 2-4x with the load of a shared host and
-// timed the pool's hand-off as much as the kernel.
+// campaign lanes and serving plans run their kernels, so a row reads what
+// one lane pays for the kernel rather than the global pool's fan-out and
+// hand-off, which also swings with the load of a shared host.
 
 void sgemm_bench(benchmark::State& state) {
   const auto n = state.range(0);
