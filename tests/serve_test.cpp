@@ -227,6 +227,42 @@ TEST(Serve, WithoutDetectionFaultsCorruptOutputs) {
   EXPECT_EQ(server->stats().detections, 0u);
 }
 
+// A batch still above threshold after its scrub is served from the scrubbed
+// parameters: the lane scrubs and re-runs once, and that re-run's answer
+// stands. Bounds lowered to 1e-3 make clean traffic clamp at every site, so
+// under threshold 0 every batch alarms both before and after its scrub.
+TEST(Serve, PersistentAlarmScrubsOnceThenServesClean) {
+  PreparedModel pm = prepared(29);
+  for (const auto& site : core::collect_activations(*pm.model)) {
+    site->set_layer_bound(1e-3f);
+  }
+  pm.touch();
+  const std::vector<Tensor> samples = test_samples(pm, 8);
+
+  ServeOptions options;
+  options.server.lanes = 1;
+  options.server.max_batch = 1;
+  options.server.detection = false;
+  const auto reference = make_server(pm, options);
+  options.server.detection = true;
+  options.server.clamp_rate_threshold = 0.0;
+  const auto server = make_server(pm, options);
+  ASSERT_TRUE(server->options().detection);
+
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::string context = "request " + std::to_string(i);
+    const serve::RequestResult r = server->infer(samples[i]);
+    EXPECT_TRUE(r.recovered) << context;
+    expect_bit_identical(r.logits, reference->infer(samples[i]).logits,
+                         context);
+  }
+  const serve::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.detections, 8u);
+  EXPECT_EQ(stats.recoveries, 8u);
+  EXPECT_EQ(stats.post_recovery_alarms, 8u);
+  EXPECT_EQ(stats.forwards, 16u);
+}
+
 TEST(Serve, BatchingWindowServesPartialBatches) {
   PreparedModel pm = prepared(29);
   ServeOptions options;
