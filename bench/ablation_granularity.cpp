@@ -1,4 +1,4 @@
-// Ablation A (DESIGN.md): bound granularity. The paper argues per-neuron
+// Ablation: bound granularity. The paper argues per-neuron
 // bounds beat a per-layer bound (Sec. III-C); this ablation quantifies the
 // middle ground (per-channel) as well, holding everything else fixed:
 // same trained model, same FitReLU activation, same post-training budget,

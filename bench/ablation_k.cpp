@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md): the FitReLU steepness coefficient k (paper Eq. 6,
+// Ablation: the FitReLU steepness coefficient k (paper Eq. 6,
 // "empirically computed"). Two views:
 //   1. function-level: max deviation of FitReLU from FitReLU-Naive outside
 //      a transition band, which shrinks as k grows;

@@ -7,7 +7,7 @@
 // scale-invariant, so the paper's rates are injected unmodified even at
 // reduced model width. --rate-scale multiplies them for sensitivity studies
 // (e.g. pass the full_scale_rate_factor to emulate equal absolute flip
-// counts instead; see DESIGN.md).
+// counts instead; see ev::full_scale_rate_factor).
 //
 // Usage: fig5_accuracy_distribution [--trials N] [--threads T] [--rate-scale S]
 //                                   [--train-size N] [--test-size N]

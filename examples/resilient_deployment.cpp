@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       ev::prepare_model(model_name, classes, scale, "fitact_cache");
 
   // Fault rates scaled up relative to the paper grid because the scaled
-  // model has ~100x fewer parameter bits (see DESIGN.md).
+  // model has ~100x fewer parameter bits (see ev::full_scale_rate_factor).
   const std::vector<double> rates = {1e-5, 1e-4, 3e-4};
 
   ut::TextTable table({"scheme", "clean acc", "acc@1e-5", "acc@1e-4",

@@ -9,6 +9,9 @@
 // image, and keep answering with clean outputs.
 //
 // Usage: resilient_server [--lanes 2] [--batch 4] [--requests 32]
+// Exits 1 when a faulty-wave prediction differs from the clean wave's, or
+// when lane 0 served part of the faulty wave and no batch recovered. With
+// --lanes 1 every batch reaches the corrupted lane.
 #include <cstdio>
 #include <future>
 #include <vector>
@@ -90,12 +93,12 @@ int main(int argc, char** argv) {
   for (const auto& s : samples) futures.push_back(server->submit(s));
   std::int64_t mismatches = 0;
   bool saw_recovered = false;
+  bool lane0_served = false;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const serve::RequestResult r = futures[i].get();
     if (r.predicted != clean_predictions[i]) ++mismatches;
-    if (r.recovered) {
-      saw_recovered = true;
-    }
+    saw_recovered = saw_recovered || r.recovered;
+    lane0_served = lane0_served || r.lane == 0;
   }
   const serve::ServerStats after = server->stats();
   std::printf("5. faulty wave: %llu detections, %llu recoveries, "
@@ -104,6 +107,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(after.recoveries),
               static_cast<long long>(mismatches),
               saw_recovered ? " (recovered batches served clean)" : "");
+  if (mismatches != 0 || (lane0_served && !saw_recovered)) {
+    std::fprintf(stderr, "FAILED: %s\n",
+                 mismatches != 0
+                     ? "the faulty wave's predictions differ from the clean "
+                       "wave's"
+                     : "lane 0 served corrupted batches without a recovery");
+    return 1;
+  }
 
   std::printf("\nThe protection layer is the detector: a saturated clamp at "
               "inference\ntime is the observable symptom of a parameter "

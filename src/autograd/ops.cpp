@@ -500,34 +500,6 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
 // activations
 // ---------------------------------------------------------------------------
 
-Variable dropout(const Variable& x, float p, bool training, ut::Rng& rng) {
-  if (p < 0.0f || p >= 1.0f) {
-    throw std::invalid_argument("dropout: p must be in [0, 1)");
-  }
-  if (!training || p == 0.0f) return x;
-  const float scale_keep = 1.0f / (1.0f - p);
-  Tensor mask(x.shape());
-  Tensor out(x.shape());
-  const float* px = x.value().data();
-  float* pm = mask.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    pm[i] = rng.bernoulli(p) ? 0.0f : scale_keep;
-    po[i] = px[i] * pm[i];
-  }
-  const ImplPtr px_impl = x.impl();
-  return Variable::from_op(std::move(out), {x},
-                           [px_impl, mask](const Tensor& g) {
-                             if (!px_impl->requires_grad) return;
-                             float* dx = grad_buffer(px_impl);
-                             const float* pm2 = mask.data();
-                             const float* pg = g.data();
-                             for (std::int64_t i = 0; i < g.numel(); ++i) {
-                               dx[i] += pg[i] * pm2[i];
-                             }
-                           });
-}
-
 Variable relu(const Variable& x) {
   Tensor out(x.shape());
   relu_forward(x.value().data(), out.data(), out.numel());
@@ -614,21 +586,13 @@ Variable fitrelu(const Variable& x, const Variable& lambda, float k) {
 // ---------------------------------------------------------------------------
 
 Variable softmax_cross_entropy(const Variable& logits,
-                               const std::vector<std::int64_t>& labels,
-                               Tensor* probs_out, float label_smoothing) {
+                               const std::vector<std::int64_t>& labels) {
   check_rank(logits, 2, "softmax_cross_entropy");
   const std::int64_t batch = logits.shape()[0];
   const std::int64_t classes = logits.shape()[1];
   if (static_cast<std::int64_t>(labels.size()) != batch) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  if (label_smoothing < 0.0f || label_smoothing >= 1.0f) {
-    throw std::invalid_argument(
-        "softmax_cross_entropy: label_smoothing must be in [0, 1)");
-  }
-  // Target distribution weights: q_y = 1 - s + s/K, q_other = s/K.
-  const float q_other = label_smoothing / static_cast<float>(classes);
-  const float q_label = 1.0f - label_smoothing + q_other;
 
   Tensor probs(Shape{batch, classes});
   const float* pl = logits.value().data();
@@ -651,19 +615,8 @@ Variable softmax_cross_entropy(const Variable& logits,
     if (y < 0 || y >= classes) {
       throw std::out_of_range("softmax_cross_entropy: label out of range");
     }
-    if (label_smoothing == 0.0f) {
-      loss_acc += -std::log(std::max(1e-12f, prow[y]));
-    } else {
-      double row_loss = 0.0;
-      for (std::int64_t c = 0; c < classes; ++c) {
-        const float q = (c == y) ? q_label : q_other;
-        row_loss += -static_cast<double>(q) *
-                    std::log(std::max(1e-12f, prow[c]));
-      }
-      loss_acc += row_loss;
-    }
+    loss_acc += -std::log(std::max(1e-12f, prow[y]));
   }
-  if (probs_out != nullptr) *probs_out = probs;
 
   Tensor loss = Tensor::scalar(
       static_cast<float>(loss_acc / static_cast<double>(batch)));
@@ -671,8 +624,7 @@ Variable softmax_cross_entropy(const Variable& logits,
   auto labels_copy = std::make_shared<std::vector<std::int64_t>>(labels);
   return Variable::from_op(
       std::move(loss), {logits},
-      [pl_impl, probs, labels_copy, batch, classes, q_label,
-       q_other](const Tensor& g) {
+      [pl_impl, probs, labels_copy, batch, classes](const Tensor& g) {
         if (!pl_impl->requires_grad) return;
         float* dx = grad_buffer(pl_impl);
         const float* pp2 = probs.data();
@@ -682,7 +634,7 @@ Variable softmax_cross_entropy(const Variable& logits,
           const float* prow = pp2 + b * classes;
           float* drow = dx + b * classes;
           for (std::int64_t c = 0; c < classes; ++c) {
-            drow[c] += gs * (prow[c] - (c == y ? q_label : q_other));
+            drow[c] += gs * (prow[c] - (c == y ? 1.0f : 0.0f));
           }
         }
       });

@@ -15,7 +15,6 @@
 
 #include "autograd/op_kernels.h"
 #include "autograd/variable.h"
-#include "util/rng.h"
 
 namespace fitact::ag {
 
@@ -59,13 +58,6 @@ namespace fitact::ag {
                                     Tensor& running_var, bool training,
                                     float momentum, float eps);
 
-// ---- regularisation --------------------------------------------------------
-/// Inverted dropout: in training mode zeroes each element with probability
-/// p and scales survivors by 1/(1-p); identity in eval mode. The mask is
-/// drawn from `rng` and shared with the backward pass.
-[[nodiscard]] Variable dropout(const Variable& x, float p, bool training,
-                               ut::Rng& rng);
-
 // ---- activations -----------------------------------------------------------
 [[nodiscard]] Variable relu(const Variable& x);
 
@@ -86,13 +78,9 @@ namespace fitact::ag {
                                float k);
 
 // ---- losses / reductions ---------------------------------------------------
-/// Mean cross-entropy of logits[B,K] against integer labels. If probs_out
-/// is non-null it receives the softmax probabilities [B,K].
-/// label_smoothing in [0,1) mixes the one-hot target with the uniform
-/// distribution: q = (1-s)*onehot + s/K.
+/// Mean cross-entropy of logits[B,K] against integer labels.
 [[nodiscard]] Variable softmax_cross_entropy(
-    const Variable& logits, const std::vector<std::int64_t>& labels,
-    Tensor* probs_out = nullptr, float label_smoothing = 0.0f);
+    const Variable& logits, const std::vector<std::int64_t>& labels);
 
 /// Scalar sum of squared entries (the FitAct bound regulariser, Eq. 10).
 [[nodiscard]] Variable sum_of_squares(const Variable& x);

@@ -1,7 +1,7 @@
 // Loader for the original CIFAR-10 / CIFAR-100 binary format
 // (https://www.cs.toronto.edu/~kriz/cifar.html). When the binary files are
 // present on disk the experiment drivers use the real data; otherwise they
-// fall back to SyntheticCifar (see DESIGN.md, substitutions).
+// fall back to SyntheticCifar (see data/synthetic_cifar.h).
 //
 // CIFAR-10 record:  <1 x label><3072 x pixel>      (6 files x 10000 records)
 // CIFAR-100 record: <1 x coarse><1 x fine><3072 x pixel>

@@ -21,23 +21,15 @@ TrainReport train_classifier(nn::Module& model, const data::Dataset& train,
                           config.seed);
   data::Batch batch;
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    if (config.schedule != nullptr) {
-      sgd.set_lr(config.schedule->lr_at(epoch));
-    }
     loader.start_epoch();
     double loss_sum = 0.0;
     std::int64_t correct = 0;
     std::int64_t seen = 0;
     std::int64_t batches = 0;
     while (loader.next(batch)) {
-      if (config.max_batches_per_epoch > 0 &&
-          batches >= config.max_batches_per_epoch) {
-        break;
-      }
       model.zero_grad();
       const Variable logits = model.forward(Variable(batch.images));
-      Variable loss = ag::softmax_cross_entropy(logits, batch.labels, nullptr,
-                                                config.label_smoothing);
+      Variable loss = ag::softmax_cross_entropy(logits, batch.labels);
       loss.backward();
       if (config.clip_norm > 0.0) {
         nn::clip_grad_norm(params, config.clip_norm);
@@ -60,9 +52,7 @@ TrainReport train_classifier(nn::Module& model, const data::Dataset& train,
     report.epoch_accuracy.push_back(acc);
     ut::log_info() << "train epoch " << (epoch + 1) << "/" << config.epochs
                    << " loss=" << mean_loss << " acc=" << acc;
-    if (config.schedule == nullptr) {
-      sgd.set_lr(sgd.lr() * config.lr_decay);
-    }
+    sgd.set_lr(sgd.lr() * config.lr_decay);
   }
   report.wall_time_s = timer.elapsed_s();
   return report;

@@ -8,26 +8,19 @@
 
 #include "data/dataset.h"
 #include "nn/module.h"
-#include "nn/schedule.h"
 
 namespace fitact::ev {
 
 struct TrainConfig {
   std::int64_t epochs = 10;
   std::int64_t batch_size = 32;
-  std::int64_t max_batches_per_epoch = 0;  ///< <=0: full epoch
   float lr = 0.05f;
   float momentum = 0.9f;
   float weight_decay = 5e-4f;
   /// Multiply lr by this factor at each epoch boundary (simple decay).
-  /// Ignored when `schedule` is set.
   float lr_decay = 0.85f;
-  /// Optional epoch-indexed schedule (overrides lr/lr_decay); not owned.
-  const nn::LrSchedule* schedule = nullptr;
   /// Global-norm gradient clipping; <= 0 disables.
   double clip_norm = 0.0;
-  /// Label smoothing passed to the cross-entropy loss.
-  float label_smoothing = 0.0f;
   std::uint64_t seed = 3;
 };
 

@@ -32,17 +32,12 @@ std::shared_ptr<nn::Module> make_alexnet(const ModelConfig& config) {
                                         init));
   net->add(act());
   net->add(std::make_shared<nn::MaxPool2d>(2));
-  // Classifier, optionally with the original dropout regularisation.
+  // Classifier, without the original's dropout: the scaled training
+  // budgets are too small for heavy regularisation.
   net->add(std::make_shared<nn::Flatten>());
-  if (config.alexnet_dropout) {
-    net->add(std::make_shared<nn::Dropout>(0.5f, config.seed ^ 0xD0));
-  }
   net->add(std::make_shared<nn::Linear>(w(256) * 4 * 4, w(1024), true, rng,
                                         init));
   net->add(act());
-  if (config.alexnet_dropout) {
-    net->add(std::make_shared<nn::Dropout>(0.5f, config.seed ^ 0xD1));
-  }
   net->add(std::make_shared<nn::Linear>(w(1024), w(512), true, rng, init));
   net->add(act());
   net->add(std::make_shared<nn::Linear>(w(512), config.num_classes, true, rng,

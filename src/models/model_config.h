@@ -12,18 +12,10 @@ struct ModelConfig {
   std::int64_t num_classes = 10;
   /// Channel-width multiplier. 1.0 reproduces the paper-scale architecture;
   /// the bench harnesses default to smaller widths so the full suite runs
-  /// on a small CPU container (see DESIGN.md).
+  /// on a small CPU container (see ev::ExperimentScale).
   float width_mult = 1.0f;
   /// Configuration applied to every activation site.
   core::ActivationConfig activation;
-  /// Insert BatchNorm after VGG16 convolutions. The original configuration D
-  /// has no normalisation (and the paper's wide per-layer activation ranges
-  /// depend on that); ResNet50 always uses BatchNorm regardless.
-  bool vgg_batchnorm = false;
-  /// Insert the original AlexNet's 0.5 dropout before the first two
-  /// classifier layers. Off by default: the scaled training budgets are too
-  /// small for heavy regularisation (enable for full-scale runs).
-  bool alexnet_dropout = false;
   /// Weight-initialisation seed.
   std::uint64_t seed = 42;
   /// Allocate parameters without the random init (nn::InitMode::deferred).

@@ -15,7 +15,8 @@ std::shared_ptr<nn::Module> make_vgg16(const ModelConfig& config) {
     return std::make_shared<core::BoundedActivation>(config.activation);
   };
 
-  // Configuration D; -1 marks a max-pool.
+  // Configuration D, without normalisation (the paper's wide per-layer
+  // activation ranges depend on that); -1 marks a max-pool.
   constexpr std::array<std::int64_t, 18> kPlan = {
       64, 64, -1, 128, 128, -1, 256, 256, 256, -1,
       512, 512, 512, -1, 512, 512, 512, -1};
@@ -28,12 +29,8 @@ std::shared_ptr<nn::Module> make_vgg16(const ModelConfig& config) {
       continue;
     }
     const std::int64_t out_c = w(entry);
-    net->add(std::make_shared<nn::Conv2d>(in_c, out_c, 3, 1, 1,
-                                          /*bias=*/!config.vgg_batchnorm,
-                                          rng, init));
-    if (config.vgg_batchnorm) {
-      net->add(std::make_shared<nn::BatchNorm2d>(out_c));
-    }
+    net->add(std::make_shared<nn::Conv2d>(in_c, out_c, 3, 1, 1, true, rng,
+                                          init));
     net->add(act());
     in_c = out_c;
   }

@@ -14,10 +14,4 @@ void kaiming_uniform(Tensor& w, std::int64_t fan_in, ut::Rng& rng) {
   for (auto& v : w.span()) v = rng.uniform(-b, b);
 }
 
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out,
-                    ut::Rng& rng) {
-  const float b = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (auto& v : w.span()) v = rng.uniform(-b, b);
-}
-
 }  // namespace fitact::nn

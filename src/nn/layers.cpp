@@ -106,21 +106,6 @@ PlanValueId GlobalAvgPool::record(PlanBuilder& builder, PlanValueId input) {
   return builder.global_avg_pool(input);
 }
 
-Dropout::Dropout(float p, std::uint64_t seed) : p_(p), rng_(seed) {}
-
-Variable Dropout::forward(const Variable& x) {
-  return ag::dropout(x, p_, is_training(), rng_);
-}
-
-PlanValueId Dropout::record(PlanBuilder& builder, PlanValueId input) {
-  if (is_training() && p_ > 0.0f) {
-    builder.fail(
-        "Dropout is active (training mode, p > 0); plans are inference "
-        "programs — call set_training(false) before compiling a plan");
-  }
-  return builder.noop("Dropout", input);
-}
-
 Variable Flatten::forward(const Variable& x) { return ag::flatten(x); }
 
 PlanValueId Flatten::record(PlanBuilder& builder, PlanValueId input) {

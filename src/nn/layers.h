@@ -90,32 +90,6 @@ class Flatten final : public Module {
   PlanValueId record(PlanBuilder& builder, PlanValueId input) override;
 };
 
-class Identity final : public Module {
- public:
-  Variable forward(const Variable& x) override { return x; }
-  PlanValueId record(PlanBuilder& /*builder*/, PlanValueId input) override {
-    return input;
-  }
-};
-
-/// Inverted dropout; active only in training mode. Owns its RNG stream so
-/// mask draws are reproducible per layer instance.
-class Dropout final : public Module {
- public:
-  explicit Dropout(float p, std::uint64_t seed = 0xD50Full);
-
-  Variable forward(const Variable& x) override;
-  /// In eval mode (or with p == 0) dropout is the identity, recorded as an
-  /// explicit no-op so the plan documents the module. Recording an *active*
-  /// dropout fails: a plan is an inference program and must not embed
-  /// train-only stochastic behavior.
-  PlanValueId record(PlanBuilder& builder, PlanValueId input) override;
-
- private:
-  float p_;
-  ut::Rng rng_;
-};
-
 /// Ordered container; children named by index ("0", "1", ...).
 class Sequential final : public Module {
  public:

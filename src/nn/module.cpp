@@ -15,7 +15,6 @@ PlanValueId Module::record(PlanBuilder& builder, PlanValueId /*input*/) {
 
 void Module::set_training(bool training) {
   training_ = training;
-  on_set_training(training);
   for (auto& [name, child] : children_) child->set_training(training);
 }
 

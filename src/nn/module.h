@@ -111,9 +111,6 @@ class Module {
     return m;
   }
 
-  /// Hook for subclasses that need to react to mode changes.
-  virtual void on_set_training(bool /*training*/) {}
-
   /// Called by layer constructors that honoured InitMode::deferred and left
   /// their parameters unfilled.
   void mark_pending_init() noexcept { pending_init_ = true; }

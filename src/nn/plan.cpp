@@ -424,20 +424,6 @@ PlanValueId PlanBuilder::add(PlanValueId a, PlanValueId b) {
   return ops_.back().out;
 }
 
-PlanValueId PlanBuilder::noop(const std::string& what, PlanValueId in) {
-  // Documented pass-through: the op appears in the program (and summary())
-  // but moves no data — its output is the input value itself.
-  Op op;
-  op.kind = OpKind::noop;
-  op.label = scope_path().empty() ? what : scope_path() + " (" + what + ")";
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = in;
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return in;
-}
-
 // ---- InferencePlan ---------------------------------------------------------
 
 PlanValueId InferencePlan::root(PlanValueId v) const noexcept {
@@ -705,10 +691,9 @@ void InferencePlan::quantize_ops(float input_range) {
         set_nonneg(op.out, true);  // fused clamp: same cascade as activation
         break;
       }
-      case PlanBuilder::OpKind::noop:
       case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
       case PlanBuilder::OpKind::fused_linear_int8_clamp:
-        break;  // noop moves nothing; int8 kinds don't exist before this pass
+        break;  // int8 kinds don't exist before this pass
     }
   }
 }
@@ -716,9 +701,9 @@ void InferencePlan::quantize_ops(float input_range) {
 void InferencePlan::finalize_liveness() {
   // Recompute def/last_use against the final op list (fusion drops ops, so
   // record-time indices are stale), mirroring the builder's bookkeeping:
-  // aliases track their root, a noop reads but does not define, and a
-  // value's live range starts at its defining op. Then pin the plan input
-  // and output live forever (see kLiveForever above).
+  // aliases track their root, and a value's live range starts at its
+  // defining op. Then pin the plan input and output live forever (see
+  // kLiveForever above).
   for (auto& v : values_) {
     if (v.alias_of < 0) {
       v.def = -1;
@@ -732,11 +717,9 @@ void InferencePlan::finalize_liveness() {
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const Op& op = ops_[i];
     const auto idx = static_cast<std::int32_t>(i);
-    if (op.kind != PlanBuilder::OpKind::noop) {
-      Value& o = values_[static_cast<std::size_t>(root(op.out))];
-      o.def = idx;
-      o.last_use = std::max(o.last_use, idx);
-    }
+    Value& o = values_[static_cast<std::size_t>(root(op.out))];
+    o.def = idx;
+    o.last_use = std::max(o.last_use, idx);
     use(op.in0, idx);
     if (op.in1 >= 0) use(op.in1, idx);
   }
@@ -981,8 +964,6 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
       case PlanBuilder::OpKind::add:
         ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out), numel(op.out));
         break;
-      case PlanBuilder::OpKind::noop:
-        break;
     }
   }
   return output_views_[static_cast<std::size_t>(batch - 1)];
@@ -1089,7 +1070,7 @@ std::pair<std::int8_t*, std::size_t> InferencePlan::int8_weight_span(
 std::string InferencePlan::summary() const {
   static const char* const kKindNames[] = {
       "conv2d",      "linear", "batch_norm2d", "max_pool2d",
-      "global_avg_pool", "activation", "add",  "noop",
+      "global_avg_pool", "activation", "add",
       "fused_conv2d_clamp", "fused_linear_clamp",
       "fused_conv2d_int8_clamp", "fused_linear_int8_clamp"};
   std::ostringstream os;

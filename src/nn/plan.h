@@ -38,9 +38,8 @@
 //
 // Recording fails with PlanError — listing the offending module's path —
 // for module types without a record() override and for train-only behavior
-// (BatchNorm2d in training mode, active Dropout). Train-only modules that
-// are inert at inference (Dropout in eval mode) record an explicit no-op so
-// the plan documents them instead of silently diverging from forward().
+// (BatchNorm2d in training mode). Every recorded op writes a value of its
+// own; only flatten records no op (its output aliases its input).
 //
 // Thread safety: a plan is mutable state (its arena); drive it from one
 // thread at a time. Serving lanes hold their lane mutex across execute.
@@ -126,10 +125,6 @@ class PlanBuilder {
   PlanValueId activation(core::BoundedActivation* site, PlanValueId in);
   /// Elementwise sum (residual shortcuts).
   PlanValueId add(PlanValueId a, PlanValueId b);
-  /// Explicit recorded no-op: a train-only module that is inert at
-  /// inference (e.g. Dropout in eval mode). Documents the module in the
-  /// plan instead of silently skipping it.
-  PlanValueId noop(const std::string& what, PlanValueId in);
 
   /// Per-sample shape of a recorded value.
   [[nodiscard]] const Shape& value_shape(PlanValueId v) const;
@@ -153,7 +148,6 @@ class PlanBuilder {
     global_avg_pool,
     activation,
     add,
-    noop,
     // Fusion-pass products (never recorded directly): a conv2d/linear
     // followed, in its own output slot, by the activation step of the
     // bounded activation it absorbed. A fused conv may additionally carry a

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace fitact::nn {
 namespace {
@@ -84,8 +85,10 @@ void save_state(const Module& m, const std::string& path) {
 }
 
 bool load_state(Module& m, const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) return false;
+  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
   if (read_u32(is) != kMagic) {
     throw std::runtime_error("load_state: bad magic in " + path);
   }
@@ -94,23 +97,50 @@ bool load_state(Module& m, const std::string& path) {
   }
   const std::uint64_t count = read_u64(is);
 
-  std::map<std::string, Tensor> targets = state_targets(m);
   const std::string context = "load_state(" + path + ")";
+  // Bytes between the read position and the end of the file: a length
+  // field larger than this is corrupt, and is refused before it sizes an
+  // allocation.
+  const auto check_fits = [&](std::uint64_t bytes, const char* field) {
+    if (!is || bytes > file_size - static_cast<std::uint64_t>(is.tellg())) {
+      throw std::runtime_error(context + ": " + field +
+                               " runs past the end of the file");
+    }
+  };
+  // Entries are staged and written into m only once the file has covered
+  // every entry of m exactly once, so a failed load leaves m untouched.
+  std::map<std::string, Tensor> targets = state_targets(m);
+  std::map<std::string, std::pair<Tensor, Tensor>> staged;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t name_len = read_u64(is);
+    check_fits(name_len, "entry name");
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
     const std::uint32_t rank = read_u32(is);
+    check_fits(std::uint64_t{rank} * sizeof(std::uint64_t), "entry rank");
     std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) d = static_cast<std::int64_t>(read_u64(is));
-    Tensor& target =
-        find_target(targets, name, Shape{dims}, context);
-    is.read(reinterpret_cast<char*>(target.data()),
-            static_cast<std::streamsize>(target.numel() * sizeof(float)));
+    for (auto& d : dims) {
+      d = static_cast<std::int64_t>(read_u64(is));
+      if (d < 0) throw std::runtime_error(context + ": negative dimension");
+    }
+    const Tensor& target = find_target(targets, name, Shape{dims}, context);
+    Tensor value(target.shape());
+    is.read(reinterpret_cast<char*>(value.data()),
+            static_cast<std::streamsize>(value.numel() * sizeof(float)));
     if (!is) {
       throw std::runtime_error("load_state: truncated file " + path);
     }
+    if (!staged.emplace(name, std::pair{target, value}).second) {
+      throw std::runtime_error(context + ": duplicate entry '" + name + "'");
+    }
   }
+  if (staged.size() != targets.size()) {
+    throw std::runtime_error(context + ": the module has " +
+                             std::to_string(targets.size()) +
+                             " entries, the file covers " +
+                             std::to_string(staged.size()));
+  }
+  for (auto& [name, entry] : staged) entry.first.copy_from(entry.second);
   m.clear_pending_init();
   return true;
 }

@@ -15,9 +15,11 @@ namespace fitact::nn {
 /// Throws std::runtime_error on I/O failure.
 void save_state(const Module& m, const std::string& path);
 
-/// Load parameters and buffers by name into `m`.
+/// Load parameters and buffers by name into `m`. The file must hold every
+/// entry of `m` exactly once, with matching shapes.
 /// Returns false (leaving `m` untouched) if the file does not exist;
-/// throws std::runtime_error on malformed files or name/shape mismatches.
+/// throws std::runtime_error (also leaving `m` untouched) on malformed or
+/// truncated files, name/shape mismatches, and missing or repeated entries.
 bool load_state(Module& m, const std::string& path);
 
 /// In-memory save/load round trip: copy every parameter and buffer of `src`

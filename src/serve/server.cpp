@@ -27,10 +27,6 @@ void ServerOptions::validate() const {
         "detection is on (ev::make_server calibrates negative thresholds "
         "before construction)");
   }
-  if (max_recoveries_per_batch < 0) {
-    throw std::invalid_argument(
-        "ServerOptions: max_recoveries_per_batch must be non-negative");
-  }
 }
 
 InferenceServer::InferenceServer(const LaneFactory& factory,
@@ -121,8 +117,10 @@ std::future<RequestResult> InferenceServer::submit(const Tensor& image) {
         "InferenceServer::submit: expected a " + sample_shape_.str() +
         " sample, got " + image.shape().str());
   }
+  // A Tensor copy shares storage, so take a deep copy: the caller may
+  // overwrite or free its buffer as soon as submit returns.
   Request req;
-  req.image = image;
+  req.image = image.clone();
   std::future<RequestResult> future = req.promise.get_future();
   {
     const ut::LockGuard lock(queue_mutex_);
@@ -239,38 +237,27 @@ void InferenceServer::process_batch(std::size_t index,
     };
 
     std::pair<Tensor, double> fwd = forward_once();
-    Tensor& logits = fwd.first;
-    double& rate = fwd.second;
-    std::uint64_t forwards = 1;
-    std::uint64_t detections = 0;
-    std::uint64_t recoveries = 0;
-    bool recovered = false;
-    if (options_.detection && rate > options_.clamp_rate_threshold) {
-      ++detections;
-      for (int attempt = 0; attempt < options_.max_recoveries_per_batch;
-           ++attempt) {
-        // Memory scrubbing: write the clean image back over the (presumed
-        // faulty) live parameters, then re-run the batch on clean state. An
-        // int8 plan's quantized weight bytes are deployed storage of their
-        // own (fp32 scrubs don't reach them), so they get their own scrub.
-        state.lane.image->restore();
-        plan.restore_int8_weights();
-        ++recoveries;
-        recovered = true;
-        fwd = forward_once();
-        ++forwards;
-        if (rate <= options_.clamp_rate_threshold) break;
-      }
+    const bool recovered =
+        options_.detection && fwd.second > options_.clamp_rate_threshold;
+    if (recovered) {
+      // Memory scrubbing: write the clean image back over the (presumed
+      // faulty) live parameters, then re-run the batch on clean state. An
+      // int8 plan's quantized weight bytes are deployed storage of their
+      // own (fp32 scrubs don't reach them), so they get their own scrub.
+      state.lane.image->restore();
+      plan.restore_int8_weights();
+      fwd = forward_once();
     }
+    const auto& [logits, rate] = fwd;
     const bool post_recovery_alarm =
         recovered && rate > options_.clamp_rate_threshold;
 
     {
       const ut::LockGuard lock(stats_mutex_);
       ++stats_.batches;
-      stats_.forwards += forwards;
-      stats_.detections += detections;
-      stats_.recoveries += recoveries;
+      stats_.forwards += recovered ? 2 : 1;
+      stats_.detections += recovered ? 1 : 0;
+      stats_.recoveries += recovered ? 1 : 0;
       stats_.post_recovery_alarms += post_recovery_alarm ? 1 : 0;
     }
 

@@ -14,9 +14,14 @@
 // opt-in counter) per activation site; when the peak per-site clamp rate
 // of a batch crosses the configured threshold, the lane declares a fault,
 // scrubs its parameters by restoring the clean image, and re-runs the
-// batch. (Per-site, not pooled: a saturating fault in a 64-neuron head
+// batch once. (Per-site, not pooled: a saturating fault in a 64-neuron head
 // would otherwise drown in the tens of thousands of activations the early
-// conv maps contribute.) Clean traffic clamps at a low, calibratable
+// conv maps contribute.) The re-run's answer stands even if its rate is
+// still above threshold: a lane's parameters change only under its lane
+// mutex, which the lane holds for the whole batch, so a second re-run would
+// repeat the first bit for bit. A persistent alarm on clean parameters
+// means the threshold is miscalibrated for this traffic and is counted as
+// a post-recovery alarm. Clean traffic clamps at a low, calibratable
 // baseline rate (see ev::make_server), so detection is free: the
 // protection layer doubles as the detector.
 //
@@ -82,12 +87,6 @@ struct ServerOptions {
   /// time options reach InferenceServer a detection threshold must be
   /// non-negative).
   double clamp_rate_threshold = 0.05;
-  /// Scrub-and-re-run attempts per batch. After the last attempt the batch
-  /// is served from the scrubbed (clean) parameters even if the rate is
-  /// still above threshold — a persistent alarm on clean parameters means
-  /// the threshold is miscalibrated for this traffic, not that the
-  /// parameters are faulty.
-  int max_recoveries_per_batch = 1;
   /// Arithmetic the lane plans execute with (nn::Precision). int8 serves
   /// block-quantized weights through int8 GEMM, dequantize and the shared
   /// clamp — quantized at make_server time from the FitAct clamp bounds
@@ -117,8 +116,8 @@ struct ServerStats {
   std::uint64_t forwards = 0;    ///< lane forwards, including re-runs
   std::uint64_t detections = 0;  ///< clamp-rate threshold crossings
   std::uint64_t recoveries = 0;  ///< clean-image scrubs triggered
-  /// Batches still above threshold after the last permitted recovery
-  /// (served from clean parameters regardless).
+  /// Batches still above threshold after their scrub and re-run (served
+  /// from the scrubbed parameters regardless).
   std::uint64_t post_recovery_alarms = 0;
 };
 
@@ -158,11 +157,11 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Enqueue one sample ([C,H,W], or [1,C,H,W]); the tensor is copied into
-  /// the batch during assembly, so the caller may reuse its buffer after
-  /// submit returns. Throws std::invalid_argument when the sample's shape is
-  /// not the lane plans' sample shape, and std::runtime_error after shutdown
-  /// began.
+  /// Enqueue one sample ([C,H,W], or [1,C,H,W]). The sample is copied
+  /// before submit returns, so the caller may reuse or free its buffer (a
+  /// Tensor::view's storage included) right away. Throws
+  /// std::invalid_argument when the sample's shape is not the lane plans'
+  /// sample shape, and std::runtime_error after shutdown began.
   [[nodiscard]] std::future<RequestResult> submit(const Tensor& image);
 
   /// Synchronous convenience wrapper: submit + wait.

@@ -92,8 +92,6 @@ float Rng::normal(float mean, float stddev) noexcept {
   return mean + stddev * normal();
 }
 
-bool Rng::bernoulli(double p) noexcept { return next_double() < p; }
-
 std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;

@@ -49,9 +49,6 @@ class Rng {
   /// Normal with given mean / standard deviation.
   float normal(float mean, float stddev) noexcept;
 
-  /// Bernoulli trial with probability p.
-  bool bernoulli(double p) noexcept;
-
   /// Binomial(n, p) sample. Exact inversion for small n*p, normal
   /// approximation with continuity correction for large n*p. Suitable for
   /// fault-count sampling where n is the total bit count (possibly billions)

@@ -66,7 +66,8 @@ TEST(Integration, CleanAccuracySurvivesProtection) {
 
 TEST(Integration, ProtectionBeatsUnprotectedAtHighRate) {
   Workbench& w = bench();
-  const double rate = 2e-4;  // scaled model => scaled-up rate (see DESIGN.md)
+  // Scaled model => scaled-up rate (see ev::full_scale_rate_factor).
+  const double rate = 2e-4;
   const double unprotected =
       mean_campaign_accuracy(w, core::Scheme::relu, rate, 42);
   const double fitact =

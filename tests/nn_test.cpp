@@ -1,11 +1,15 @@
-// Unit tests for src/nn: module tree mechanics, layers, optimisers, and the
-// checkpoint serializer.
+// Unit tests for src/nn: module tree mechanics, layers, optimisers,
+// gradient clipping, and the checkpoint serializer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 
 #include "autograd/ops.h"
+#include "nn/grad_util.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -92,12 +96,6 @@ TEST(Layers, SequentialComposes) {
   EXPECT_EQ(y.shape(), Shape({2, 10}));
 }
 
-TEST(Layers, IdentityPassesThrough) {
-  Identity id;
-  Variable x(Tensor::from_values({1.0f, 2.0f}), false);
-  EXPECT_TRUE(id.forward(x).is_same(x));
-}
-
 TEST(Layers, BatchNormTrainVsEvalDiffer) {
   ut::Rng rng(7);
   BatchNorm2d bn(2);
@@ -180,6 +178,43 @@ TEST(Optimizer, AdamSkipsParamsWithoutGrad) {
   EXPECT_FLOAT_EQ(w.value()[0], 1.0f);
 }
 
+TEST(GradUtil, NormOfKnownGradients) {
+  Variable a(Tensor::from_values({3.0f}), true);
+  Variable b(Tensor::from_values({4.0f}), true);
+  a.ensure_grad();
+  b.ensure_grad();
+  a.grad()[0] = 3.0f;
+  b.grad()[0] = 4.0f;
+  std::vector<Variable> params{a, b};
+  EXPECT_DOUBLE_EQ(nn::grad_norm(params), 5.0);
+}
+
+TEST(GradUtil, ClipScalesDownToMaxNorm) {
+  Variable a(Tensor::from_values({0.0f}), true);
+  a.ensure_grad();
+  a.grad()[0] = 10.0f;
+  std::vector<Variable> params{a};
+  const double pre = nn::clip_grad_norm(params, 2.0);
+  EXPECT_DOUBLE_EQ(pre, 10.0);
+  EXPECT_NEAR(a.grad()[0], 2.0f, 1e-5f);
+}
+
+TEST(GradUtil, NoClipBelowThreshold) {
+  Variable a(Tensor::from_values({0.0f}), true);
+  a.ensure_grad();
+  a.grad()[0] = 1.0f;
+  std::vector<Variable> params{a};
+  nn::clip_grad_norm(params, 5.0);
+  EXPECT_FLOAT_EQ(a.grad()[0], 1.0f);
+}
+
+TEST(GradUtil, SkipsParamsWithoutGrad) {
+  Variable a(Tensor::from_values({1.0f}), true);  // no grad allocated
+  std::vector<Variable> params{a};
+  EXPECT_DOUBLE_EQ(nn::grad_norm(params), 0.0);
+  EXPECT_NO_THROW(nn::clip_grad_norm(params, 1.0));
+}
+
 TEST(Serialize, RoundTripsParamsAndBuffers) {
   ut::Rng rng(8);
   const std::string path =
@@ -224,6 +259,56 @@ TEST(Serialize, ShapeMismatchThrows) {
   save_state(small, path);
   Linear big(4, 4, true, rng);
   EXPECT_THROW(load_state(big, path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+// A checkpoint must cover every entry of the module. One that covers only
+// part of it is refused, and the module keeps its values and its
+// pending-init mark.
+TEST(Serialize, PartialCheckpointThrowsAndLeavesTheModuleUntouched) {
+  ut::Rng rng(11);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fitact_ckpt_partial.bin")
+          .string();
+  Sequential conv_only;
+  conv_only.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng));
+  save_state(conv_only, path);
+
+  for (const InitMode init : {InitMode::random, InitMode::deferred}) {
+    Sequential conv_bn;
+    conv_bn.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng, init));
+    conv_bn.add(std::make_shared<BatchNorm2d>(4));
+    const Tensor weight = conv_bn.named_parameters()[0].var.value();
+    const Tensor before = weight.clone();
+    EXPECT_THROW(load_state(conv_bn, path), std::runtime_error);
+    if (init == InitMode::deferred) {
+      EXPECT_TRUE(conv_bn.subtree_pending_init());
+      continue;
+    }
+    for (std::int64_t i = 0; i < weight.numel(); ++i) {
+      EXPECT_EQ(weight[i], before[i]) << "weight " << i;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+// A name length no file can hold is refused as a malformed checkpoint
+// before it sizes an allocation.
+TEST(Serialize, OversizedNameLengthThrows) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fitact_ckpt_name_len.bin")
+          .string();
+  {
+    std::ofstream os(path, std::ios::binary);
+    const std::uint32_t header[2] = {0xF17AC701u, 1u};  // magic, version
+    const std::uint64_t fields[2] = {
+        1u, std::numeric_limits<std::uint64_t>::max()};  // count, name length
+    os.write(reinterpret_cast<const char*>(header), sizeof(header));
+    os.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+  }
+  ut::Rng rng(12);
+  Linear lin(2, 2, true, rng);
+  EXPECT_THROW(load_state(lin, path), std::runtime_error);
   std::filesystem::remove(path);
 }
 

@@ -285,6 +285,27 @@ TEST(Serve, BatchingWindowServesPartialBatches) {
   EXPECT_EQ(server->stats().requests, samples.size());
 }
 
+// submit copies the sample: the caller may overwrite its tensor as soon as
+// submit returns, even while the request still waits in the queue. Holding
+// lane 0 keeps the only lane from assembling the batch until after the
+// overwrite.
+TEST(Serve, SubmitCopiesTheSample) {
+  PreparedModel pm = prepared(29);
+  ServeOptions options;
+  options.server.lanes = 1;
+  const auto server = make_server(pm, options);
+  const std::vector<Tensor> samples = test_samples(pm, 1);
+
+  Tensor sample = samples[0].clone();
+  std::future<serve::RequestResult> future;
+  server->with_lane(0, [&](serve::Lane&) {
+    future = server->submit(sample);
+    sample.fill(1e3f);
+  });
+  expect_bit_identical(future.get().logits, server->infer(samples[0]).logits,
+                       "sample overwritten after submit");
+}
+
 TEST(Serve, RejectsMalformedRequestsAndConfigs) {
   PreparedModel pm = prepared(29);
   const auto server = make_server(pm);
