@@ -274,21 +274,22 @@ TEST(Serialize, PartialCheckpointThrowsAndLeavesTheModuleUntouched) {
   conv_only.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng));
   save_state(conv_only, path);
 
-  for (const InitMode init : {InitMode::random, InitMode::deferred}) {
-    Sequential conv_bn;
-    conv_bn.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng, init));
-    conv_bn.add(std::make_shared<BatchNorm2d>(4));
-    const Tensor weight = conv_bn.named_parameters()[0].var.value();
-    const Tensor before = weight.clone();
-    EXPECT_THROW(load_state(conv_bn, path), std::runtime_error);
-    if (init == InitMode::deferred) {
-      EXPECT_TRUE(conv_bn.subtree_pending_init());
-      continue;
-    }
-    for (std::int64_t i = 0; i < weight.numel(); ++i) {
-      EXPECT_EQ(weight[i], before[i]) << "weight " << i;
-    }
+  Sequential conv_bn;
+  conv_bn.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng));
+  conv_bn.add(std::make_shared<BatchNorm2d>(4));
+  const Tensor weight = conv_bn.named_parameters()[0].var.value();
+  const Tensor before = weight.clone();
+  EXPECT_THROW(load_state(conv_bn, path), std::runtime_error);
+  for (std::int64_t i = 0; i < weight.numel(); ++i) {
+    EXPECT_EQ(weight[i], before[i]) << "weight " << i;
   }
+
+  Sequential deferred;
+  deferred.add(std::make_shared<Conv2d>(3, 4, 3, 1, 1, true, rng,
+                                        InitMode::deferred));
+  deferred.add(std::make_shared<BatchNorm2d>(4));
+  EXPECT_THROW(load_state(deferred, path), std::runtime_error);
+  EXPECT_TRUE(deferred.subtree_pending_init());
   std::filesystem::remove(path);
 }
 
