@@ -1,5 +1,5 @@
-// Unit tests for src/nn: module tree mechanics, layers, optimisers,
-// gradient clipping, and the checkpoint serializer.
+// Unit tests for src/nn: module tree mechanics, layers, optimisers, and the
+// checkpoint serializer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "autograd/ops.h"
-#include "nn/grad_util.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -176,43 +175,6 @@ TEST(Optimizer, AdamSkipsParamsWithoutGrad) {
   Adam adam({w}, 0.5f);
   adam.step();  // no grad allocated yet: must be a no-op
   EXPECT_FLOAT_EQ(w.value()[0], 1.0f);
-}
-
-TEST(GradUtil, NormOfKnownGradients) {
-  Variable a(Tensor::from_values({3.0f}), true);
-  Variable b(Tensor::from_values({4.0f}), true);
-  a.ensure_grad();
-  b.ensure_grad();
-  a.grad()[0] = 3.0f;
-  b.grad()[0] = 4.0f;
-  std::vector<Variable> params{a, b};
-  EXPECT_DOUBLE_EQ(nn::grad_norm(params), 5.0);
-}
-
-TEST(GradUtil, ClipScalesDownToMaxNorm) {
-  Variable a(Tensor::from_values({0.0f}), true);
-  a.ensure_grad();
-  a.grad()[0] = 10.0f;
-  std::vector<Variable> params{a};
-  const double pre = nn::clip_grad_norm(params, 2.0);
-  EXPECT_DOUBLE_EQ(pre, 10.0);
-  EXPECT_NEAR(a.grad()[0], 2.0f, 1e-5f);
-}
-
-TEST(GradUtil, NoClipBelowThreshold) {
-  Variable a(Tensor::from_values({0.0f}), true);
-  a.ensure_grad();
-  a.grad()[0] = 1.0f;
-  std::vector<Variable> params{a};
-  nn::clip_grad_norm(params, 5.0);
-  EXPECT_FLOAT_EQ(a.grad()[0], 1.0f);
-}
-
-TEST(GradUtil, SkipsParamsWithoutGrad) {
-  Variable a(Tensor::from_values({1.0f}), true);  // no grad allocated
-  std::vector<Variable> params{a};
-  EXPECT_DOUBLE_EQ(nn::grad_norm(params), 0.0);
-  EXPECT_NO_THROW(nn::clip_grad_norm(params, 1.0));
 }
 
 TEST(Serialize, RoundTripsParamsAndBuffers) {

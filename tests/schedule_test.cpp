@@ -1,50 +1,14 @@
-// Tests for LR schedules, gradient clipping, and label-smoothed
-// cross-entropy (including its gradient).
+// Tests for the stage-1 trainer's step schedule: gradient clipping and the
+// per-epoch learning-rate decay.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "autograd/ops.h"
 #include "data/synthetic_cifar.h"
 #include "eval/trainer.h"
 #include "models/registry.h"
 #include "nn/grad_util.h"
-#include "nn/schedule.h"
-#include "util/rng.h"
 
 namespace fitact {
 namespace {
-
-TEST(Schedule, StepDecayHalvesOnSchedule) {
-  const nn::StepDecay s(0.1f, 10, 0.5f);
-  EXPECT_FLOAT_EQ(s.lr_at(0), 0.1f);
-  EXPECT_FLOAT_EQ(s.lr_at(9), 0.1f);
-  EXPECT_FLOAT_EQ(s.lr_at(10), 0.05f);
-  EXPECT_FLOAT_EQ(s.lr_at(25), 0.025f);
-}
-
-TEST(Schedule, CosineAnnealingEndpoints) {
-  const nn::CosineAnnealing s(0.2f, 100, 0.01f);
-  EXPECT_FLOAT_EQ(s.lr_at(0), 0.2f);
-  EXPECT_NEAR(s.lr_at(50), (0.2f + 0.01f) / 2.0f, 1e-6f);
-  EXPECT_FLOAT_EQ(s.lr_at(100), 0.01f);
-  EXPECT_FLOAT_EQ(s.lr_at(200), 0.01f);  // clamped past the horizon
-}
-
-TEST(Schedule, CosineIsMonotoneDecreasing) {
-  const nn::CosineAnnealing s(0.1f, 40);
-  for (int e = 1; e < 40; ++e) {
-    EXPECT_LE(s.lr_at(e), s.lr_at(e - 1) + 1e-9f);
-  }
-}
-
-TEST(Schedule, WarmupRampsLinearly) {
-  const nn::StepDecay inner(0.1f, 1000, 0.5f);
-  const nn::WarmupWrapper s(inner, 5);
-  EXPECT_NEAR(s.lr_at(0), 0.1f / 5.0f, 1e-6f);
-  EXPECT_NEAR(s.lr_at(4), 0.1f, 1e-6f);
-  EXPECT_FLOAT_EQ(s.lr_at(10), inner.lr_at(10));
-}
 
 TEST(GradUtil, NormOfKnownGradients) {
   Variable a(Tensor::from_values({3.0f}), true);
@@ -83,58 +47,6 @@ TEST(GradUtil, SkipsParamsWithoutGrad) {
   EXPECT_NO_THROW(nn::clip_grad_norm(params, 1.0));
 }
 
-TEST(LabelSmoothing, ZeroSmoothingMatchesPlainCe) {
-  ut::Rng rng(1);
-  const Tensor logits = Tensor::randn(Shape{3, 5}, rng);
-  Variable a(logits.clone(), false);
-  Variable b(logits.clone(), false);
-  const float plain =
-      ag::softmax_cross_entropy(a, {1, 0, 4}).value().item();
-  const float smoothed =
-      ag::softmax_cross_entropy(b, {1, 0, 4}, nullptr, 0.0f).value().item();
-  EXPECT_FLOAT_EQ(plain, smoothed);
-}
-
-TEST(LabelSmoothing, UniformLogitsLossIsLogK) {
-  // With uniform probabilities the loss is log K regardless of smoothing.
-  Variable logits(Tensor::zeros(Shape{2, 4}), false);
-  const float loss =
-      ag::softmax_cross_entropy(logits, {0, 1}, nullptr, 0.3f).value().item();
-  EXPECT_NEAR(loss, std::log(4.0f), 1e-5f);
-}
-
-TEST(LabelSmoothing, GradientMatchesNumeric) {
-  ut::Rng rng(2);
-  const Tensor x0 = Tensor::randn(Shape{2, 4}, rng);
-  const std::vector<std::int64_t> labels{2, 0};
-  constexpr float s = 0.2f;
-  Variable x(x0.clone(), true);
-  Variable loss = ag::softmax_cross_entropy(x, labels, nullptr, s);
-  loss.backward();
-  constexpr float eps = 1e-3f;
-  for (std::int64_t i = 0; i < x0.numel(); ++i) {
-    Tensor xp = x0.clone();
-    xp[i] += eps;
-    Tensor xm = x0.clone();
-    xm[i] -= eps;
-    Variable vp(xp, false);
-    Variable vm(xm, false);
-    const float fp =
-        ag::softmax_cross_entropy(vp, labels, nullptr, s).value().item();
-    const float fm =
-        ag::softmax_cross_entropy(vm, labels, nullptr, s).value().item();
-    EXPECT_NEAR(x.grad()[i], (fp - fm) / (2.0f * eps), 2e-2f);
-  }
-}
-
-TEST(LabelSmoothing, RejectsOutOfRange) {
-  Variable logits(Tensor::zeros(Shape{1, 3}), false);
-  EXPECT_THROW(ag::softmax_cross_entropy(logits, {0}, nullptr, 1.0f),
-               std::invalid_argument);
-  EXPECT_THROW(ag::softmax_cross_entropy(logits, {0}, nullptr, -0.1f),
-               std::invalid_argument);
-}
-
 TEST(TrainerExtras, ScheduleAndClippingTrainTheModel) {
   models::ModelConfig mc;
   mc.width_mult = 0.5f;
@@ -144,13 +56,12 @@ TEST(TrainerExtras, ScheduleAndClippingTrainTheModel) {
   dc.num_classes = 4;
   dc.size = 128;
   const data::SyntheticCifar train(dc);
-  const nn::CosineAnnealing schedule(0.05f, 4);
   ev::TrainConfig tc;
   tc.epochs = 4;
   tc.batch_size = 32;
-  tc.schedule = &schedule;
+  tc.lr = 0.05f;
+  tc.lr_decay = 0.5f;
   tc.clip_norm = 5.0;
-  tc.label_smoothing = 0.05f;
   const ev::TrainReport report = ev::train_classifier(*model, train, tc);
   EXPECT_LT(report.epoch_loss.back(), report.epoch_loss.front());
 }
