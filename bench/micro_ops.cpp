@@ -41,6 +41,13 @@ using namespace fitact;
 // campaign lanes and serving plans run their kernels, so a row reads what
 // one lane pays for the kernel rather than the global pool's fan-out and
 // hand-off, which also swings with the load of a shared host.
+//
+// The GEMM, conv and whole-model rows report aggregates over 5 repetitions
+// (median, mean, stddev, cv) instead of one round: one-shot rounds of
+// these rows swung by up to 1.9x between runs on a shared host.
+void median_of_5(benchmark::internal::Benchmark* b) {
+  b->Repetitions(5)->ReportAggregatesOnly(true);
+}
 
 void sgemm_bench(benchmark::State& state) {
   const auto n = state.range(0);
@@ -59,13 +66,13 @@ void sgemm_bench(benchmark::State& state) {
 }
 
 void BM_Sgemm(benchmark::State& state) { sgemm_bench(state); }
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256)->Apply(median_of_5);
 
 void BM_SgemmScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   sgemm_bench(state);
 }
-BENCHMARK(BM_SgemmScalar)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_SgemmScalar)->Arg(64)->Arg(128)->Arg(256)->Apply(median_of_5);
 
 // Narrow products (n < 16 <= m), which sgemm runs transposed: Args are
 // {m, n, k, trans_a}. 64x4x576 is a vgg16 conv over a 2x2 output map at the
@@ -92,13 +99,19 @@ void sgemm_narrow_bench(benchmark::State& state) {
 }
 
 void BM_SgemmNarrow(benchmark::State& state) { sgemm_narrow_bench(state); }
-BENCHMARK(BM_SgemmNarrow)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
+BENCHMARK(BM_SgemmNarrow)
+    ->Args({64, 4, 576, 0})
+    ->Args({576, 4, 64, 1})
+    ->Apply(median_of_5);
 
 void BM_SgemmNarrowScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   sgemm_narrow_bench(state);
 }
-BENCHMARK(BM_SgemmNarrowScalar)->Args({64, 4, 576, 0})->Args({576, 4, 64, 1});
+BENCHMARK(BM_SgemmNarrowScalar)
+    ->Args({64, 4, 576, 0})
+    ->Args({576, 4, 64, 1})
+    ->Apply(median_of_5);
 
 // Args: {channels in, channels out, map side, batch, kernel}; padding keeps
 // the map's side. Stride-1 convs over maps of 16+ positions run
@@ -134,7 +147,8 @@ BENCHMARK(BM_Conv2dForward)
     ->Args({32, 32, 8, 64, 3})
     ->Args({64, 64, 4, 64, 3})
     ->Args({32, 8, 32, 8, 1})
-    ->Args({64, 64, 2, 64, 3});
+    ->Args({64, 64, 2, 64, 3})
+    ->Apply(median_of_5);
 
 // Args: {channels, map side}; a 2x2 stride-2 pool at the campaign's batch
 // 64. {8, 32} is scaled vgg16's first pool, {64, 4} its fourth.
@@ -279,7 +293,7 @@ void BM_ModelForwardEager(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ModelForwardEager)->Arg(1)->Arg(8);
+BENCHMARK(BM_ModelForwardEager)->Arg(1)->Arg(8)->Apply(median_of_5);
 
 void planned_forward_bench(benchmark::State& state, bool fuse) {
   const auto batch = state.range(0);
@@ -302,18 +316,18 @@ void planned_forward_bench(benchmark::State& state, bool fuse) {
 void BM_ModelForwardPlanned(benchmark::State& state) {
   planned_forward_bench(state, /*fuse=*/false);
 }
-BENCHMARK(BM_ModelForwardPlanned)->Arg(1)->Arg(8);
+BENCHMARK(BM_ModelForwardPlanned)->Arg(1)->Arg(8)->Apply(median_of_5);
 
 void BM_ModelForwardPlannedScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   planned_forward_bench(state, /*fuse=*/false);
 }
-BENCHMARK(BM_ModelForwardPlannedScalar)->Arg(1)->Arg(8);
+BENCHMARK(BM_ModelForwardPlannedScalar)->Arg(1)->Arg(8)->Apply(median_of_5);
 
 void BM_ModelForwardFused(benchmark::State& state) {
   planned_forward_bench(state, /*fuse=*/true);
 }
-BENCHMARK(BM_ModelForwardFused)->Arg(1)->Arg(8);
+BENCHMARK(BM_ModelForwardFused)->Arg(1)->Arg(8)->Apply(median_of_5);
 
 void BM_FixedPointEncode(benchmark::State& state) {
   ut::Rng rng(4);

@@ -66,29 +66,6 @@ Variable add(const Variable& a, const Variable& b) {
   });
 }
 
-Variable sub(const Variable& a, const Variable& b) {
-  Tensor out = fitact::sub(a.value(), b.value());
-  const ImplPtr pa = a.impl();
-  const ImplPtr pb = b.impl();
-  return Variable::from_op(std::move(out), {a, b}, [pa, pb](const Tensor& g) {
-    accum(pa, g);
-    accum_scaled(pb, g, -1.0f);
-  });
-}
-
-Variable mul(const Variable& a, const Variable& b) {
-  Tensor out = fitact::mul(a.value(), b.value());
-  const ImplPtr pa = a.impl();
-  const ImplPtr pb = b.impl();
-  const Tensor av = a.value();
-  const Tensor bv = b.value();
-  return Variable::from_op(std::move(out), {a, b},
-                           [pa, pb, av, bv](const Tensor& g) {
-                             accum(pa, fitact::mul(g, bv));
-                             accum(pb, fitact::mul(g, av));
-                           });
-}
-
 Variable scale(const Variable& a, float s) {
   Tensor out = fitact::scale(a.value(), s);
   const ImplPtr pa = a.impl();
@@ -100,32 +77,6 @@ Variable scale(const Variable& a, float s) {
 // ---------------------------------------------------------------------------
 // linear algebra
 // ---------------------------------------------------------------------------
-
-Variable matmul(const Variable& a, const Variable& b) {
-  check_rank(a, 2, "matmul");
-  check_rank(b, 2, "matmul");
-  Tensor out = fitact::matmul(a.value(), b.value());
-  const ImplPtr pa = a.impl();
-  const ImplPtr pb = b.impl();
-  const Tensor av = a.value();
-  const Tensor bv = b.value();
-  const std::int64_t m = av.shape()[0];
-  const std::int64_t k = av.shape()[1];
-  const std::int64_t n = bv.shape()[1];
-  return Variable::from_op(
-      std::move(out), {a, b}, [pa, pb, av, bv, m, k, n](const Tensor& g) {
-        if (pa->requires_grad) {
-          // dA[M,K] += g[M,N] * B^T
-          sgemm(false, true, m, k, n, 1.0f, g.data(), n, bv.data(), n, 1.0f,
-                grad_buffer(pa), k);
-        }
-        if (pb->requires_grad) {
-          // dB[K,N] += A^T * g
-          sgemm(true, false, k, n, m, 1.0f, av.data(), k, g.data(), n, 1.0f,
-                grad_buffer(pb), n);
-        }
-      });
-}
 
 Variable linear(const Variable& x, const Variable& w, const Variable& bias) {
   check_rank(x, 2, "linear");
@@ -656,18 +607,6 @@ Variable sum_of_squares(const Variable& x) {
                                dx[i] += gs * pxv[i];
                              }
                            });
-}
-
-Variable mean_all(const Variable& x) {
-  Tensor out = Tensor::scalar(fitact::mean(x.value()));
-  const ImplPtr px_impl = x.impl();
-  const std::int64_t n = x.numel();
-  return Variable::from_op(std::move(out), {x}, [px_impl, n](const Tensor& g) {
-    if (!px_impl->requires_grad) return;
-    float* dx = grad_buffer(px_impl);
-    const float gs = g[0] / static_cast<float>(n);
-    for (std::int64_t i = 0; i < n; ++i) dx[i] += gs;
-  });
 }
 
 }  // namespace fitact::ag

@@ -20,14 +20,9 @@ namespace fitact::ag {
 
 // ---- arithmetic ------------------------------------------------------------
 [[nodiscard]] Variable add(const Variable& a, const Variable& b);
-[[nodiscard]] Variable sub(const Variable& a, const Variable& b);
-[[nodiscard]] Variable mul(const Variable& a, const Variable& b);
 [[nodiscard]] Variable scale(const Variable& a, float s);
 
 // ---- linear algebra --------------------------------------------------------
-/// C[M,N] = A[M,K] * B[K,N].
-[[nodiscard]] Variable matmul(const Variable& a, const Variable& b);
-
 /// y[B,O] = x[B,I] * w[O,I]^T + bias[O]. bias may be undefined.
 [[nodiscard]] Variable linear(const Variable& x, const Variable& w,
                               const Variable& bias);
@@ -84,8 +79,5 @@ namespace fitact::ag {
 
 /// Scalar sum of squared entries (the FitAct bound regulariser, Eq. 10).
 [[nodiscard]] Variable sum_of_squares(const Variable& x);
-
-/// Scalar mean of all entries.
-[[nodiscard]] Variable mean_all(const Variable& x);
 
 }  // namespace fitact::ag

@@ -41,42 +41,30 @@ BoundedActivation::BoundedActivation(const ActivationConfig& config)
     : config_(config) {}
 
 void BoundedActivation::observe_geometry(const Shape& xs) {
-  std::int64_t feat = 0;
-  std::int64_t channels = 0;
-  std::int64_t hw = 1;
-  if (xs.rank() == 2) {
-    feat = xs[1];
-    channels = xs[1];
-  } else if (xs.rank() == 4) {
-    feat = xs[1] * xs[2] * xs[3];
-    channels = xs[1];
-    hw = xs[2] * xs[3];
-  } else {
-    throw std::invalid_argument("BoundedActivation: rank-2/4 input expected, got " +
-                                xs.str());
-  }
-  if (feat_ == 0) {
-    feat_ = feat;
-    channels_ = channels;
-    hw_ = hw;
-  } else if (feat_ != feat) {
+  const ag::FeatureBroadcast fb = ag::FeatureBroadcast::of(xs);
+  if (geometry_.feat == 0) {
+    geometry_ = fb;
+  } else if (fb.feat != geometry_.feat || fb.channels != geometry_.channels) {
     throw std::logic_error(
-        "BoundedActivation: input feature extent changed between forwards (" +
-        std::to_string(feat_) + " -> " + std::to_string(feat) +
-        "); per-neuron bounds require a fixed activation-map shape");
+        "BoundedActivation: input geometry changed between forwards (" +
+        std::to_string(geometry_.feat) + " features in " +
+        std::to_string(geometry_.channels) + " channels -> " +
+        std::to_string(fb.feat) + " in " + std::to_string(fb.channels) +
+        "); bounds require a fixed activation-map shape");
   }
 }
 
 void BoundedActivation::update_profile(const Tensor& x) {
+  const std::int64_t feat = geometry_.feat;
   if (!profile_max_.defined()) {
-    profile_max_ = Tensor::zeros(Shape{feat_});
+    profile_max_ = Tensor::zeros(Shape{feat});
   }
-  const std::int64_t batch = x.numel() / feat_;
+  const std::int64_t batch = x.numel() / feat;
   const float* px = x.data();
   float* pm = profile_max_.data();
   for (std::int64_t b = 0; b < batch; ++b) {
-    const float* row = px + b * feat_;
-    for (std::int64_t f = 0; f < feat_; ++f) {
+    const float* row = px + b * feat;
+    for (std::int64_t f = 0; f < feat; ++f) {
       if (row[f] > pm[f]) pm[f] = row[f];
     }
   }
@@ -88,30 +76,31 @@ void BoundedActivation::init_bounds_from_profile(float margin) {
         "BoundedActivation: no profile recorded; run a profiling pass before "
         "init_bounds_from_profile");
   }
+  const std::int64_t feat = geometry_.feat;
   std::int64_t extent = 0;
   switch (config_.granularity) {
     case Granularity::per_layer:
       extent = 1;
       break;
     case Granularity::per_channel:
-      extent = channels_;
+      extent = geometry_.channels;
       break;
     case Granularity::per_neuron:
-      extent = feat_;
+      extent = feat;
       break;
   }
   Tensor b = Tensor::zeros(Shape{extent});
   const float* pm = profile_max_.data();
   if (config_.granularity == Granularity::per_neuron) {
-    for (std::int64_t f = 0; f < feat_; ++f) b[f] = pm[f] * margin;
+    for (std::int64_t f = 0; f < feat; ++f) b[f] = pm[f] * margin;
   } else if (config_.granularity == Granularity::per_channel) {
-    for (std::int64_t f = 0; f < feat_; ++f) {
-      const std::int64_t c = f / hw_;
+    for (std::int64_t f = 0; f < feat; ++f) {
+      const std::int64_t c = f / geometry_.hw;
       b[c] = std::max(b[c], pm[f] * margin);
     }
   } else {
     float mx = 0.0f;
-    for (std::int64_t f = 0; f < feat_; ++f) mx = std::max(mx, pm[f]);
+    for (std::int64_t f = 0; f < feat; ++f) mx = std::max(mx, pm[f]);
     b[0] = mx * margin;
   }
 
@@ -136,7 +125,6 @@ void BoundedActivation::set_bounds(const Tensor& values, bool trainable) {
   } else {
     bounds_ = Variable(values.clone(), trainable);
     register_or_replace_parameter("lambda", bounds_);
-    bounds_registered_ = true;
   }
 }
 
@@ -180,15 +168,15 @@ nn::PlanValueId BoundedActivation::record(nn::PlanBuilder& builder,
                  "a plan");
   }
   // Lock in the feature geometry exactly as an eager forward would (the
-  // per-sample plan shape gains a synthetic batch dim of 1).
+  // per-sample plan shape gains a batch dim of 1); the planned activation
+  // step reads it from this site.
   const Shape& xs = builder.value_shape(input);
-  if (xs.rank() == 1) {
-    observe_geometry(Shape{1, xs[0]});
-  } else if (xs.rank() == 3) {
-    observe_geometry(Shape{1, xs[0], xs[1], xs[2]});
-  } else {
-    builder.fail("BoundedActivation: rank-1/3 per-sample input expected, got " +
-                 xs.str());
+  std::vector<std::int64_t> dims{1};
+  dims.insert(dims.end(), xs.dims().begin(), xs.dims().end());
+  try {
+    observe_geometry(Shape(std::move(dims)));
+  } catch (const std::exception& e) {
+    builder.fail(e.what());
   }
   return builder.activation(this, input);
 }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/op_kernels.h"
 #include "nn/module.h"
 
 namespace fitact::core {
@@ -114,11 +115,15 @@ class BoundedActivation final : public nn::Module {
     return bounds_.defined() ? bounds_.numel() : 0;
   }
 
-  /// Feature geometry captured from the first forward: activations per
-  /// sample and channel count. Zero before any forward.
-  [[nodiscard]] std::int64_t feature_count() const noexcept { return feat_; }
-  [[nodiscard]] std::int64_t channel_count() const noexcept {
-    return channels_;
+  /// Feature geometry captured from the first forward (or plan record):
+  /// activations per sample, channels and spatial size, as
+  /// ag::FeatureBroadcast::of derives them. feat is zero before any forward.
+  /// A planned activation step reads its bound mapping from here.
+  [[nodiscard]] const ag::FeatureBroadcast& geometry() const noexcept {
+    return geometry_;
+  }
+  [[nodiscard]] std::int64_t feature_count() const noexcept {
+    return geometry_.feat;
   }
 
   // -- clamp-event counting -------------------------------------------------
@@ -193,11 +198,8 @@ class BoundedActivation final : public nn::Module {
   /// the model is shared across lanes. Atomic so the check itself is not a
   /// data race under TSan; it carries no synchronisation duty beyond that.
   std::atomic<bool> clamp_busy_{false};
-  bool bounds_registered_ = false;
-  std::int64_t feat_ = 0;
-  std::int64_t channels_ = 0;
-  std::int64_t hw_ = 1;
-  Tensor profile_max_;  // per-neuron, extent feat_
+  ag::FeatureBroadcast geometry_{};
+  Tensor profile_max_;  // per-neuron, extent geometry_.feat
   Variable bounds_;     // extent per granularity
 };
 

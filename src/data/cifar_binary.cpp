@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace fitact::data {
 namespace {
@@ -29,15 +30,28 @@ CifarBinary::CifarBinary(const std::vector<std::string>& files,
     }
     is.seekg(0);
     buf.resize(bytes);
-    is.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(bytes));
+    if (!is.read(reinterpret_cast<char*>(buf.data()),
+                 static_cast<std::streamsize>(bytes))) {
+      throw std::runtime_error(
+          "CifarBinary: " + file + ": read failed in record " +
+          std::to_string(static_cast<std::size_t>(is.gcount()) / record));
+    }
     const std::size_t count = bytes / record;
     pixels_.reserve(pixels_.size() + count * kImageNumel);
     labels_.reserve(labels_.size() + count);
     for (std::size_t r = 0; r < count; ++r) {
       const unsigned char* rec = buf.data() + r * record;
-      // CIFAR-100 uses <coarse><fine>; we want the fine label.
-      labels_.push_back(static_cast<std::int64_t>(rec[label_bytes - 1]));
+      // CIFAR-100 uses <coarse><fine>; we want the fine label. A label
+      // outside the class range (a corrupt record, or a CIFAR-100 file read
+      // in the CIFAR-10 layout) would otherwise score as a silent miss.
+      const auto label = static_cast<std::int64_t>(rec[label_bytes - 1]);
+      if (label >= num_classes) {
+        throw std::runtime_error(
+            "CifarBinary: " + file + ": record " + std::to_string(r) +
+            " has label " + std::to_string(label) + ", outside [0, " +
+            std::to_string(num_classes) + ")");
+      }
+      labels_.push_back(label);
       const unsigned char* px = rec + label_bytes;
       for (std::int64_t c = 0; c < 3; ++c) {
         const float m = kMean[c];

@@ -36,12 +36,14 @@ void ServeOptions::validate() const {
         "ServeOptions: calibration_samples must be positive, got " +
         std::to_string(calibration_samples));
   }
-  if (calibration_margin < 0.0) {
+  // The knob checks are written so that NaN fails: a NaN margin or floor
+  // would calibrate the threshold to NaN, which never fires.
+  if (!(calibration_margin >= 0.0)) {
     throw std::invalid_argument(
         "ServeOptions: calibration_margin must be non-negative, got " +
         std::to_string(calibration_margin));
   }
-  if (calibration_floor < 0.0) {
+  if (!(calibration_floor >= 0.0)) {
     throw std::invalid_argument(
         "ServeOptions: calibration_floor must be non-negative, got " +
         std::to_string(calibration_floor));

@@ -123,12 +123,11 @@ void im2row_i8(const Conv2dGeometry& g, const std::int8_t* hwc,
   }
 }
 
-/// The activation step every clamp op ends in, standalone or fused: runs
-/// the site's scheme over n elements from x into o (in place when x == o)
-/// and deposits the clamp counts. Scheme and bounds are read from the site
-/// on every call, so re-protection after compile stays visible.
-void activation_step(core::BoundedActivation& site,
-                     const ag::FeatureBroadcast& fb, const std::string& label,
+/// The activation step an activation epilogue runs: the site's scheme over
+/// n elements from x into o (in place when x == o), clamp counts deposited
+/// on the site. Scheme, bounds and geometry are read from the site on every
+/// call, so re-protection after compile stays visible.
+void activation_step(core::BoundedActivation& site, const std::string& label,
                      const float* x, float* o, std::int64_t n) {
   if (site.profiling() || site.has_input_corruptor()) {
     throw std::logic_error(
@@ -146,6 +145,7 @@ void activation_step(core::BoundedActivation& site,
                            "): bounds not initialised");
   }
   const Tensor& bt = site.bounds().value();
+  const ag::FeatureBroadcast& fb = site.geometry();
   fb.validate_bound(bt.numel());
   const bool count = site.clamp_counting();
   const std::uint64_t events =
@@ -169,31 +169,24 @@ PlanBuilder::PlanBuilder(Shape sample_shape) {
     throw std::invalid_argument("InferencePlan: empty sample shape " +
                                 sample_shape.str());
   }
-  new_value(std::move(sample_shape), /*def_op=*/-1);
+  new_value(std::move(sample_shape));
 }
 
-PlanValueId PlanBuilder::new_value(Shape sample_shape, std::int32_t def_op,
-                                   PlanValueId alias_of) {
+PlanValueId PlanBuilder::new_value(Shape sample_shape, PlanValueId root) {
+  const auto id = static_cast<PlanValueId>(values_.size());
   Value v;
   v.sample_numel = sample_shape.numel();
   v.sample_shape = std::move(sample_shape);
-  v.alias_of = alias_of;
-  v.def = def_op;
-  v.last_use = def_op;
+  v.root = root >= 0 ? root : id;
   values_.push_back(std::move(v));
-  return static_cast<PlanValueId>(values_.size() - 1);
+  return id;
 }
 
-PlanValueId PlanBuilder::root(PlanValueId v) const noexcept {
-  while (values_[static_cast<std::size_t>(v)].alias_of >= 0) {
-    v = values_[static_cast<std::size_t>(v)].alias_of;
-  }
-  return v;
-}
-
-void PlanBuilder::use(PlanValueId v, std::int32_t op_index) {
-  Value& r = values_[static_cast<std::size_t>(root(v))];
-  r.last_use = std::max(r.last_use, op_index);
+PlanValueId PlanBuilder::push(Op op, Shape out_shape) {
+  op.label = scope_path();
+  op.out = new_value(std::move(out_shape));
+  ops_.push_back(std::move(op));
+  return ops_.back().out;
 }
 
 const PlanBuilder::Value& PlanBuilder::value(PlanValueId v) const {
@@ -245,7 +238,7 @@ PlanValueId PlanBuilder::conv2d(const Tensor& weight, const Tensor& bias,
   }
   Op op;
   op.kind = OpKind::conv2d;
-  op.label = scope_path();
+  op.in0 = in;
   op.geo.in_channels = xs[0];
   op.geo.in_h = xs[1];
   op.geo.in_w = xs[2];
@@ -263,12 +256,8 @@ PlanValueId PlanBuilder::conv2d(const Tensor& weight, const Tensor& bias,
   }
   op.weight = weight;
   op.bias = bias;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{op.out_c, op.geo.out_h(), op.geo.out_w()}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  Shape out{op.out_c, op.geo.out_h(), op.geo.out_w()};
+  return push(std::move(op), std::move(out));
 }
 
 PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
@@ -283,7 +272,7 @@ PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
   }
   Op op;
   op.kind = OpKind::linear;
-  op.label = scope_path();
+  op.in0 = in;
   op.in_f = weight.shape()[1];
   op.out_f = weight.shape()[0];
   if (bias.defined() && bias.numel() != op.out_f) {
@@ -292,12 +281,8 @@ PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
   }
   op.weight = weight;
   op.bias = bias;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{op.out_f}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  Shape out{op.out_f};
+  return push(std::move(op), std::move(out));
 }
 
 PlanValueId PlanBuilder::batch_norm2d(const Tensor& gamma, const Tensor& beta,
@@ -315,18 +300,13 @@ PlanValueId PlanBuilder::batch_norm2d(const Tensor& gamma, const Tensor& beta,
   }
   Op op;
   op.kind = OpKind::batch_norm2d;
-  op.label = scope_path();
+  op.in0 = in;
   op.gamma = gamma;
   op.beta = beta;
   op.running_mean = running_mean;
   op.running_var = running_var;
   op.eps = eps;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(xs, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), xs);
 }
 
 PlanValueId PlanBuilder::max_pool2d(std::int64_t kernel, std::int64_t stride,
@@ -342,15 +322,10 @@ PlanValueId PlanBuilder::max_pool2d(std::int64_t kernel, std::int64_t stride,
   }
   Op op;
   op.kind = OpKind::max_pool2d;
-  op.label = scope_path();
+  op.in0 = in;
   op.kernel = kernel;
   op.stride = stride;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{xs[0], oh, ow}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), Shape{xs[0], oh, ow});
 }
 
 PlanValueId PlanBuilder::global_avg_pool(PlanValueId in) {
@@ -361,13 +336,8 @@ PlanValueId PlanBuilder::global_avg_pool(PlanValueId in) {
   }
   Op op;
   op.kind = OpKind::global_avg_pool;
-  op.label = scope_path();
-  const auto idx = static_cast<std::int32_t>(ops_.size());
   op.in0 = in;
-  op.out = new_value(Shape{xs[0]}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), Shape{xs[0]});
 }
 
 PlanValueId PlanBuilder::flatten(PlanValueId in) {
@@ -375,34 +345,22 @@ PlanValueId PlanBuilder::flatten(PlanValueId in) {
   if (v.sample_shape.rank() == 1) return in;
   // Pure view: same storage, flat shape. Batched layout is unchanged
   // because samples are contiguous.
-  return new_value(Shape{v.sample_numel}, v.def, root(in));
+  return new_value(Shape{v.sample_numel}, v.root);
 }
 
 PlanValueId PlanBuilder::activation(core::BoundedActivation* site,
                                     PlanValueId in) {
   if (site == nullptr) fail("activation: null site");
-  const Shape& xs = value_shape(in);
+  const Value& v = value(in);
+  if (site->feature_count() != v.sample_numel) {
+    fail("activation site geometry (" + std::to_string(site->feature_count()) +
+         " features) does not match its input " + v.sample_shape.str());
+  }
   Op op;
   op.kind = OpKind::activation;
-  op.label = scope_path();
-  op.site = site;
-  if (xs.rank() == 1) {
-    op.fb.feat = xs[0];
-    op.fb.hw = 1;
-    op.fb.channels = xs[0];
-  } else if (xs.rank() == 3) {
-    op.fb.feat = xs[0] * xs[1] * xs[2];
-    op.fb.hw = xs[1] * xs[2];
-    op.fb.channels = xs[0];
-  } else {
-    fail("activation expects a rank-1/3 per-sample input, got " + xs.str());
-  }
-  const auto idx = static_cast<std::int32_t>(ops_.size());
   op.in0 = in;
-  op.out = new_value(xs, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  op.site = site;
+  return push(std::move(op), v.sample_shape);
 }
 
 PlanValueId PlanBuilder::add(PlanValueId a, PlanValueId b) {
@@ -413,25 +371,12 @@ PlanValueId PlanBuilder::add(PlanValueId a, PlanValueId b) {
   }
   Op op;
   op.kind = OpKind::add;
-  op.label = scope_path();
-  const auto idx = static_cast<std::int32_t>(ops_.size());
   op.in0 = a;
   op.in1 = b;
-  op.out = new_value(as, idx);
-  use(a, idx);
-  use(b, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), as);
 }
 
 // ---- InferencePlan ---------------------------------------------------------
-
-PlanValueId InferencePlan::root(PlanValueId v) const noexcept {
-  while (values_[static_cast<std::size_t>(v)].alias_of >= 0) {
-    v = values_[static_cast<std::size_t>(v)].alias_of;
-  }
-  return v;
-}
 
 std::shared_ptr<InferencePlan> InferencePlan::compile(
     std::shared_ptr<Module> model, const Shape& sample_shape,
@@ -467,7 +412,10 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   plan->max_batch_ = max_batch;
   plan->precision_ = precision;
 
-  if (fuse) plan->fuse_ops();
+  if (fuse) {
+    plan->finalize_liveness();  // fuse_ops reads the recorded live ranges
+    plan->fuse_ops();
+  }
   if (precision == Precision::int8) {
     plan->quantize_ops(input_range);
     if (plan->int8_ops_ == 0) {
@@ -479,25 +427,25 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   }
   plan->finalize_liveness();
 
-  // Int8 scratch high-water mark (the fp32 scratch depends on the batch
-  // bucket and is sized by plan_arena).
+  // Int8 scratch high-water mark (the fp32 scratch block is part of the
+  // arena, see plan_arena).
   std::size_t scratch_i8 = 0;
   for (const auto& op : plan->ops_) {
-    if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
-      // Quantized input sample + im2row patch matrix.
+    if (!op.q8) continue;
+    if (op.kind == PlanBuilder::OpKind::conv2d) {
+      // Quantized input sample, its HWC copy and the im2row patch matrix.
       const auto in_numel = static_cast<std::size_t>(
           plan->values_[static_cast<std::size_t>(op.in0)].sample_numel);
       scratch_i8 = std::max(
           scratch_i8,
           2 * align_up_bytes(in_numel) +
               static_cast<std::size_t>(op.geo.col_cols() * op.q8->cols_padded));
-    } else if (op.kind == PlanBuilder::OpKind::fused_linear_int8_clamp) {
+    } else {
       // Quantized batch rows, padded to the block width.
       scratch_i8 = std::max(
           scratch_i8, static_cast<std::size_t>(max_batch * op.q8->cols_padded));
     }
   }
-  plan->scratch_i8_bytes_ = scratch_i8;
   if (scratch_i8 > 0) {
     plan->scratch_i8_ = std::make_unique<std::int8_t[]>(scratch_i8);
   }
@@ -506,82 +454,91 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   return plan;
 }
 
+void InferencePlan::finalize_liveness() {
+  // A view's reads count on its root, and a value's range starts at the op
+  // that writes it. Roots no op writes any more (other than the plan
+  // input) were fused away and keep def -1. Then pin the plan input and
+  // output live forever (see kLiveForever above).
+  for (auto& v : values_) {
+    v.def = -1;
+    v.last_use = -1;
+  }
+  const auto root_of = [&](PlanValueId v) -> Value& {
+    return values_[static_cast<std::size_t>(
+        values_[static_cast<std::size_t>(v)].root)];
+  };
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
+    const auto idx = static_cast<std::int32_t>(i);
+    Value& o = root_of(op.out);
+    o.def = idx;
+    o.last_use = std::max(o.last_use, idx);
+    for (const PlanValueId in : {op.in0, op.in1}) {
+      if (in < 0) continue;
+      Value& r = root_of(in);
+      r.last_use = std::max(r.last_use, idx);
+    }
+  }
+  root_of(0).last_use = kLiveForever;
+  root_of(output_).last_use = kLiveForever;
+}
+
 void InferencePlan::fuse_ops() {
-  // Peephole over the recorded (pre-liveness) program: merge each conv2d /
-  // linear with an immediately following bounded activation that reads its
-  // output directly and is its sole consumer. The producer's output value
-  // goes dead — the fused op writes straight into the activation's slot —
-  // which is the arena saving fusion exists for. The liveness check uses
-  // the record-time op indices (this runs before finalize_liveness
-  // renumbers anything), so a residual edge or a later re-read of the
-  // pre-activation value blocks fusion exactly as it must.
+  // Peephole over the recorded program, with the live ranges
+  // finalize_liveness computed for it: a conv2d / linear whose output only
+  // an immediately following bounded activation reads takes that
+  // activation as its epilogue, and a conv2d whose output only an eval-mode
+  // BatchNorm reads, whose output only an activation reads (the ResNet
+  // block shape), takes both. The producer's output value (and the
+  // BatchNorm's) goes dead — the fused op writes straight into the
+  // activation's slot — which is the arena saving fusion exists for. A
+  // residual edge, a later re-read of a pre-activation value, or the plan
+  // output (live forever) blocks fusion exactly as it must.
+  //
+  // The BatchNorm fold is structural rather than algebraic: execute replays
+  // the exact eager kernel sequence (conv+bias, BN in place, clamp pass),
+  // so bit-identity and live BN-parameter fault visibility both survive
+  // (pre-scaling weights by gamma/sigma would bake BN faults out of the
+  // served model).
+  const auto is = [&](std::size_t j, PlanBuilder::OpKind kind) {
+    return j < ops_.size() && ops_[j].kind == kind;
+  };
+  // Op j + 1 is the only reader of op j's output.
+  const auto only_next_reads = [&](std::size_t j) {
+    const PlanValueId v = ops_[j].out;
+    return ops_[j + 1].in0 == v &&
+           values_[static_cast<std::size_t>(v)].last_use ==
+               static_cast<std::int32_t>(j) + 1;
+  };
   std::vector<Op> fused;
   fused.reserve(ops_.size());
   for (std::size_t i = 0; i < ops_.size(); ++i) {
-    Op& op = ops_[i];
-    const bool fusable_producer = op.kind == PlanBuilder::OpKind::conv2d ||
-                                  op.kind == PlanBuilder::OpKind::linear;
-    // conv -> eval-BatchNorm -> activation triple (the ResNet block shape):
-    // fold structurally into one fused conv op carrying the BN tensors.
-    // Execute replays the exact eager kernel sequence (conv+bias, BN in
-    // place, clamp pass), so bit-identity and live BN-parameter fault
-    // visibility both survive — which is why the fold is structural rather
-    // than algebraic (pre-scaling weights by gamma/sigma would bake BN
-    // faults out of the served model). Both intermediates go dead.
-    if (op.kind == PlanBuilder::OpKind::conv2d && i + 2 < ops_.size()) {
-      const Op& bn = ops_[i + 1];
-      const Op& act = ops_[i + 2];
-      const Value& mid1 = values_[static_cast<std::size_t>(op.out)];
-      const Value& mid2 = values_[static_cast<std::size_t>(bn.out)];
-      if (bn.kind == PlanBuilder::OpKind::batch_norm2d && bn.in0 == op.out &&
-          act.kind == PlanBuilder::OpKind::activation && act.in0 == bn.out &&
-          mid1.last_use == static_cast<std::int32_t>(i) + 1 &&
-          mid2.last_use == static_cast<std::int32_t>(i) + 2 &&
-          root(output_) != op.out && root(output_) != bn.out) {
-        Op f = std::move(op);
-        f.kind = PlanBuilder::OpKind::fused_conv2d_clamp;
+    const bool conv = is(i, PlanBuilder::OpKind::conv2d);
+    const bool fold_bn = conv && is(i + 1, PlanBuilder::OpKind::batch_norm2d) &&
+                         is(i + 2, PlanBuilder::OpKind::activation) &&
+                         only_next_reads(i) && only_next_reads(i + 1);
+    const bool fuse = (conv || is(i, PlanBuilder::OpKind::linear)) &&
+                      (fold_bn || (is(i + 1, PlanBuilder::OpKind::activation) &&
+                                   only_next_reads(i)));
+    Op f = std::move(ops_[i]);
+    if (fuse) {
+      if (fold_bn) {
+        const Op& bn = ops_[++i];
         f.gamma = bn.gamma;
         f.beta = bn.beta;
         f.running_mean = bn.running_mean;
         f.running_var = bn.running_var;
         f.eps = bn.eps;
-        f.site = act.site;
-        f.fb = act.fb;
         if (!bn.label.empty()) f.label += " + " + bn.label;
-        if (!act.label.empty()) f.label += " + " + act.label;
-        values_[static_cast<std::size_t>(f.out)].dead = true;
-        values_[static_cast<std::size_t>(bn.out)].dead = true;
-        f.out = act.out;
-        fused.push_back(std::move(f));
-        ++fused_ops_;
         ++bn_folded_;
-        i += 2;  // the bn and activation ops are consumed by the fused op
-        continue;
       }
+      const Op& act = ops_[++i];
+      f.site = act.site;
+      if (!act.label.empty()) f.label += " + " + act.label;
+      f.out = act.out;
+      ++fused_ops_;
     }
-    if (fusable_producer && i + 1 < ops_.size()) {
-      const Op& next = ops_[i + 1];
-      const Value& mid = values_[static_cast<std::size_t>(op.out)];
-      if (next.kind == PlanBuilder::OpKind::activation &&
-          next.in0 == op.out &&
-          mid.last_use == static_cast<std::int32_t>(i) + 1 &&
-          root(output_) != op.out) {
-        Op f = std::move(op);
-        f.kind = f.kind == PlanBuilder::OpKind::conv2d
-                     ? PlanBuilder::OpKind::fused_conv2d_clamp
-                     : PlanBuilder::OpKind::fused_linear_clamp;
-        f.site = next.site;
-        f.fb = next.fb;
-        if (!next.label.empty()) f.label += " + " + next.label;
-        values_[static_cast<std::size_t>(f.out)].dead = true;
-        f.out = next.out;
-        fused.push_back(std::move(f));
-        ++fused_ops_;
-        ++i;  // the activation op is consumed by the fused op
-        continue;
-      }
-    }
-    fused.push_back(std::move(op));
+    fused.push_back(std::move(f));
   }
   ops_ = std::move(fused);
 }
@@ -592,66 +549,42 @@ void InferencePlan::quantize_ops(float input_range) {
   // comes from calibration (compile's input_range); a clampable bounded
   // activation emits [0, max(bound)] by construction — FitAct's bounds are
   // what make static activation scales possible at all. Anything a GEMM or
-  // BatchNorm produces is unbounded until the next clamp. A fused clamp op
-  // with known input AND output range converts to int8: weights quantize
-  // per output channel now, the input range fixes the activation scale, and
-  // the op's own bounds keep feeding the clamp-event detector through the
-  // activation step it ends in.
-  std::vector<float> range(values_.size(), -1.0f);
-  range[static_cast<std::size_t>(root(0))] =
-      input_range > 0.0f ? input_range : -1.0f;
-  const auto rng = [&](PlanValueId v) {
-    return range[static_cast<std::size_t>(root(v))];
-  };
-  const auto set = [&](PlanValueId v, float r) {
-    range[static_cast<std::size_t>(root(v))] = r;
-  };
+  // BatchNorm produces is unbounded until the next clamp. A conv/linear op
+  // with an activation epilogue and known input AND output range converts
+  // to int8: weights quantize per output channel now, the input range fixes
+  // the activation scale, and the op's own bounds keep feeding the
+  // clamp-event detector through the activation step it ends in.
+  //
   // Sign propagation alongside the ranges: nonneg[v] when every element of
   // value v is statically >= 0. Clamp outputs are nonnegative by the clip
   // cascade (even in detect-only mode an over-bound element becomes 0, not
   // its raw value), and pooling/add preserve the sign. An int8 op whose
   // input is proven nonnegative quantizes it into [0,127], which lets
   // execute use the u8xs8 GEMM at twice the vector MAC density.
+  std::vector<float> range(values_.size(), -1.0f);
   std::vector<char> nonneg(values_.size(), 0);
-  const auto is_nonneg = [&](PlanValueId v) {
-    return nonneg[static_cast<std::size_t>(root(v))] != 0;
+  const auto slot = [&](PlanValueId v) {
+    return static_cast<std::size_t>(values_[static_cast<std::size_t>(v)].root);
   };
-  const auto set_nonneg = [&](PlanValueId v, bool nn) {
-    nonneg[static_cast<std::size_t>(root(v))] = nn ? 1 : 0;
+  const auto rng = [&](PlanValueId v) { return range[slot(v)]; };
+  const auto is_nonneg = [&](PlanValueId v) { return nonneg[slot(v)] != 0; };
+  const auto set = [&](PlanValueId v, float r, bool nn) {
+    range[slot(v)] = r;
+    nonneg[slot(v)] = nn ? 1 : 0;
   };
+  set(0, input_range > 0.0f ? input_range : -1.0f, false);
   for (auto& op : ops_) {
     switch (op.kind) {
       case PlanBuilder::OpKind::conv2d:
-      case PlanBuilder::OpKind::linear:
-      case PlanBuilder::OpKind::batch_norm2d:
-        set(op.out, -1.0f);
-        set_nonneg(op.out, false);
-        break;
-      case PlanBuilder::OpKind::max_pool2d:
-      case PlanBuilder::OpKind::global_avg_pool:
-        // Max and mean of bounded values stay within the bound (and keep
-        // their sign).
-        set(op.out, rng(op.in0));
-        set_nonneg(op.out, is_nonneg(op.in0));
-        break;
-      case PlanBuilder::OpKind::add: {
-        const float a = rng(op.in0);
-        const float b = rng(op.in1);
-        set(op.out, a > 0.0f && b > 0.0f ? a + b : -1.0f);
-        set_nonneg(op.out, is_nonneg(op.in0) && is_nonneg(op.in1));
-        break;
-      }
-      case PlanBuilder::OpKind::activation:
-        set(op.out, site_output_range(op.site));
-        set_nonneg(op.out, true);  // clip cascade output is always in [0, b]
-        break;
-      case PlanBuilder::OpKind::fused_conv2d_clamp:
-      case PlanBuilder::OpKind::fused_linear_clamp: {
+      case PlanBuilder::OpKind::linear: {
+        if (op.site == nullptr) {  // no epilogue: an unbounded GEMM output
+          set(op.out, -1.0f, false);
+          break;
+        }
         const float out_r = site_output_range(op.site);
         const float in_r = rng(op.in0);
         if (in_r > 0.0f && out_r > 0.0f) {
-          const bool is_conv =
-              op.kind == PlanBuilder::OpKind::fused_conv2d_clamp;
+          const bool is_conv = op.kind == PlanBuilder::OpKind::conv2d;
           const std::int64_t rows = is_conv ? op.out_c : op.out_f;
           const std::int64_t cols = is_conv ? op.geo.col_rows() : op.in_f;
           const float* wsrc = op.weight.data();
@@ -683,79 +616,47 @@ void InferencePlan::quantize_ops(float input_range) {
               quant::quantize_weights_i8(wsrc, rows, cols));
           op.q8->set_act_scale(in_r / 127.0f);
           op.q8_in_nonneg = is_nonneg(op.in0);
-          op.kind = is_conv ? PlanBuilder::OpKind::fused_conv2d_int8_clamp
-                            : PlanBuilder::OpKind::fused_linear_int8_clamp;
           ++int8_ops_;
         }
-        set(op.out, out_r);
-        set_nonneg(op.out, true);  // fused clamp: same cascade as activation
+        set(op.out, out_r, true);  // activation epilogue: the clip cascade
         break;
       }
-      case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
-      case PlanBuilder::OpKind::fused_linear_int8_clamp:
-        break;  // int8 kinds don't exist before this pass
+      case PlanBuilder::OpKind::batch_norm2d:
+        set(op.out, -1.0f, false);
+        break;
+      case PlanBuilder::OpKind::max_pool2d:
+      case PlanBuilder::OpKind::global_avg_pool:
+        // Max and mean of bounded values stay within the bound (and keep
+        // their sign).
+        set(op.out, rng(op.in0), is_nonneg(op.in0));
+        break;
+      case PlanBuilder::OpKind::add: {
+        const float a = rng(op.in0);
+        const float b = rng(op.in1);
+        set(op.out, a > 0.0f && b > 0.0f ? a + b : -1.0f,
+            is_nonneg(op.in0) && is_nonneg(op.in1));
+        break;
+      }
+      case PlanBuilder::OpKind::activation:
+        // The clip cascade's output is always in [0, b].
+        set(op.out, site_output_range(op.site), true);
+        break;
     }
   }
 }
 
-void InferencePlan::finalize_liveness() {
-  // Recompute def/last_use against the final op list (fusion drops ops, so
-  // record-time indices are stale), mirroring the builder's bookkeeping:
-  // aliases track their root, and a value's live range starts at its
-  // defining op. Then pin the plan input and output live forever (see
-  // kLiveForever above).
-  for (auto& v : values_) {
-    if (v.alias_of < 0) {
-      v.def = -1;
-      v.last_use = -1;
-    }
-  }
-  const auto use = [&](PlanValueId v, std::int32_t idx) {
-    Value& r = values_[static_cast<std::size_t>(root(v))];
-    r.last_use = std::max(r.last_use, idx);
-  };
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    const auto idx = static_cast<std::int32_t>(i);
-    Value& o = values_[static_cast<std::size_t>(root(op.out))];
-    o.def = idx;
-    o.last_use = std::max(o.last_use, idx);
-    use(op.in0, idx);
-    if (op.in1 >= 0) use(op.in1, idx);
-  }
-  // A root value no op defines any more (other than the plan input) was
-  // eliminated by fusion; it must not claim an arena slot.
-  for (std::size_t vi = 1; vi < values_.size(); ++vi) {
-    Value& v = values_[vi];
-    if (v.alias_of < 0 && v.def < 0) v.dead = true;
-  }
-  for (std::size_t vi = 0; vi < values_.size(); ++vi) {
-    Value& v = values_[vi];
-    if (v.alias_of >= 0) {
-      const Value& r = values_[static_cast<std::size_t>(
-          root(static_cast<PlanValueId>(vi)))];
-      v.def = r.def;
-      v.last_use = r.last_use;
-      v.dead = r.dead;
-    }
-  }
-  values_[static_cast<std::size_t>(root(0))].last_use = kLiveForever;
-  values_[static_cast<std::size_t>(root(output_))].last_use = kLiveForever;
-}
-
-std::size_t InferencePlan::scratch_floats(std::int64_t batch) const {
+std::size_t InferencePlan::scratch_floats() const {
   // Conv needs what its route takes (ag::conv2d_scratch_floats), linear a
   // transposed weight; ops run one at a time, so one block serves all.
-  // Int8 ops don't participate — their integer scratch is separate, and
-  // they never fall back to fp32 (execute throws instead).
+  // Int8 producers don't participate — their integer scratch is separate,
+  // and they never fall back to fp32 (execute throws instead).
   std::int64_t floats = 0;
   for (const auto& op : ops_) {
-    if (op.kind == PlanBuilder::OpKind::conv2d ||
-        op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
-      floats = std::max(floats,
-                        ag::conv2d_scratch_floats(op.geo, op.out_c, batch));
-    } else if (op.kind == PlanBuilder::OpKind::linear ||
-               op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
+    if (op.q8) continue;
+    if (op.kind == PlanBuilder::OpKind::conv2d) {
+      floats = std::max(
+          floats, ag::conv2d_scratch_floats(op.geo, op.out_c, max_batch_));
+    } else if (op.kind == PlanBuilder::OpKind::linear) {
       floats = std::max(floats, op.in_f * op.out_f);
     }
   }
@@ -763,77 +664,49 @@ std::size_t InferencePlan::scratch_floats(std::int64_t batch) const {
 }
 
 void InferencePlan::plan_arena() {
-  // Batch-size buckets: powers of two up to max_batch, plus max_batch
-  // itself. A batch executes in the smallest bucket that fits, so arena
-  // strides (and cache footprint) track the work actually in flight.
-  std::vector<std::int64_t> capacities;
-  for (std::int64_t c = 1; c < max_batch_; c *= 2) capacities.push_back(c);
-  capacities.push_back(max_batch_);
-
-  bucket_of_batch_.assign(static_cast<std::size_t>(max_batch_), 0);
-  for (std::int64_t b = 1; b <= max_batch_; ++b) {
-    std::size_t bucket = 0;
-    while (capacities[bucket] < b) ++bucket;
-    bucket_of_batch_[static_cast<std::size_t>(b - 1)] = bucket;
-  }
-
+  // One layout, sized for max_batch: every root value gets one slot of
+  // max_batch samples, and a batch of b uses the first b rows of each slot
+  // (the scratch block too: no route's scratch shrinks as batch grows).
   struct Placed {
     std::size_t offset, size;
     std::int32_t def, last;
   };
-
-  arena_floats_ = 0;
-  buckets_.clear();
-  buckets_.reserve(capacities.size());
-  for (const std::int64_t cap : capacities) {
-    Bucket bk;
-    bk.capacity = cap;
-    bk.offsets.assign(values_.size(), 0);
-
-    std::vector<Placed> placed;
-    // The shared scratch block is live for the whole program; placing it
-    // first pins it at offset 0 in every bucket.
-    placed.push_back({0, align_up(scratch_floats(cap)), -1, kLiveForever});
-    bk.scratch_offset = 0;
-
-    for (std::size_t vi = 0; vi < values_.size(); ++vi) {
-      const Value& v = values_[vi];
-      if (v.alias_of >= 0) continue;  // views resolve through their root
-      if (v.dead) continue;           // fusion eliminated it: no slot
-      const auto size = align_up(
-          static_cast<std::size_t>(v.sample_numel) * static_cast<std::size_t>(cap));
-      // First-fit: scan occupied extents of time-overlapping blocks in
-      // offset order and take the first gap large enough.
-      std::vector<Placed> live;
-      for (const auto& p : placed) {
-        if (v.def <= p.last && p.def <= v.last_use) live.push_back(p);
-      }
-      std::sort(live.begin(), live.end(),
-                [](const Placed& a, const Placed& b) {
-                  return a.offset < b.offset;
-                });
-      std::size_t offset = 0;
-      for (const auto& p : live) {
-        if (offset + size <= p.offset) break;
-        offset = std::max(offset, p.offset + p.size);
-      }
-      bk.offsets[vi] = offset;
-      placed.push_back({offset, size, v.def, v.last_use});
-    }
-
+  // The shared scratch block is live for the whole program; placing it
+  // first pins it at offset 0.
+  std::vector<Placed> placed{{0, align_up(scratch_floats()), -1, kLiveForever}};
+  for (std::size_t vi = 0; vi < values_.size(); ++vi) {
+    Value& v = values_[vi];
+    // Views resolve through their root. A value no op writes any more was
+    // fused away and gets no slot; the caller writes the plan input.
+    if (static_cast<std::size_t>(v.root) != vi) continue;
+    if (vi > 0 && v.def < 0) continue;
+    const auto size = align_up(static_cast<std::size_t>(v.sample_numel) *
+                               static_cast<std::size_t>(max_batch_));
+    // First-fit: scan occupied extents of time-overlapping blocks in
+    // offset order and take the first gap large enough.
+    std::vector<Placed> live;
     for (const auto& p : placed) {
-      bk.total_floats = std::max(bk.total_floats, p.offset + p.size);
+      if (v.def <= p.last && p.def <= v.last_use) live.push_back(p);
     }
-    // Alias values read/write through their root's slot.
-    for (std::size_t vi = 0; vi < values_.size(); ++vi) {
-      if (values_[vi].alias_of >= 0) {
-        bk.offsets[vi] =
-            bk.offsets[static_cast<std::size_t>(root(
-                static_cast<PlanValueId>(vi)))];
-      }
+    std::sort(live.begin(), live.end(),
+              [](const Placed& a, const Placed& b) {
+                return a.offset < b.offset;
+              });
+    std::size_t offset = 0;
+    for (const auto& p : live) {
+      if (offset + size <= p.offset) break;
+      offset = std::max(offset, p.offset + p.size);
     }
-    arena_floats_ = std::max(arena_floats_, bk.total_floats);
-    buckets_.push_back(std::move(bk));
+    v.offset = offset;
+    placed.push_back({offset, size, v.def, v.last_use});
+  }
+  arena_floats_ = 0;
+  for (const auto& p : placed) {
+    arena_floats_ = std::max(arena_floats_, p.offset + p.size);
+  }
+  // Views read and write through their root's slot.
+  for (auto& v : values_) {
+    v.offset = values_[static_cast<std::size_t>(v.root)].offset;
   }
 
   arena_ = std::make_unique<float[]>(std::max<std::size_t>(arena_floats_, 1));
@@ -842,31 +715,27 @@ void InferencePlan::plan_arena() {
   // Pre-built per-batch-size views: execute() and input_view() hand out
   // references to these, so steady state constructs no Shapes (a Shape copy
   // allocates its dims vector).
+  const Value& in = values_[0];
+  const Value& out = values_[static_cast<std::size_t>(output_)];
   input_views_.clear();
   output_views_.clear();
   input_views_.reserve(static_cast<std::size_t>(max_batch_));
   output_views_.reserve(static_cast<std::size_t>(max_batch_));
-  const PlanValueId out_root = root(output_);
   for (std::int64_t b = 1; b <= max_batch_; ++b) {
-    const Bucket& bk = buckets_[bucket_of_batch_[static_cast<std::size_t>(b - 1)]];
-    input_views_.push_back(
-        Tensor::view(batched(b, values_[0].sample_shape),
-                     arena_.get() + bk.offsets[0]));
-    output_views_.push_back(Tensor::view(
-        batched(b, values_[static_cast<std::size_t>(output_)].sample_shape),
-        arena_.get() + bk.offsets[static_cast<std::size_t>(out_root)]));
+    input_views_.push_back(Tensor::view(batched(b, in.sample_shape),
+                                        arena_.get() + in.offset));
+    output_views_.push_back(Tensor::view(batched(b, out.sample_shape),
+                                         arena_.get() + out.offset));
   }
 }
 
-const InferencePlan::Bucket& InferencePlan::bucket_for(
-    std::int64_t batch) const {
+void InferencePlan::check_batch(std::int64_t batch) const {
   if (batch < 1 || batch > max_batch_) {
     throw std::invalid_argument("InferencePlan: batch " +
                                 std::to_string(batch) +
                                 " outside compiled range [1, " +
                                 std::to_string(max_batch_) + "]");
   }
-  return buckets_[bucket_of_batch_[static_cast<std::size_t>(batch - 1)]];
 }
 
 const Shape& InferencePlan::sample_shape() const {
@@ -874,77 +743,67 @@ const Shape& InferencePlan::sample_shape() const {
 }
 
 Tensor& InferencePlan::input_view(std::int64_t batch) {
-  (void)bucket_for(batch);  // range check
+  check_batch(batch);
   return input_views_[static_cast<std::size_t>(batch - 1)];
 }
 
 Tensor& InferencePlan::execute(std::int64_t batch) {
-  const Bucket& bk = bucket_for(batch);
+  check_batch(batch);
   // Lane threads run kernels inline: plan execution is already one lane of
   // a thread-per-lane server, and inline kernels are also what keeps the
   // steady state allocation-free (pool dispatch allocates task state).
   ut::InlineKernelScope inline_scope;
   float* const base = arena_.get();
-  float* const scratch = base + bk.scratch_offset;
+  float* const scratch = base;  // plan_arena pins the scratch block at 0
   const auto ptr = [&](PlanValueId v) {
-    return base + bk.offsets[static_cast<std::size_t>(v)];
+    return base + values_[static_cast<std::size_t>(v)].offset;
   };
   const auto numel = [&](PlanValueId v) {
     return batch * values_[static_cast<std::size_t>(v)].sample_numel;
   };
-  // A fused op's steps after its producer, in its own output slot: the
-  // folded BatchNorm when it carries one, then the activation step the
-  // standalone activation op runs. With the producer (bias included) that
-  // is the unfused program's kernel sequence minus the intermediate slots,
-  // so fused outputs and clamp counts stay bit-identical.
-  const auto bn_and_activation = [&](const Op& op) {
+  // An op's epilogue, from x into the op's output slot: the BatchNorm when
+  // it carries one, then the activation step when it carries a site. After
+  // a producer x is that slot, so the epilogue runs in place; a standalone
+  // batch_norm2d or activation op is an epilogue over its input. Fused,
+  // unfused and eager forwards therefore run one kernel sequence, and
+  // outputs and clamp counts stay bit-identical.
+  const auto epilogue = [&](const Op& op, const float* x) {
     float* const o = ptr(op.out);
     if (op.gamma.defined()) {
-      ag::batch_norm2d_eval_forward(
-          batch, op.out_c, op.geo.out_h() * op.geo.out_w(), o,
-          op.gamma.data(), op.beta.data(), op.running_mean.data(),
-          op.running_var.data(), op.eps, o);
+      const Shape& s = values_[static_cast<std::size_t>(op.out)].sample_shape;
+      ag::batch_norm2d_eval_forward(batch, s[0], s[1] * s[2], x,
+                                    op.gamma.data(), op.beta.data(),
+                                    op.running_mean.data(),
+                                    op.running_var.data(), op.eps, o);
+      x = o;
     }
-    activation_step(*op.site, op.fb, op.label, o, o, numel(op.out));
+    if (op.site != nullptr) {
+      activation_step(*op.site, op.label, x, o, numel(op.out));
+    }
   };
 
   for (const auto& op : ops_) {
     switch (op.kind) {
       case PlanBuilder::OpKind::conv2d:
-      case PlanBuilder::OpKind::fused_conv2d_clamp: {
-        ag::conv2d_forward(op.geo, op.out_c, batch, ptr(op.in0),
-                           op.weight.data(),
-                           op.bias.defined() ? op.bias.data() : nullptr,
-                           scratch, ptr(op.out));
-        if (op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
-          bn_and_activation(op);
+      case PlanBuilder::OpKind::linear: {
+        float* const o = ptr(op.out);
+        const float* const bias = op.bias.defined() ? op.bias.data() : nullptr;
+        if (op.q8) {
+          int8_producer(op, batch, ptr(op.in0), o);
+        } else if (op.kind == PlanBuilder::OpKind::conv2d) {
+          ag::conv2d_forward(op.geo, op.out_c, batch, ptr(op.in0),
+                             op.weight.data(), bias, scratch, o);
+        } else {
+          ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
+                             op.weight.data(), bias, scratch, o);
         }
+        epilogue(op, o);
         break;
       }
-      case PlanBuilder::OpKind::linear:
-      case PlanBuilder::OpKind::fused_linear_clamp:
-        ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
-                           op.weight.data(),
-                           op.bias.defined() ? op.bias.data() : nullptr,
-                           scratch, ptr(op.out));
-        if (op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
-          bn_and_activation(op);
-        }
+      case PlanBuilder::OpKind::batch_norm2d:
+      case PlanBuilder::OpKind::activation:
+        epilogue(op, ptr(op.in0));
         break;
-      case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
-      case PlanBuilder::OpKind::fused_linear_int8_clamp:
-        int8_producer(op, batch, ptr(op.in0), ptr(op.out));
-        bn_and_activation(op);
-        break;
-      case PlanBuilder::OpKind::batch_norm2d: {
-        const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
-        ag::batch_norm2d_eval_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
-                                      op.gamma.data(), op.beta.data(),
-                                      op.running_mean.data(),
-                                      op.running_var.data(), op.eps,
-                                      ptr(op.out));
-        break;
-      }
       case PlanBuilder::OpKind::max_pool2d: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::max_pool2d_forward(batch, xs[0], xs[1], xs[2], op.kernel,
@@ -957,10 +816,6 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
                                     ptr(op.out));
         break;
       }
-      case PlanBuilder::OpKind::activation:
-        activation_step(*op.site, op.fb, op.label, ptr(op.in0), ptr(op.out),
-                        numel(op.in0));
-        break;
       case PlanBuilder::OpKind::add:
         ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out), numel(op.out));
         break;
@@ -986,7 +841,7 @@ void InferencePlan::int8_producer(const Op& op, std::int64_t batch,
   const quant::Int8Weights& q8 = *op.q8;
   const float* b = op.bias.defined() ? op.bias.data() : nullptr;
   std::int8_t* const qbuf = scratch_i8_.get();
-  if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
+  if (op.kind == PlanBuilder::OpKind::conv2d) {
     // Per sample: quantize the input, gather the padded im2row patch
     // matrix, int8 GEMM straight into the output slot (int32 accumulators
     // reinterpret the float storage), then dequantize (bias included) per
@@ -1069,22 +924,25 @@ std::pair<std::int8_t*, std::size_t> InferencePlan::int8_weight_span(
 
 std::string InferencePlan::summary() const {
   static const char* const kKindNames[] = {
-      "conv2d",      "linear", "batch_norm2d", "max_pool2d",
-      "global_avg_pool", "activation", "add",
-      "fused_conv2d_clamp", "fused_linear_clamp",
-      "fused_conv2d_int8_clamp", "fused_linear_int8_clamp"};
+      "conv2d",          "linear",     "batch_norm2d", "max_pool2d",
+      "global_avg_pool", "activation", "add"};
   std::ostringstream os;
   os << "InferencePlan: " << ops_.size() << " ops (" << fused_ops_
      << " fused, " << bn_folded_ << " bn-folded, " << int8_ops_
      << " int8), " << values_.size() << " values, max_batch " << max_batch_
-     << ", arena " << arena_bytes() / 1024 << " KiB (" << buckets_.size()
-     << " buckets)\n";
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
+     << ", arena " << arena_bytes() / 1024 << " KiB\n";
+  for (const Op& op : ops_) {
     os << "  %" << op.out << " = "
        << kKindNames[static_cast<std::size_t>(op.kind)] << "(%" << op.in0;
     if (op.in1 >= 0) os << ", %" << op.in1;
-    os << ") -> "
+    os << ")";
+    if (op.kind == PlanBuilder::OpKind::conv2d ||
+        op.kind == PlanBuilder::OpKind::linear) {
+      if (op.gamma.defined()) os << " + batch_norm2d";
+      if (op.site != nullptr) os << " + activation";
+      if (op.q8) os << " [int8]";
+    }
+    os << " -> "
        << values_[static_cast<std::size_t>(op.out)].sample_shape.str();
     if (!op.label.empty()) os << "  # " << op.label;
     os << "\n";

@@ -11,23 +11,26 @@
 //             tensors by shared storage — live fault injection and clean-
 //             image scrubs through quant::ParamImage remain visible to the
 //             plan because they write through that same storage.
-//   fuse      A peephole pass (on by default; serving always fuses)
-//             merges conv2d/linear ops (and a conv's eval-mode BatchNorm)
-//             with the bounded activation that is their sole consumer into
-//             single fused ops that write one arena slot: the producer
-//             (bias included) writes it, the folded BatchNorm and then the
+//   fuse      A peephole pass (on by default; serving always fuses) gives
+//             each conv2d/linear op whose output feeds only a bounded
+//             activation (through a conv's eval-mode BatchNorm, if any) an
+//             epilogue: the op takes over the activation's site (and the
+//             BatchNorm's tensors) and its output slot. The producer (bias
+//             included) writes the slot, the BatchNorm and then the
 //             activation step (clamp + clamp-event counting) rewrite it in
 //             place — the pre-activation tensor never occupies a slot of
-//             its own. The activation step is the routine the standalone
-//             activation op runs, so fused, unfused and eager forwards run
-//             one kernel sequence and stay bit-identical; the activation
-//             site is read at execute time, so re-protection after compile
-//             stays visible exactly as on the unfused path.
-//   plan      A liveness pass assigns every intermediate value an offset in
-//             one pre-sized activation arena (first-fit over live ranges,
-//             which degenerates to ping-pong for chain models), with a
-//             separate offset table per batch-size bucket (powers of two up
-//             to max_batch) so small batches stay cache-tight.
+//             its own. The epilogue is the routine the standalone
+//             batch_norm2d and activation ops run, so fused, unfused and
+//             eager forwards run one kernel sequence and stay
+//             bit-identical; the activation site is read at execute time,
+//             so re-protection after compile stays visible exactly as on
+//             the unfused path.
+//   plan      A liveness pass gives every value a live range over the final
+//             op list, and the arena planner places each value once, sized
+//             for max_batch, in one pre-sized activation arena (first-fit
+//             over live ranges, which degenerates to ping-pong for chain
+//             models). A batch of b samples uses the first b rows of each
+//             slot.
 //   execute   Batches run through the recorded ops with zero heap
 //             allocations in steady state: kernels come from
 //             autograd/op_kernels.h (the same inline code the eager ops
@@ -66,12 +69,12 @@ namespace fitact::nn {
 
 /// Arithmetic the plan's fused conv/linear ops execute with.
 ///
-/// int8 converts every fused clamp op whose input range is statically known
-/// (see compile()'s input_range and the bound-derived range propagation in
-/// plan.cpp) to block-quantized int8 GEMM, dequantized (bias included) in
-/// place and then clamped by the same activation step as fp32 ops. Ops that
-/// don't qualify (unbounded
-/// schemes, unknown ranges, FitReLU's sigmoid shaping) stay fp32, so a plan
+/// int8 converts every conv/linear op with an activation epilogue whose input
+/// range is statically known (see compile()'s input_range and the
+/// bound-derived range propagation in plan.cpp) to block-quantized int8
+/// GEMM, dequantized (bias included) in place and then run through the same
+/// epilogue as fp32 ops. Ops that don't qualify (unbounded schemes, unknown
+/// ranges, FitReLU's sigmoid shaping) stay fp32, so a plan
 /// is int8 *where the bounds allow* — compile throws PlanError when nothing
 /// qualifies rather than silently serving fp32 under an int8 label.
 ///
@@ -140,6 +143,8 @@ class PlanBuilder {
  private:
   friend class InferencePlan;
 
+  /// What produces an op's output. Fusion and int8 are not kinds of their
+  /// own: they live in the epilogue and q8 fields of Op.
   enum class OpKind : std::uint8_t {
     conv2d,
     linear,
@@ -148,29 +153,28 @@ class PlanBuilder {
     global_avg_pool,
     activation,
     add,
-    // Fusion-pass products (never recorded directly): a conv2d/linear
-    // followed, in its own output slot, by the activation step of the
-    // bounded activation it absorbed. A fused conv may additionally carry a
-    // folded eval-mode BatchNorm (gamma defined): conv -> bn -> clamp
-    // replayed as one op.
-    fused_conv2d_clamp,
-    fused_linear_clamp,
-    // Quantization-pass products (Precision::int8): int8 GEMM over
-    // block-quantized weights, dequantized in place, then the same
-    // (BatchNorm and) activation step as the fp32 fused ops.
-    fused_conv2d_int8_clamp,
-    fused_linear_int8_clamp,
   };
 
+  /// A recorded value. root names the value that owns its arena slot: the
+  /// value itself, or a flatten view's source. The liveness pass fills in
+  /// def and last_use on roots (def -1: the plan input, or a value fusion
+  /// removed the producer of), and the arena planner the offset.
   struct Value {
     Shape sample_shape;
     std::int64_t sample_numel = 0;
-    PlanValueId alias_of = -1;  ///< flatten views share their source's arena slot
-    std::int32_t def = -1;      ///< op index that writes it (-1: plan input)
-    std::int32_t last_use = -1; ///< last op index that reads it
-    bool dead = false;          ///< eliminated by fusion; gets no arena slot
+    PlanValueId root = -1;
+    std::int32_t def = -1;       ///< op index that writes it
+    std::int32_t last_use = -1;  ///< last op index that reads it
+    std::size_t offset = 0;      ///< arena offset in floats
   };
 
+  /// One op: its producer (the kind), then its epilogue in its own output
+  /// slot — the eval-mode BatchNorm when gamma is defined, then the
+  /// activation step when site is set. A standalone batch_norm2d or
+  /// activation op is an epilogue alone, over in0. The fusion pass moves a
+  /// BatchNorm and activation that only feed each other into the epilogue
+  /// of the conv2d/linear before them; the quantization pass sets q8 on the
+  /// fused ops it converts to int8 GEMM.
   struct Op {
     OpKind kind;
     PlanValueId in0 = -1;
@@ -181,34 +185,38 @@ class PlanBuilder {
     // conv2d
     Conv2dGeometry geo{};
     std::int64_t out_c = 0;
-    // conv2d / linear / batch_norm2d parameters (shared storage with the
-    // module's live parameters)
-    Tensor weight;
-    Tensor bias;
-    Tensor gamma, beta, running_mean, running_var;
-    float eps = 0.0f;
     // linear
     std::int64_t in_f = 0, out_f = 0;
     // max_pool2d
     std::int64_t kernel = 0, stride = 0;
-    // activation
+    // conv2d / linear parameters (shared storage with the module's live
+    // parameters)
+    Tensor weight;
+    Tensor bias;
+    // Epilogue: eval-mode BatchNorm (shared storage with the module's live
+    // parameters); defined gamma means the op carries one.
+    Tensor gamma, beta, running_mean, running_var;
+    float eps = 0.0f;
+    // Epilogue: the bounded activation site, whose scheme, bounds and
+    // geometry are read at execute time.
     core::BoundedActivation* site = nullptr;
-    ag::FeatureBroadcast fb{};
-    // int8 ops: block-quantized weights + scales (quantization pass product)
+    // int8 producer: block-quantized weights + scales (quantization pass
+    // product); the op runs fp32 when null.
     std::shared_ptr<quant::Int8Weights> q8;
-    // int8 ops: the quantization pass proved this op's input nonnegative
-    // (it flows from a clamp output through only sign-preserving ops), so
-    // its quantized activation bytes are all in [0,127] and execute may use
-    // the u8xs8 GEMM (kern::gemm_i8u8_dot) instead of the signed one.
+    // int8 producer: the quantization pass proved this op's input
+    // nonnegative (it flows from a clamp output through only sign-preserving
+    // ops), so its quantized activation bytes are all in [0,127] and execute
+    // may use the u8xs8 GEMM (kern::gemm_i8u8_dot) instead of the signed one.
     bool q8_in_nonneg = false;
   };
 
   explicit PlanBuilder(Shape sample_shape);
 
-  PlanValueId new_value(Shape sample_shape, std::int32_t def_op,
-                        PlanValueId alias_of = -1);
-  PlanValueId root(PlanValueId v) const noexcept;
-  void use(PlanValueId v, std::int32_t op_index);
+  /// A new value of `sample_shape`; a view of `root` when root >= 0.
+  PlanValueId new_value(Shape sample_shape, PlanValueId root = -1);
+  /// Append `op` (its inputs set), labelled with the current module path,
+  /// writing a new value of `out_shape`; returns that value.
+  PlanValueId push(Op op, Shape out_shape);
   const Value& value(PlanValueId v) const;
   [[nodiscard]] std::string scope_path() const;
 
@@ -217,8 +225,8 @@ class PlanBuilder {
   std::vector<std::string> scope_;
 };
 
-/// A recorded, arena-planned, batch-bucketed inference program for one
-/// model replica. See the file comment for the lifecycle.
+/// A recorded, arena-planned inference program for one model replica. See
+/// the file comment for the lifecycle.
 class InferencePlan {
  public:
   /// Record `model`'s inference op sequence for per-sample inputs of shape
@@ -230,9 +238,9 @@ class InferencePlan {
   /// arguments. The plan keeps `model` alive (ops point into its parameter
   /// storage).
   ///
-  /// Precision::int8 additionally runs the quantization pass: fused clamp
-  /// ops whose input activation range is statically known convert to int8
-  /// GEMM ops (see Precision). `input_range` is the max-abs of the plan
+  /// Precision::int8 additionally runs the quantization pass: fused ops
+  /// whose input activation range is statically known get int8 GEMM
+  /// producers (see Precision). `input_range` is the max-abs of the plan
   /// *input* (callers calibrate it over sample data; <= 0 means unknown, so
   /// the first layer stays fp32); ranges of deeper layers come from the
   /// clamp bounds themselves. Requires fuse=true; throws PlanError when no
@@ -259,9 +267,9 @@ class InferencePlan {
   [[nodiscard]] std::int64_t max_batch() const noexcept { return max_batch_; }
   [[nodiscard]] const Shape& sample_shape() const;
   [[nodiscard]] std::size_t op_count() const noexcept { return ops_.size(); }
-  /// Number of conv/linear+clamp pairs the fusion pass merged (0 when
-  /// compiled with fuse=false or when no pair qualified). BN-folded triples
-  /// count once here too.
+  /// Number of conv/linear ops the fusion pass gave an activation epilogue
+  /// (0 when compiled with fuse=false or when no pair qualified). BN-folded
+  /// triples count once here too.
   [[nodiscard]] std::size_t fused_op_count() const noexcept {
     return fused_ops_;
   }
@@ -293,28 +301,23 @@ class InferencePlan {
  private:
   using Op = PlanBuilder::Op;
   using Value = PlanBuilder::Value;
-  struct Bucket {
-    std::int64_t capacity = 0;
-    std::vector<std::size_t> offsets;  ///< per root value, floats into arena
-    std::size_t scratch_offset = 0;
-    std::size_t total_floats = 0;
-  };
 
   InferencePlan() = default;
 
+  /// Live range [def, last_use] of every root value over the current op
+  /// list; the plan input and output stay live for the whole program.
+  void finalize_liveness();
   void fuse_ops();
   void quantize_ops(float input_range);
   /// An int8 op's producer, from x into o: quantize, int8 GEMM into o's
   /// bytes, then dequantize (bias included) in place. execute() then runs
-  /// the op's BatchNorm and activation step over o.
+  /// the op's epilogue over o.
   void int8_producer(const Op& op, std::int64_t batch, const float* x,
                      float* o);
-  void finalize_liveness();
-  /// fp32 scratch floats a batch of `batch` samples needs.
-  [[nodiscard]] std::size_t scratch_floats(std::int64_t batch) const;
+  /// fp32 scratch floats a batch of max_batch samples needs.
+  [[nodiscard]] std::size_t scratch_floats() const;
   void plan_arena();
-  [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;
-  PlanValueId root(PlanValueId v) const noexcept;
+  void check_batch(std::int64_t batch) const;
 
   std::shared_ptr<Module> model_;
   std::vector<Value> values_;
@@ -325,10 +328,7 @@ class InferencePlan {
   std::size_t int8_ops_ = 0;
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;
-  std::size_t scratch_i8_bytes_ = 0;
   std::unique_ptr<std::int8_t[]> scratch_i8_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::size_t> bucket_of_batch_;  ///< batch-1 -> bucket index
   std::size_t arena_floats_ = 0;
   std::unique_ptr<float[]> arena_;
   std::vector<Tensor> input_views_;   ///< per batch size 1..max_batch

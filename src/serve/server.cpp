@@ -21,7 +21,9 @@ void ServerOptions::validate() const {
     throw std::invalid_argument(
         "ServerOptions: batch_window must be non-negative");
   }
-  if (detection && clamp_rate_threshold < 0.0) {
+  // Written so that NaN fails: a NaN threshold would never compare below
+  // a batch's rate, so detection would be on but could never fire.
+  if (detection && !(clamp_rate_threshold >= 0.0)) {
     throw std::invalid_argument(
         "ServerOptions: clamp_rate_threshold must be non-negative when "
         "detection is on (ev::make_server calibrates negative thresholds "

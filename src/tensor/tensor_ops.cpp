@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "tensor/gemm.h"
@@ -28,69 +27,14 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_numel(a, b, "sub");
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_numel(a, b, "mul");
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
 Tensor scale(const Tensor& a, float s) {
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] * s;
   return out;
 }
 
-void add_inplace(Tensor& a, const Tensor& b) {
-  check_same_numel(a, b, "add_inplace");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] += pb[i];
-}
-
-void axpy_inplace(Tensor& y, float alpha, const Tensor& x) {
-  check_same_numel(y, x, "axpy_inplace");
-  float* py = y.data();
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < y.numel(); ++i) py[i] += alpha * px[i];
-}
-
-void scale_inplace(Tensor& a, float s) {
-  for (auto& v : a.span()) v *= s;
-}
-
 void clamp_min_inplace(Tensor& a, float lo) {
   for (auto& v : a.span()) v = std::max(v, lo);
-}
-
-float sum(const Tensor& a) {
-  double acc = 0.0;
-  for (const auto v : a.span()) acc += v;
-  return static_cast<float>(acc);
-}
-
-float mean(const Tensor& a) {
-  if (a.numel() == 0) return 0.0f;
-  return sum(a) / static_cast<float>(a.numel());
-}
-
-float max_value(const Tensor& a) {
-  float m = -std::numeric_limits<float>::infinity();
-  for (const auto v : a.span()) m = std::max(m, v);
-  return m;
-}
-
-float min_value(const Tensor& a) {
-  float m = std::numeric_limits<float>::infinity();
-  for (const auto v : a.span()) m = std::min(m, v);
-  return m;
 }
 
 std::int64_t argmax_range(const Tensor& a, std::int64_t begin,
@@ -121,24 +65,6 @@ std::vector<std::int64_t> argmax_rows(const Tensor& a) {
     out[static_cast<std::size_t>(r)] = argmax_range(a, r * cols, cols);
   }
   return out;
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.shape().rank() != 2 || b.shape().rank() != 2) {
-    throw std::invalid_argument("matmul expects rank-2 tensors");
-  }
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  const std::int64_t k2 = b.shape()[0];
-  const std::int64_t n = b.shape()[1];
-  if (k != k2) {
-    throw std::invalid_argument("matmul: inner dimension mismatch " +
-                                a.shape().str() + " x " + b.shape().str());
-  }
-  Tensor c(Shape{m, n});
-  sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(),
-        n);
-  return c;
 }
 
 void im2col(const Conv2dGeometry& g, const float* image, float* col) {

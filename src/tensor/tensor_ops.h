@@ -1,5 +1,5 @@
-// Non-differentiable tensor kernels: elementwise arithmetic, reductions,
-// matmul wrapper, and the im2col/col2im transforms used by conv2d.
+// Non-differentiable tensor kernels: elementwise arithmetic, argmax, and the
+// im2col/col2im transforms used by conv2d.
 // Differentiable graph ops live in src/autograd/ops.h and call into these.
 #pragma once
 
@@ -12,30 +12,17 @@ namespace fitact {
 
 // ---- elementwise (out-of-place) -------------------------------------------
 [[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor sub(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor mul(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor scale(const Tensor& a, float s);
 
 // ---- elementwise (in-place) ------------------------------------------------
-void add_inplace(Tensor& a, const Tensor& b);
-void axpy_inplace(Tensor& y, float alpha, const Tensor& x);  // y += alpha*x
-void scale_inplace(Tensor& a, float s);
 void clamp_min_inplace(Tensor& a, float lo);
 
-// ---- reductions ------------------------------------------------------------
-[[nodiscard]] float sum(const Tensor& a);
-[[nodiscard]] float mean(const Tensor& a);
-[[nodiscard]] float max_value(const Tensor& a);
-[[nodiscard]] float min_value(const Tensor& a);
+// ---- argmax ----------------------------------------------------------------
 /// Index of the maximum element in a flat range [begin, begin+len).
 [[nodiscard]] std::int64_t argmax_range(const Tensor& a, std::int64_t begin,
                                         std::int64_t len);
 /// Row-wise argmax of a [rows, cols] tensor.
 [[nodiscard]] std::vector<std::int64_t> argmax_rows(const Tensor& a);
-
-// ---- linear algebra --------------------------------------------------------
-/// C = A[M,K] * B[K,N], row-major.
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 
 // ---- conv support ----------------------------------------------------------
 struct Conv2dGeometry {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "data/cifar_binary.h"
@@ -109,6 +110,28 @@ TEST_F(CifarBinaryTest, RejectsTruncatedFile) {
   }
   EXPECT_THROW(CifarBinary::open(root_.string(), 10, false),
                std::runtime_error);
+}
+
+// A label byte outside the class range must fail the load, naming the file
+// and the record: stored as it is, evaluation would score the sample as a
+// miss without any error.
+TEST_F(CifarBinaryTest, RejectsOutOfRangeLabel) {
+  write_c10("test_batch.bin", 3);
+  {
+    // Relabel record 2 as class 10, one past CIFAR-10's last class.
+    std::fstream os(root_ / "cifar-10-batches-bin" / "test_batch.bin",
+                    std::ios::binary | std::ios::in | std::ios::out);
+    os.seekp(2 * (1 + 3072));
+    os.put(static_cast<char>(10));
+  }
+  try {
+    (void)CifarBinary::open(root_.string(), 10, false);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("test_batch.bin"), std::string::npos) << what;
+    EXPECT_NE(what.find("record 2"), std::string::npos) << what;
+  }
 }
 
 TEST_F(CifarBinaryTest, MissingFileThrows) {

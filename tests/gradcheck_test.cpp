@@ -40,44 +40,11 @@ void expect_gradcheck(const std::function<Variable(Variable&)>& scalar_fn,
   }
 }
 
-TEST(GradCheck, Mul) {
-  ut::Rng rng(1);
-  const Tensor other = Tensor::randn(Shape{6}, rng);
-  expect_gradcheck(
-      [&](Variable& v) {
-        Variable o(other, false);
-        return ag::sum_of_squares(ag::mul(v, o));
-      },
-      Tensor::randn(Shape{6}, rng));
-}
-
 TEST(GradCheck, Scale) {
   ut::Rng rng(2);
   expect_gradcheck(
       [&](Variable& v) { return ag::sum_of_squares(ag::scale(v, -1.7f)); },
       Tensor::randn(Shape{5}, rng));
-}
-
-TEST(GradCheck, MatmulLeft) {
-  ut::Rng rng(3);
-  const Tensor b = Tensor::randn(Shape{4, 3}, rng);
-  expect_gradcheck(
-      [&](Variable& v) {
-        Variable vb(b, false);
-        return ag::sum_of_squares(ag::matmul(v, vb));
-      },
-      Tensor::randn(Shape{2, 4}, rng));
-}
-
-TEST(GradCheck, MatmulRight) {
-  ut::Rng rng(4);
-  const Tensor a = Tensor::randn(Shape{3, 4}, rng);
-  expect_gradcheck(
-      [&](Variable& v) {
-        Variable va(a, false);
-        return ag::sum_of_squares(ag::matmul(va, v));
-      },
-      Tensor::randn(Shape{4, 2}, rng));
 }
 
 TEST(GradCheck, LinearWeight) {

@@ -14,6 +14,8 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -141,9 +143,9 @@ void expect_bit_identical(const Tensor& got, const Tensor& want,
 }
 
 // Acceptance contract: for every zoo model, planned execution reproduces
-// the eager forward bit-for-bit at batch sizes 1 / 3 / 8 (covering exact
-// bucket hits and batches rounded up into a larger bucket), including on
-// repeated executes of the same plan (steady state).
+// the eager forward bit-for-bit at batch sizes 1 / 3 / 8 (smaller batches
+// use the first rows of each max_batch arena slot), including on repeated
+// executes of the same plan (steady state).
 class PlanZoo : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PlanZoo, PlanMatchesEagerBitForBitAcrossBatchSizes) {
@@ -623,13 +625,14 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
 
 #if FITACT_COUNT_ALLOCS
 // Acceptance contract: steady-state execute performs zero heap
-// allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
-// pack buffer is thread_local), then eight measured executes must leave
-// the global allocation counter untouched. The models cover every conv
-// route (ag::conv2d_route): tinycnn's and vgg16's stride-1 convs run the
-// direct kernel over a zero-bordered copy, vgg16's convs over 2x2 maps run
-// batch-wide, and resnet50 adds 1x1 convs that read their input in place
-// and stride-2 convs that run im2col + sgemm.
+// allocations, at max_batch and at smaller batches over the same arena
+// layout. Per batch size, two warm-up executes pay the one-time lazy costs
+// (the GEMM pack buffer is thread_local), then eight measured executes
+// must leave the global allocation counter untouched. The models cover
+// every conv route (ag::conv2d_route): tinycnn's and vgg16's stride-1 convs
+// run the direct kernel over a zero-bordered copy, vgg16's convs over 2x2
+// maps run batch-wide, and resnet50 adds 1x1 convs that read their input in
+// place and stride-2 convs that run im2col + sgemm.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
   for (const char* name : {"tinycnn", "vgg16", "resnet50"}) {
     const auto model = zoo_model(name, core::Scheme::clip_act, 11);
@@ -638,16 +641,75 @@ TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
     const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
     std::memcpy(plan->input_view(4).data(), x.data(),
                 sizeof(float) * static_cast<std::size_t>(x.numel()));
-    (void)plan->execute(4);
-    (void)plan->execute(4);
-    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (int i = 0; i < 8; ++i) (void)plan->execute(4);
-    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u) << name << ": steady-state execute allocated "
-                                  << (after - before) << " times";
+    for (const std::int64_t b : {4, 1, 3}) {
+      (void)plan->execute(b);
+      (void)plan->execute(b);
+      const std::uint64_t before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      for (int i = 0; i < 8; ++i) (void)plan->execute(b);
+      const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u)
+          << name << " batch " << b << ": steady-state execute allocated "
+          << (after - before) << " times";
+    }
   }
 }
 #endif  // FITACT_COUNT_ALLOCS
+
+// summary() is what a traced perfbench run reads GEMM shapes from: every
+// conv/linear op's line names its producer in its kind, carries its output
+// dims after "-> [", and after "# " the module path of its weight (a fused
+// op's label starts with its producer's path). Each conv/linear weight of
+// the model shows up on exactly one such line, on the fused fp32 plan and
+// on an int8 plan.
+TEST(PlanSummary, GemmLinesNameProducerShapeAndWeight) {
+  const auto model = zoo_model("resnet50", core::Scheme::clip_act, 19);
+  std::set<std::string> weights;  // conv (rank 4) and linear (rank 2)
+  for (const auto& p : model->named_parameters()) {
+    const std::size_t rank = p.var.value().shape().rank();
+    if (p.name.ends_with(".weight") && (rank == 4 || rank == 2)) {
+      weights.insert(p.name);
+    }
+  }
+  ASSERT_FALSE(weights.empty());
+  for (const nn::Precision precision :
+       {nn::Precision::fp32, nn::Precision::int8}) {
+    const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
+                                                 /*fuse=*/true, precision,
+                                                 4.0f);
+    ASSERT_GT(plan->fused_op_count(), 0u);
+    if (precision == nn::Precision::int8) {
+      ASSERT_GT(plan->int8_op_count(), 0u);
+    }
+    std::set<std::string> seen;
+    std::istringstream lines(plan->summary());
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.find("conv2d") == std::string::npos &&
+          line.find("linear") == std::string::npos) {
+        continue;
+      }
+      const auto eq = line.find(" = ");
+      const auto paren = line.find('(');
+      const auto arrow = line.find("-> [");
+      const auto hash = line.find("# ");
+      ASSERT_NE(eq, std::string::npos) << line;
+      ASSERT_NE(paren, std::string::npos) << line;
+      ASSERT_NE(arrow, std::string::npos) << line;
+      ASSERT_NE(hash, std::string::npos) << line;
+      const std::string kind = line.substr(eq + 3, paren - eq - 3);
+      EXPECT_TRUE(kind.find("conv2d") != std::string::npos ||
+                  kind.find("linear") != std::string::npos)
+          << line;
+      EXPECT_LT(arrow, hash) << line;
+      std::string label = line.substr(hash + 2);
+      label = label.substr(0, label.find(" + "));
+      EXPECT_EQ(weights.count(label + ".weight"), 1u) << line;
+      EXPECT_TRUE(seen.insert(label).second) << "second line for " << label;
+    }
+    EXPECT_EQ(seen.size(), weights.size());
+  }
+}
 
 // A module with no record() override must fail at compile time (not at
 // execute, not silently) with a message naming the module type.
@@ -703,6 +765,13 @@ TEST(ServerOptions, ValidateRejectsBadConfigurations) {
   o = good;
   o.detection = true;
   o.clamp_rate_threshold = -0.5;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+
+  // A NaN threshold never compares below a batch's rate: detection would
+  // be on but could never fire.
+  o = good;
+  o.detection = true;
+  o.clamp_rate_threshold = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(o.validate(), std::invalid_argument);
 }
 

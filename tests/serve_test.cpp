@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -454,6 +455,24 @@ TEST(Serve, CalibrationSampleBudgetIsValidatedAndClamped) {
   EXPECT_THROW(make_server(pm, bad), std::invalid_argument);
   bad.calibration_samples = -1;
   EXPECT_THROW(make_server(pm, bad), std::invalid_argument);
+}
+
+// NaN calibration knobs are configuration errors: a NaN margin or floor
+// would calibrate the threshold to NaN, and a NaN threshold never compares
+// below a batch's rate, so detection would be on but could never fire.
+TEST(ServeOptions, ValidateRejectsNanKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ServeOptions good;
+  EXPECT_NO_THROW(good.validate());
+  ServeOptions o = good;
+  o.calibration_margin = nan;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = good;
+  o.calibration_floor = nan;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = good;
+  o.server.clamp_rate_threshold = nan;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
 }
 
 // An unprotected model has no bounds, so its clamp rate is identically

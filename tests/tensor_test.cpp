@@ -93,16 +93,12 @@ TEST(Tensor, RandnStatistics) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
-TEST(TensorOps, ElementwiseAddSubMulScale) {
+TEST(TensorOps, ElementwiseAddScale) {
   const Tensor a = Tensor::from_values({1.0f, 2.0f, 3.0f});
   const Tensor b = Tensor::from_values({4.0f, 5.0f, 6.0f});
   const Tensor s = add(a, b);
-  const Tensor d = sub(a, b);
-  const Tensor m = mul(a, b);
   const Tensor sc = scale(a, 2.0f);
   EXPECT_EQ(s[1], 7.0f);
-  EXPECT_EQ(d[1], -3.0f);
-  EXPECT_EQ(m[2], 18.0f);
   EXPECT_EQ(sc[2], 6.0f);
 }
 
@@ -112,27 +108,11 @@ TEST(TensorOps, MismatchThrows) {
   EXPECT_THROW(add(a, b), std::invalid_argument);
 }
 
-TEST(TensorOps, InplaceOps) {
-  Tensor a = Tensor::from_values({1.0f, -2.0f});
-  const Tensor b = Tensor::from_values({10.0f, 10.0f});
-  add_inplace(a, b);
-  EXPECT_EQ(a[0], 11.0f);
-  axpy_inplace(a, 0.5f, b);
-  EXPECT_EQ(a[0], 16.0f);
-  scale_inplace(a, 2.0f);
-  EXPECT_EQ(a[0], 32.0f);
+TEST(TensorOps, ClampMinInplace) {
   Tensor c = Tensor::from_values({-1.0f, 3.0f});
   clamp_min_inplace(c, 0.0f);
   EXPECT_EQ(c[0], 0.0f);
   EXPECT_EQ(c[1], 3.0f);
-}
-
-TEST(TensorOps, Reductions) {
-  const Tensor a = Tensor::from_values({1.0f, -2.0f, 4.0f});
-  EXPECT_FLOAT_EQ(sum(a), 3.0f);
-  EXPECT_FLOAT_EQ(mean(a), 1.0f);
-  EXPECT_FLOAT_EQ(max_value(a), 4.0f);
-  EXPECT_FLOAT_EQ(min_value(a), -2.0f);
 }
 
 TEST(TensorOps, ArgmaxRows) {
@@ -142,19 +122,6 @@ TEST(TensorOps, ArgmaxRows) {
   const auto idx = argmax_rows(a);
   EXPECT_EQ(idx[0], 1);
   EXPECT_EQ(idx[1], 2);
-}
-
-TEST(TensorOps, MatmulSmallKnownValues) {
-  Tensor a = Tensor::zeros(Shape{2, 3});
-  Tensor b = Tensor::zeros(Shape{3, 2});
-  // a = [[1,2,3],[4,5,6]], b = [[7,8],[9,10],[11,12]]
-  for (std::int64_t i = 0; i < 6; ++i) a[i] = static_cast<float>(i + 1);
-  for (std::int64_t i = 0; i < 6; ++i) b[i] = static_cast<float>(i + 7);
-  const Tensor c = matmul(a, b);
-  EXPECT_FLOAT_EQ(c.at({0, 0}), 58.0f);
-  EXPECT_FLOAT_EQ(c.at({0, 1}), 64.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 0}), 139.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 1}), 154.0f);
 }
 
 TEST(TensorOps, Im2colIdentityKernel) {
