@@ -5,6 +5,8 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
@@ -149,6 +151,55 @@ BENCHMARK(BM_Conv2dForward)
     ->Args({32, 8, 32, 8, 1})
     ->Args({64, 64, 2, 64, 3})
     ->Apply(median_of_5);
+
+// One FitAct post-training step, the body of core::post_train_bounds'
+// loop: scaled vgg16 (width 0.125) under per-neuron FitReLU with every
+// weight frozen, batch 32, one forward, cross-entropy and backward into the
+// bounds. Arg 0 runs inline on one core, as BM_Sgemm does; arg 1 runs on
+// the global pool, so the pair reads what the backward's fan-out buys.
+void BM_PostTrainStep(benchmark::State& state) {
+  constexpr std::int64_t kBatch = 32;
+  models::ModelConfig cfg;
+  cfg.num_classes = 10;
+  cfg.width_mult = 0.125f;
+  cfg.seed = 7;
+  const auto model = models::make_model("vgg16", cfg);
+  model->set_training(false);
+  const auto sites = core::collect_activations(*model);
+  ut::Rng rng(8);
+  const Variable x(Tensor::randn(Shape{kBatch, 3, 32, 32}, rng), false);
+  {
+    const NoGradGuard no_grad;
+    for (const auto& site : sites) site->set_profiling(true);
+    (void)model->forward(x);
+    for (const auto& site : sites) site->set_profiling(false);
+  }
+  core::apply_protection(*model, core::Scheme::fitrelu);
+  for (const auto& p : model->named_parameters()) {
+    Variable weight = p.var;
+    weight.set_requires_grad(false);
+  }
+  std::vector<Variable> bounds;
+  for (const auto& site : sites) {
+    site->bounds().set_requires_grad(true);
+    bounds.push_back(site->bounds());
+  }
+  std::vector<std::int64_t> labels(kBatch);
+  for (std::int64_t i = 0; i < kBatch; ++i) {
+    labels[static_cast<std::size_t>(i)] = i % cfg.num_classes;
+  }
+  std::optional<ut::InlineKernelScope> one_core;
+  if (state.range(0) == 0) one_core.emplace();
+  for (auto _ : state) {
+    for (auto& b : bounds) b.zero_grad();
+    Variable loss = ag::softmax_cross_entropy(model->forward(x), labels);
+    loss.backward();
+    benchmark::DoNotOptimize(bounds.front().grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetLabel(kern::fp32_variant());
+}
+BENCHMARK(BM_PostTrainStep)->Arg(0)->Arg(1)->Apply(median_of_5);
 
 // Args: {channels, map side}; a 2x2 stride-2 pool at the campaign's batch
 // 64. {8, 32} is scaled vgg16's first pool, {64, 4} its fourth.

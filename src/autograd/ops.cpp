@@ -206,17 +206,41 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
        in_stride, out_stride](const Tensor& g) {
         const float* pxv = xv.data();
         const float* pwv = wv.data();
-        float* dx = px_impl->requires_grad ? grad_buffer(px_impl) : nullptr;
+        const float* pg = g.data();
+        if (px_impl->requires_grad) {
+          // Each sample's dX is one GEMM into a dcol buffer and one col2im
+          // into that sample's own slice of dX, so samples share no state
+          // and fan out over the pool, one dcol buffer per chunk (the
+          // nested GEMMs run inline). Each dX element keeps its arithmetic
+          // and its order of accumulation, whichever thread computes it.
+          float* dx = grad_buffer(px_impl);
+          ut::parallel_for(
+              0, static_cast<std::size_t>(batch),
+              [&](std::size_t begin, std::size_t end) {
+                std::vector<float> dcol(static_cast<std::size_t>(ckk * ohw));
+                for (auto b = static_cast<std::int64_t>(begin);
+                     b < static_cast<std::int64_t>(end); ++b) {
+                  // dCol[CKK,OHW] = W^T[CKK,O] * g_b[O,OHW]
+                  sgemm(true, false, ckk, ohw, out_c, 1.0f, pwv, ckk,
+                        pg + b * out_stride, ohw, 0.0f, dcol.data(), ohw);
+                  col2im(geo, dcol.data(), dx + b * in_stride);
+                }
+              });
+        }
         float* dw = pw_impl->requires_grad ? grad_buffer(pw_impl) : nullptr;
         float* db = (pb_impl && pb_impl->requires_grad) ? grad_buffer(pb_impl)
                                                         : nullptr;
-        std::vector<float> col(static_cast<std::size_t>(ckk * ohw));
-        std::vector<float> colt(static_cast<std::size_t>(ckk * ohw));
-        std::vector<float> dcol(static_cast<std::size_t>(ckk * ohw));
-        // Images are processed serially: dW accumulation is shared state and
-        // the inner GEMMs parallelise across the pool already.
+        if (dw == nullptr && db == nullptr) return;
+        // dW and db are shared across samples: they accumulate serially, in
+        // sample order.
+        std::vector<float> col;
+        std::vector<float> colt;
+        if (dw != nullptr) {
+          col.resize(static_cast<std::size_t>(ckk * ohw));
+          colt.resize(static_cast<std::size_t>(ckk * ohw));
+        }
         for (std::int64_t b = 0; b < batch; ++b) {
-          const float* gb = g.data() + b * out_stride;
+          const float* gb = pg + b * out_stride;
           if (dw != nullptr) {
             im2col(geo, pxv + b * in_stride, col.data());
             // transpose col -> colt so dW uses the fast GEMM path
@@ -237,12 +261,6 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
               for (std::int64_t i = 0; i < ohw; ++i) acc += row[i];
               db[c] += static_cast<float>(acc);
             }
-          }
-          if (dx != nullptr) {
-            // dCol[CKK,OHW] = W^T[CKK,O] * g_b[O,OHW]
-            sgemm(true, false, ckk, ohw, out_c, 1.0f, pwv, ckk, gb, ohw, 0.0f,
-                  dcol.data(), ohw);
-            col2im(geo, dcol.data(), dx + b * in_stride);
           }
         }
       });
@@ -498,9 +516,20 @@ Variable fitrelu(const Variable& x, const Variable& lambda, float k) {
   fb.validate_bound(lambda.numel());
   const std::int64_t ln = lambda.numel();
 
+  // The kernel is elementwise, so whole sample rows fan out over the pool
+  // without changing a bit (campaign lanes run it inline).
   Tensor out(x.shape());
-  (void)fitrelu_forward(x.value().data(), lambda.value().data(), ln, fb, k,
-                        out.data(), out.numel());
+  const float* pxv = x.value().data();
+  const float* plv = lambda.value().data();
+  float* po = out.data();
+  ut::parallel_for(0, static_cast<std::size_t>(x.shape()[0]),
+                   [&](std::size_t begin, std::size_t end) {
+                     const auto first = static_cast<std::int64_t>(begin);
+                     const auto rows = static_cast<std::int64_t>(end - begin);
+                     (void)fitrelu_forward(pxv + first * fb.feat, plv, ln, fb,
+                                           k, po + first * fb.feat,
+                                           rows * fb.feat);
+                   });
 
   const ImplPtr px_impl = x.impl();
   const ImplPtr pl_impl = lambda.impl();
@@ -514,21 +543,42 @@ Variable fitrelu(const Variable& x, const Variable& lambda, float k) {
         const float* pg = g.data();
         float* dx = px_impl->requires_grad ? grad_buffer(px_impl) : nullptr;
         float* dl = pl_impl->requires_grad ? grad_buffer(pl_impl) : nullptr;
-        for (std::int64_t i = 0; i < g.numel(); ++i) {
-          const float xi = pxv[i];
-          if (xi <= 0.0f) continue;
-          const std::int64_t li_idx = fb.map(i % fb.feat, ln);
-          const float s = stable_sigmoid(k * (plv[li_idx] - xi));
-          const float ds = s * (1.0f - s);
-          if (dx != nullptr) {
-            // d/dx [x * s(k(l-x))] = s - k*x*s*(1-s)
-            dx[i] += pg[i] * (s - k * xi * ds);
+        const std::int64_t rows = g.numel() / fb.feat;
+        // Bound j covers features [j * span, (j + 1) * span) of every sample
+        // row: span 1 per neuron, hw per channel, feat per layer. A chunk of
+        // bound indices owns their dl entries and those features' dx
+        // entries, and walks the rows in sample order, so every entry sums
+        // its terms in the order of one serial pass over the elements.
+        const std::int64_t span = fb.feat / ln;
+        const auto bound_range = [&](std::size_t begin, std::size_t end) {
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (auto j = static_cast<std::int64_t>(begin);
+                 j < static_cast<std::int64_t>(end); ++j) {
+              const float lj = plv[j];
+              float dlj = dl != nullptr ? dl[j] : 0.0f;
+              const std::int64_t first = r * fb.feat + j * span;
+              for (std::int64_t i = first; i < first + span; ++i) {
+                const float xi = pxv[i];
+                if (xi <= 0.0f) continue;
+                const float t = k * (lj - xi);
+                // From kFitReluUnitT on, stable_sigmoid(t) is exactly 1
+                // (kernels.h), so s skips the exp there; the rest of the
+                // formula still runs, NaN, Inf and signed zeros included.
+                const float s =
+                    t >= kern::kFitReluUnitT ? 1.0f : stable_sigmoid(t);
+                const float ds = s * (1.0f - s);
+                if (dx != nullptr) {
+                  // d/dx [x * s(k(l-x))] = s - k*x*s*(1-s)
+                  dx[i] += pg[i] * (s - k * xi * ds);
+                }
+                // d/dl = k*x*s*(1-s)
+                dlj += pg[i] * (k * xi * ds);
+              }
+              if (dl != nullptr) dl[j] = dlj;
+            }
           }
-          if (dl != nullptr) {
-            // d/dl = k*x*s*(1-s)
-            dl[li_idx] += pg[i] * (k * xi * ds);
-          }
-        }
+        };
+        ut::parallel_for(0, static_cast<std::size_t>(ln), bound_range);
       });
 }
 

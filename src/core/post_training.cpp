@@ -138,11 +138,11 @@ PostTrainReport post_train_bounds(nn::Module& model,
     double loss_sum = 0.0;
     double ce_sum = 0.0;
     std::int64_t batches = 0;
-    while (loader.next(batch)) {
-      if (config.max_batches_per_epoch > 0 &&
-          batches >= config.max_batches_per_epoch) {
-        break;
-      }
+    // The cap is checked before next(), which would otherwise build a batch
+    // only to drop it.
+    while ((config.max_batches_per_epoch <= 0 ||
+            batches < config.max_batches_per_epoch) &&
+           loader.next(batch)) {
       adam.zero_grad();
       const Variable logits = model.forward(Variable(batch.images));
       const Variable ce = ag::softmax_cross_entropy(logits, batch.labels);

@@ -24,6 +24,8 @@ class Dataset {
   [[nodiscard]] virtual std::int64_t num_classes() const = 0;
 
   /// Copy sample i's image into `out` (kImageNumel floats, CHW layout).
+  /// Must be safe to call concurrently: batch and gather generate their
+  /// images on the thread pool.
   virtual void image_into(std::int64_t i, float* out) const = 0;
   [[nodiscard]] virtual std::int64_t label(std::int64_t i) const = 0;
 
@@ -32,7 +34,9 @@ class Dataset {
   [[nodiscard]] Tensor batch(std::int64_t begin, std::int64_t count,
                              std::vector<std::int64_t>* labels_out) const;
 
-  /// Materialise an arbitrary index list.
+  /// Materialise an arbitrary index list. The images are generated on the
+  /// thread pool, each from its own index, so the result does not depend
+  /// on the pool's width; an exception from image_into is rethrown here.
   [[nodiscard]] Tensor gather(const std::vector<std::size_t>& indices,
                               std::vector<std::int64_t>* labels_out) const;
 };

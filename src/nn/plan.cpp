@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,8 +24,11 @@ namespace {
 constexpr std::int32_t kLiveForever = std::numeric_limits<std::int32_t>::max();
 
 /// Arena offsets are aligned to 16 floats (one 64-byte cache line) so
-/// values never share a line across lanes' false-sharing boundaries.
+/// values never share a line across lanes' false-sharing boundaries. The
+/// arena itself is allocated at that alignment, so every slot starts on a
+/// line whatever the heap's history.
 constexpr std::size_t kAlignFloats = 16;
+constexpr std::align_val_t kArenaAlign{kAlignFloats * sizeof(float)};
 
 std::size_t align_up(std::size_t n) {
   return (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
@@ -709,8 +713,11 @@ void InferencePlan::plan_arena() {
     v.offset = values_[static_cast<std::size_t>(v.root)].offset;
   }
 
-  arena_ = std::make_unique<float[]>(std::max<std::size_t>(arena_floats_, 1));
-  std::memset(arena_.get(), 0, arena_floats_ * sizeof(float));
+  const std::size_t arena_alloc_bytes =
+      std::max<std::size_t>(arena_floats_, 1) * sizeof(float);
+  arena_.reset(static_cast<float*>(
+      ::operator new[](arena_alloc_bytes, kArenaAlign)));
+  std::memset(arena_.get(), 0, arena_alloc_bytes);
 
   // Pre-built per-batch-size views: execute() and input_view() hand out
   // references to these, so steady state constructs no Shapes (a Shape copy
@@ -727,6 +734,10 @@ void InferencePlan::plan_arena() {
     output_views_.push_back(Tensor::view(batched(b, out.sample_shape),
                                          arena_.get() + out.offset));
   }
+}
+
+void InferencePlan::ArenaFree::operator()(float* p) const noexcept {
+  ::operator delete[](p, kArenaAlign);
 }
 
 void InferencePlan::check_batch(std::int64_t batch) const {

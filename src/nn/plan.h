@@ -329,8 +329,13 @@ class InferencePlan {
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;
   std::unique_ptr<std::int8_t[]> scratch_i8_;
+  /// Releases the 64-byte aligned arena plan_arena allocates.
+  struct ArenaFree {
+    void operator()(float* p) const noexcept;
+  };
+
   std::size_t arena_floats_ = 0;
-  std::unique_ptr<float[]> arena_;
+  std::unique_ptr<float[], ArenaFree> arena_;
   std::vector<Tensor> input_views_;   ///< per batch size 1..max_batch
   std::vector<Tensor> output_views_;  ///< per batch size 1..max_batch
 };

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 
+#include "tensor/kernels/kernels.h"
+
 namespace fitact::kern {
 
 struct KernelTable {
@@ -117,12 +119,6 @@ inline constexpr double kExpfC2 = 0x1.62e42ff0c52d6p-6;
 inline constexpr float kExpfUnderflow = -0x1.9fe368p6f;
 /// Above this, exp(x) rounds to +inf in float (x > ln 2^128).
 inline constexpr float kExpfOverflow = 0x1.62e42ep6f;
-/// From this t = k(l - x) on, fitrelu's output is exactly x: e = exp(-t) <=
-/// exp(-17) < 2^-24, half an ulp of 1, so 1 + e rounds to 1, the sigmoid
-/// to 1 and x * 1 to x. Both backends return x there without the exp (the
-/// least such t is just above 24 ln 2 = 16.64). A NaN t fails the ordered
-/// t >= compare and takes the full path.
-inline constexpr float kFitReluUnitT = 17.0f;
 
 // Int8 backend implementations live in their own translation units
 // (kernels_scalar_i8.cpp, kernels_avx2_i8.cpp) and are referenced cross-TU

@@ -241,6 +241,13 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
                            std::int64_t hw, bool saturate, float* o,
                            std::int64_t n, bool count) noexcept;
 
+/// From this t = k(l - x) on, FitReLU's sigmoid is exactly 1: e = exp(-t) <=
+/// exp(-17) < 2^-24, half an ulp of 1, so 1 + e rounds to 1 (the least such
+/// t is just above 24 ln 2 = 16.64). Both fitrelu backends return x there
+/// without the exp, and so does the backward (ag::fitrelu) for s. A NaN t
+/// fails the ordered t >= compare and takes the full path.
+inline constexpr float kFitReluUnitT = 17.0f;
+
 /// Trainable FitReLU forward (paper Eq. 6) with fused clamp-event counting,
 /// over n elements laid out as for clipped_relu (same bound broadcast,
 /// lambda being the bound). Per element, with l = the element's bound and

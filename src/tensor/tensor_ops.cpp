@@ -167,9 +167,22 @@ void col2im(const Conv2dGeometry& g, const float* col, float* image) {
           const std::int64_t iy = y * g.stride + kh - g.padding;
           if (iy < 0 || iy >= g.in_h) continue;
           float* dst_row = chan + iy * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.padding;
-            if (ix >= 0 && ix < g.in_w) dst_row[ix] += src[y * ow + x];
+          const float* src_row = src + y * ow;
+          const std::int64_t x0 = kw - g.padding;  // ix = x*stride + x0
+          if (g.stride == 1) {
+            // The valid columns, as im2col copies them; dst_row[x0 + x]
+            // indexes from the row start, so no pointer before it is formed.
+            const std::int64_t x_lo =
+                std::min(ow, std::max<std::int64_t>(0, -x0));
+            const std::int64_t x_hi = std::min<std::int64_t>(ow, g.in_w - x0);
+            for (std::int64_t x = x_lo; x < x_hi; ++x) {
+              dst_row[x0 + x] += src_row[x];
+            }
+          } else {
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const std::int64_t ix = x * g.stride + x0;
+              if (ix >= 0 && ix < g.in_w) dst_row[ix] += src_row[x];
+            }
           }
         }
       }

@@ -6,12 +6,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "autograd/op_kernels.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "tensor/gemm.h"
+#include "tensor/tensor_ops.h"
 #include "tensor/kernels/kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -594,6 +598,294 @@ TEST(Ops, Conv2dBatchWideMatchesPerSampleBitForBit) {
           EXPECT_TRUE(std::isnan(plane[i])) << context << " row 0 col " << i;
           EXPECT_TRUE(std::isnan(plane[i * side]))
               << context << " col 0 row " << i;
+        }
+      }
+    }
+  }
+}
+
+/// col2im as one loop over every element, the form each geometry ran
+/// before the stride-1 spans: every image element receives its adds in
+/// (c, kh, kw, y, x) order.
+void col2im_per_element(const Conv2dGeometry& g, const float* col,
+                        float* image) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    float* chan = image + c * g.in_h * g.in_w;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t iy = y * g.stride + kh - g.padding;
+          if (iy < 0 || iy >= g.in_h) continue;
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t ix = x * g.stride + kw - g.padding;
+            if (ix >= 0 && ix < g.in_w) {
+              chan[iy * g.in_w + ix] += col[(row * oh + y) * ow + x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The backward geometries: stride 1 and 2, pad 0 to 2 (kernel 3 at pad 2
+/// and kernel 5 at pad 2 on a 2x2 map have taps wholly in the padding),
+/// on 2x2 maps, whose dcol GEMM runs sgemm_narrow, and 32x32 maps.
+std::vector<Conv2dGeometry> backward_geometries() {
+  std::vector<Conv2dGeometry> geos;
+  for (const std::int64_t side : {2, 32}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const auto& [kernel, pad] :
+           {std::pair<std::int64_t, std::int64_t>{3, 0}, {3, 1}, {3, 2},
+            {5, 2}, {1, 0}}) {
+        Conv2dGeometry geo;
+        geo.in_channels = 4;
+        geo.in_h = geo.in_w = side;
+        geo.kernel_h = geo.kernel_w = kernel;
+        geo.stride = stride;
+        geo.padding = pad;
+        if (side + 2 * pad >= kernel) geos.push_back(geo);
+      }
+    }
+  }
+  return geos;
+}
+
+std::string geometry_name(const Conv2dGeometry& geo) {
+  std::ostringstream name;
+  name << "k" << geo.kernel_h << " stride " << geo.stride << " pad "
+       << geo.padding << " map " << geo.in_h;
+  return name.str();
+}
+
+TEST(Ops, Col2imStrideOneSpansMatchThePerElementLoop) {
+  ut::Rng rng(29);
+  for (const Conv2dGeometry& geo : backward_geometries()) {
+    const Tensor col =
+        Tensor::randn(Shape{geo.col_rows(), geo.col_cols()}, rng);
+    // Adds land on a nonzero image, as dX accumulates onto its buffer.
+    const Tensor image =
+        Tensor::randn(Shape{geo.in_channels, geo.in_h, geo.in_w}, rng);
+    Tensor got = image.clone();
+    Tensor want = image.clone();
+    col2im(geo, col.data(), got.data());
+    col2im_per_element(geo, col.data(), want.data());
+    EXPECT_EQ(first_mismatch(got.data(), want.data(), got.numel()), -1)
+        << geometry_name(geo);
+  }
+}
+
+// The conv backward runs dX over samples on the pool and dW and db after
+// it. Each must equal one serial pass over the samples, bit for bit: per
+// sample, dcol = W^T g_b by sgemm and its per-element col2im into the
+// sample's dX slice, then dW += g_b colT and db += the sample's row sums.
+// The weights are frozen (post-training: dX only) or trainable (stage-1
+// training), and the op runs on the pool and inline.
+TEST(Ops, Conv2dBackwardMatchesTheSerialPerSampleLoopBitForBit) {
+  std::vector<kern::Backend> backends{kern::Backend::scalar};
+  if (kern::avx2_supported()) backends.push_back(kern::Backend::avx2);
+  ut::Rng rng(31);
+  constexpr std::int64_t out_c = 6;
+  for (const kern::Backend backend : backends) {
+    const kern::BackendGuard guard(backend);
+    for (const Conv2dGeometry& geo : backward_geometries()) {
+      const std::int64_t ckk = geo.col_rows();
+      const std::int64_t ohw = geo.col_cols();
+      const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
+      for (const std::int64_t batch : {1, 3, 32}) {
+        const Tensor x = Tensor::randn(
+            Shape{batch, geo.in_channels, geo.in_h, geo.in_w}, rng);
+        const Tensor w = Tensor::randn(
+            Shape{out_c, geo.in_channels, geo.kernel_h, geo.kernel_w}, rng);
+        const Tensor b = Tensor::randn(Shape{out_c}, rng);
+        const Tensor g =
+            Tensor::randn(Shape{batch, out_c, geo.out_h(), geo.out_w()}, rng);
+
+        std::vector<float> dx(static_cast<std::size_t>(x.numel()), 0.0f);
+        std::vector<float> dw(static_cast<std::size_t>(w.numel()), 0.0f);
+        std::vector<float> db(static_cast<std::size_t>(out_c), 0.0f);
+        std::vector<float> buf(static_cast<std::size_t>(ckk * ohw));
+        std::vector<float> colt(buf.size());
+        for (std::int64_t s = 0; s < batch; ++s) {
+          const float* gs = g.data() + s * out_c * ohw;
+          sgemm(true, false, ckk, ohw, out_c, 1.0f, w.data(), ckk, gs, ohw,
+                0.0f, buf.data(), ohw);
+          col2im_per_element(geo, buf.data(), dx.data() + s * in_stride);
+          im2col(geo, x.data() + s * in_stride, buf.data());
+          for (std::int64_t r = 0; r < ckk; ++r) {
+            for (std::int64_t c = 0; c < ohw; ++c) {
+              colt[static_cast<std::size_t>(c * ckk + r)] =
+                  buf[static_cast<std::size_t>(r * ohw + c)];
+            }
+          }
+          sgemm(false, false, out_c, ckk, ohw, 1.0f, gs, ohw, colt.data(),
+                ckk, 1.0f, dw.data(), ckk);
+          for (std::int64_t c = 0; c < out_c; ++c) {
+            double acc = 0.0;
+            for (std::int64_t i = 0; i < ohw; ++i) acc += gs[c * ohw + i];
+            db[static_cast<std::size_t>(c)] += static_cast<float>(acc);
+          }
+        }
+
+        for (const bool trainable : {false, true}) {
+          for (const bool inline_kernels : {false, true}) {
+            const std::string context =
+                std::string(kern::backend_name(backend)) + " " +
+                geometry_name(geo) + " batch " + std::to_string(batch) +
+                (trainable ? " trainable" : " frozen") +
+                (inline_kernels ? " inline" : " pool");
+            Variable xv(x, true);
+            Variable wv(w, trainable);
+            Variable bv(b, trainable);
+            Variable y = ag::conv2d(xv, wv, bv, geo.stride, geo.padding);
+            {
+              std::optional<ut::InlineKernelScope> scope;
+              if (inline_kernels) scope.emplace();
+              y.backward(g);
+            }
+            EXPECT_EQ(first_mismatch(xv.grad().data(), dx.data(), x.numel()),
+                      -1)
+                << "dX " << context;
+            if (trainable) {
+              EXPECT_EQ(
+                  first_mismatch(wv.grad().data(), dw.data(), w.numel()), -1)
+                  << "dW " << context;
+              EXPECT_EQ(first_mismatch(bv.grad().data(), db.data(), out_c),
+                        -1)
+                  << "db " << context;
+            } else {
+              EXPECT_FALSE(wv.has_grad()) << context;
+              EXPECT_FALSE(bv.has_grad()) << context;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The FitReLU backward as one serial pass over the elements: bound index
+/// by i % feat, and stable_sigmoid's exp for every x > 0.
+void fitrelu_backward_serial(const Tensor& x, const Tensor& lambda, float k,
+                             const Tensor& g, float* dx, float* dl) {
+  const ag::FeatureBroadcast fb = ag::FeatureBroadcast::of(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float xi = x[i];
+    if (xi <= 0.0f) continue;
+    const std::int64_t li = fb.map(i % fb.feat, lambda.numel());
+    const float s = ag::stable_sigmoid(k * (lambda[li] - xi));
+    const float ds = s * (1.0f - s);
+    dx[i] += g[i] * (s - k * xi * ds);
+    dl[li] += g[i] * (k * xi * ds);
+  }
+}
+
+// The FitReLU backward walks bound-index ranges on the pool and takes s = 1
+// without the exp from t = kFitReluUnitT on. dx and dlambda must equal the
+// serial formula bit for bit at every bound extent, rank 2 and rank 4, on
+// the pool and inline: with t on and either side of 17, x = +-0, NaN and
+// +-Inf in x, lambda, k and g, and k * x overflowing while t stays finite
+// (k = 3e38 on x just below its bound), where the formula's 0 * Inf makes
+// dx and dlambda NaN. The last bound's terms are all skipped at k = 8: it
+// stays +0. The forward, split over sample rows, must equal one
+// fitrelu_forward call over the batch.
+TEST(Ops, FitReluBackwardMatchesTheSerialFormulaBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float below17 = std::nextafter(17.0f, 0.0f);
+  const float above17 = std::nextafter(17.0f, inf);
+  std::vector<kern::Backend> backends{kern::Backend::scalar};
+  if (kern::avx2_supported()) backends.push_back(kern::Backend::avx2);
+  ut::Rng rng(37);
+  for (const Shape& shape : {Shape{7, 40}, Shape{5, 6, 3, 4}}) {
+    const ag::FeatureBroadcast fb = ag::FeatureBroadcast::of(shape);
+    std::vector<std::int64_t> extents{1, fb.channels};  // layer, channel
+    if (fb.feat != fb.channels) extents.push_back(fb.feat);  // neuron
+    for (const std::int64_t ln : extents) {
+      const std::int64_t last = ln - 1;
+      // Finite bounds come from a set on which lambda - t / 8 is exact, so
+      // k = 8 hits the planted t exactly; bounds 1..3 are NaN and +-Inf.
+      Tensor lambda(Shape{ln});
+      for (std::int64_t j = 0; j < ln; ++j) {
+        lambda.data()[j] = 2.5f + 0.5f * static_cast<float>(j % 4);
+      }
+      if (ln > 3) {
+        lambda.data()[1] = nan;
+        lambda.data()[2] = inf;
+        lambda.data()[3] = -inf;
+      }
+      for (const float lambda0 : {3.0f, nan, inf, -inf}) {
+        if (ln > 1 && lambda0 != 3.0f) continue;
+        lambda.data()[0] = lambda0;
+        Tensor x(shape);
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+          const std::int64_t j = fb.map(i % fb.feat, ln);
+          const float l = lambda[j];
+          float v = rng.normal(0.0f, 2.0f);
+          if (ln > 1 && j == last) {
+            v = 0.25f;  // t = 8 * (l - 0.25) >= 18
+          } else if (std::isfinite(l)) {
+            switch (i % 6) {
+              case 0: v = l - below17 / 8.0f; break;
+              case 1: v = l - 17.0f / 8.0f; break;
+              case 2: v = l - above17 / 8.0f; break;
+              case 3: v = l - 0x1p-21f; break;  // just below the bound
+              default: break;
+            }
+            if (i % 6 < 3) {
+              const float t = 8.0f * (l - v);
+              ASSERT_EQ(t, i % 6 == 0 ? below17 : i % 6 == 1 ? 17.0f : above17);
+            }
+          }
+          x.data()[i] = v;
+        }
+        x.data()[1] = nan;
+        x.data()[2] = inf;
+        x.data()[3] = -inf;
+        x.data()[4] = 0.0f;
+        x.data()[5] = -0.0f;
+        Tensor g = Tensor::randn(shape, rng);
+        g.data()[7] = nan;
+        g.data()[8] = inf;
+        g.data()[9] = -inf;
+        for (const float k : {8.0f, 0.5f, 3e38f, nan, inf, -inf}) {
+          std::vector<float> dx(static_cast<std::size_t>(x.numel()), 0.0f);
+          std::vector<float> dl(static_cast<std::size_t>(ln), 0.0f);
+          fitrelu_backward_serial(x, lambda, k, g, dx.data(), dl.data());
+          if (k == 8.0f && ln > 1) {
+            ASSERT_EQ(dl.back(), 0.0f);
+            ASSERT_FALSE(std::signbit(dl.back()));
+          }
+          for (const kern::Backend backend : backends) {
+            const kern::BackendGuard guard(backend);
+            std::vector<float> fwd(static_cast<std::size_t>(x.numel()));
+            (void)ag::fitrelu_forward(x.data(), lambda.data(), ln, fb, k,
+                                      fwd.data(), x.numel());
+            for (const bool inline_kernels : {false, true}) {
+              std::ostringstream context;
+              context << kern::backend_name(backend) << " " << shape.str()
+                      << " bounds " << ln << " lambda0 " << lambda0 << " k "
+                      << k << (inline_kernels ? " inline" : " pool");
+              std::optional<ut::InlineKernelScope> scope;
+              if (inline_kernels) scope.emplace();
+              Variable xv(x, true);
+              Variable lv(lambda, true);
+              Variable y = ag::fitrelu(xv, lv, k);
+              EXPECT_EQ(first_mismatch(y.value().data(), fwd.data(),
+                                       x.numel()),
+                        -1)
+                  << "forward " << context.str();
+              y.backward(g);
+              EXPECT_EQ(
+                  first_mismatch(xv.grad().data(), dx.data(), x.numel()), -1)
+                  << "dx " << context.str();
+              EXPECT_EQ(first_mismatch(lv.grad().data(), dl.data(), ln), -1)
+                  << "dlambda " << context.str();
+            }
+          }
         }
       }
     }

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "data/data_loader.h"
 #include "data/synthetic_cifar.h"
+#include "util/thread_pool.h"
 
 namespace fitact::data {
 namespace {
@@ -114,6 +119,79 @@ TEST(Dataset, GatherArbitraryIndices) {
   const Tensor g = ds.gather({3, 99, 0}, &labels);
   EXPECT_EQ(g.shape(), Shape({3, 3, 32, 32}));
   EXPECT_EQ(labels[1], ds.label(99));
+}
+
+/// Row i of images must equal image_into(indices[i]) bit for bit.
+void expect_rows_are_images(const Dataset& ds, const Tensor& images,
+                            const std::vector<std::int64_t>& indices) {
+  ASSERT_EQ(images.shape()[0], static_cast<std::int64_t>(indices.size()));
+  std::vector<float> img(kImageNumel);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    ds.image_into(indices[i], img.data());
+    EXPECT_EQ(std::memcmp(images.data() + static_cast<std::int64_t>(i) *
+                                              kImageNumel,
+                          img.data(), sizeof(float) * kImageNumel),
+              0)
+        << "row " << i << " (sample " << indices[i] << ")";
+  }
+}
+
+// batch and gather generate their images on the thread pool: each row must
+// equal the per-index image, and labels keep the requested order.
+TEST(Dataset, BatchAndGatherEqualPerIndexImages) {
+  const SyntheticCifar ds(small_config());
+  for (const bool inline_kernels : {false, true}) {
+    std::optional<ut::InlineKernelScope> scope;
+    if (inline_kernels) scope.emplace();
+    std::vector<std::int64_t> labels;
+    std::vector<std::int64_t> range(37);
+    std::iota(range.begin(), range.end(), 5);
+    const Tensor b = ds.batch(5, 37, &labels);
+    expect_rows_are_images(ds, b, range);
+    for (std::size_t i = 0; i < range.size(); ++i) {
+      EXPECT_EQ(labels[i], ds.label(range[i]));
+    }
+
+    const std::vector<std::size_t> picks{99, 0, 42, 42, 7, 63, 1, 98, 13,
+                                         50, 2, 77, 31, 0, 64, 11, 88};
+    const Tensor g = ds.gather(picks, &labels);
+    const std::vector<std::int64_t> idx(picks.begin(), picks.end());
+    expect_rows_are_images(ds, g, idx);
+    ASSERT_EQ(labels.size(), picks.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      EXPECT_EQ(labels[i], ds.label(idx[i]));
+    }
+  }
+}
+
+/// Synthetic split whose image_into throws for one index.
+class ThrowingDataset : public Dataset {
+ public:
+  ThrowingDataset(const Dataset& inner, std::int64_t bad)
+      : inner_(inner), bad_(bad) {}
+  [[nodiscard]] std::int64_t size() const override { return inner_.size(); }
+  [[nodiscard]] std::int64_t num_classes() const override {
+    return inner_.num_classes();
+  }
+  void image_into(std::int64_t i, float* out) const override {
+    if (i == bad_) throw std::runtime_error("unreadable image");
+    inner_.image_into(i, out);
+  }
+  [[nodiscard]] std::int64_t label(std::int64_t i) const override {
+    return inner_.label(i);
+  }
+
+ private:
+  const Dataset& inner_;
+  std::int64_t bad_;
+};
+
+TEST(Dataset, ImageIntoThrowSurfacesOnTheCaller) {
+  const SyntheticCifar inner(small_config());
+  const ThrowingDataset ds(inner, 50);
+  EXPECT_THROW((void)ds.batch(0, 64, nullptr), std::runtime_error);
+  EXPECT_THROW((void)ds.gather({1, 2, 50, 3}, nullptr), std::runtime_error);
+  EXPECT_NO_THROW((void)ds.batch(0, 50, nullptr));
 }
 
 TEST(DataLoader, CoversEverySampleOncePerEpoch) {

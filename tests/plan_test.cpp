@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -655,6 +656,27 @@ TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
   }
 }
 #endif  // FITACT_COUNT_ALLOCS
+
+// The arena is allocated 64-byte aligned, so every value's slot (offsets
+// are multiples of 16 floats) starts on a cache line whatever the heap's
+// history: odd-sized allocations left live between compiles must not move
+// the input or the output off one.
+TEST(PlanArena, SlotsStayCacheLineAlignedWhateverTheHeapHistory) {
+  std::vector<std::unique_ptr<char[]>> odd;
+  for (const char* name : {"tinycnn", "resnet50"}) {
+    const auto model = zoo_model(name, core::Scheme::clip_act, 13);
+    for (std::size_t rep = 0; rep < 4; ++rep) {
+      odd.push_back(std::make_unique<char[]>(24 + 40 * rep));
+      const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2);
+      const auto in =
+          reinterpret_cast<std::uintptr_t>(plan->input_view(1).data());
+      const auto out =
+          reinterpret_cast<std::uintptr_t>(plan->execute(1).data());
+      EXPECT_EQ(in % 64, 0u) << name << " compile " << rep;
+      EXPECT_EQ(out % 64, 0u) << name << " compile " << rep;
+    }
+  }
+}
 
 // summary() is what a traced perfbench run reads GEMM shapes from: every
 // conv/linear op's line names its producer in its kind, carries its output

@@ -4,6 +4,7 @@
 // small end-to-end case.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 
 #include "core/bound_profiler.h"
@@ -250,6 +251,42 @@ TEST(PostTraining, WeightFlagsAreRestoredWhenItThrows) {
       EXPECT_TRUE(p.var.requires_grad()) << p.name;
     }
   }
+}
+
+/// Training split that counts the images generated through it.
+class CountingDataset : public data::Dataset {
+ public:
+  explicit CountingDataset(const data::Dataset& inner) : inner_(inner) {}
+  [[nodiscard]] std::int64_t size() const override { return inner_.size(); }
+  [[nodiscard]] std::int64_t num_classes() const override {
+    return inner_.num_classes();
+  }
+  void image_into(std::int64_t i, float* out) const override {
+    images_.fetch_add(1, std::memory_order_relaxed);
+    inner_.image_into(i, out);
+  }
+  [[nodiscard]] std::int64_t label(std::int64_t i) const override {
+    return inner_.label(i);
+  }
+  [[nodiscard]] std::int64_t images() const { return images_.load(); }
+
+ private:
+  const data::Dataset& inner_;
+  mutable std::atomic<std::int64_t> images_{0};
+};
+
+// With the batch cap below the epoch length, each epoch builds exactly its
+// capped batches: none is gathered only to be dropped.
+TEST(PostTraining, BuildsOnlyTheCappedBatches) {
+  Fixture& f = fixture();
+  const auto model = untrained_fitrelu_model();
+  const CountingDataset train(f.train);
+  PostTrainConfig cfg = quick_config();
+  cfg.max_batches_per_epoch = 3;
+  ASSERT_LT(cfg.max_batches_per_epoch * cfg.batch_size, train.size());
+  (void)post_train_bounds(*model, train, f.test, f.baseline, cfg);
+  EXPECT_EQ(train.images(),
+            cfg.epochs * cfg.max_batches_per_epoch * cfg.batch_size);
 }
 
 TEST(PostTraining, ReportsWallTimeAndEpochTrace) {
