@@ -5,9 +5,10 @@
 //
 // The bit error rate fixes the fraction of corrupted parameters, which is
 // scale-invariant, so the paper's rates are injected unmodified even at
-// reduced model width. --rate-scale multiplies them for sensitivity studies
-// (e.g. pass the full_scale_rate_factor to emulate equal absolute flip
-// counts instead; see ev::full_scale_rate_factor).
+// reduced model width. --rate-scale multiplies them for sensitivity studies:
+// the ratio of full-width to scaled-width parameter counts, for one, puts
+// as many flips into the scaled model as the paper's rates put into the
+// full one.
 //
 // Usage: fig5_accuracy_distribution [--trials N] [--threads T] [--rate-scale S]
 //                                   [--train-size N] [--test-size N]

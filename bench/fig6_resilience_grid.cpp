@@ -5,8 +5,8 @@
 // This is the paper's headline experiment. The scaled default shrinks model
 // widths / trial counts so the whole grid completes on a small CPU machine;
 // the bit error rates are the paper's own (a rate fixes the *fraction* of
-// corrupted parameters, which is scale-invariant; see
-// ev::full_scale_rate_factor).
+// corrupted parameters, which is scale-invariant; --rate-scale multiplies
+// them for sensitivity studies).
 //
 // Usage: fig6_resilience_grid [--models vgg16,alexnet] [--classes 10]
 //                             [--trials N] [--threads T] [--rate-scale S]

@@ -157,6 +157,9 @@ BENCHMARK(BM_Conv2dForward)
 // weight frozen, batch 32, one forward, cross-entropy and backward into the
 // bounds. Arg 0 runs inline on one core, as BM_Sgemm does; arg 1 runs on
 // the global pool, so the pair reads what the backward's fan-out buys.
+// A step takes tens of milliseconds, so at a short --benchmark_min_time
+// each repetition would time one step; the row's own minimum time (which
+// takes precedence over the flag) makes every repetition time several.
 void BM_PostTrainStep(benchmark::State& state) {
   constexpr std::int64_t kBatch = 32;
   models::ModelConfig cfg;
@@ -199,7 +202,11 @@ void BM_PostTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.SetLabel(kern::fp32_variant());
 }
-BENCHMARK(BM_PostTrainStep)->Arg(0)->Arg(1)->Apply(median_of_5);
+BENCHMARK(BM_PostTrainStep)
+    ->Arg(0)
+    ->Arg(1)
+    ->Apply(median_of_5)
+    ->MinTime(0.3);
 
 // Args: {channels, map side}; a 2x2 stride-2 pool at the campaign's batch
 // 64. {8, 32} is scaled vgg16's first pool, {64, 4} its fourth.

@@ -110,10 +110,10 @@ inline void add_forward(const float* a, const float* b, float* o,
 
 /// Bounded ReLU over n contiguous elements (any number of batch rows).
 /// When `count` is set, also returns the number of inputs above their bound
-/// or NaN — the clamp-event statistic a plan's activation step deposits on
-/// its BoundedActivation site for the serve-time fault detector — fused
-/// into the same pass over the data. Counting never changes the computed
-/// output; the eager ops never count.
+/// or NaN — the clamp-event count a plan's activation step adds to its
+/// site's entry (nn::InferencePlan::clamp_counts) for the serve-time fault
+/// detector — fused into the same pass over the data. Counting never
+/// changes the computed output; the eager ops never count.
 inline std::uint64_t clipped_relu_forward(const float* x, const float* bound,
                                           std::int64_t bound_numel,
                                           const FeatureBroadcast& fb,

@@ -1,7 +1,6 @@
 #include "core/activation.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "autograd/ops.h"
@@ -128,27 +127,6 @@ void BoundedActivation::set_bounds(const Tensor& values, bool trainable) {
   }
 }
 
-void BoundedActivation::add_clamp_counts(std::uint64_t events,
-                                         std::uint64_t total) noexcept {
-#ifndef NDEBUG
-  // Single-writer enforcement (debug builds): overlapping deposits mean two
-  // lanes share one model, which would silently corrupt or double-count the
-  // detection statistic (see the clamp-counting comment in activation.h).
-  // Sequential use from different threads (a lane migrating between
-  // threads) is legitimate and passes.
-  const bool was_busy = clamp_busy_.exchange(true, std::memory_order_acquire);
-  assert(!was_busy &&
-         "BoundedActivation: concurrent clamp-count deposits — counting "
-         "must only be enabled on per-lane replicas, never a shared model");
-  (void)was_busy;
-#endif
-  clamp_events_ += events;
-  clamp_total_ += total;
-#ifndef NDEBUG
-  clamp_busy_.store(false, std::memory_order_release);
-#endif
-}
-
 nn::PlanValueId BoundedActivation::record(nn::PlanBuilder& builder,
                                           nn::PlanValueId input) {
   if (profiling_) {
@@ -234,22 +212,6 @@ std::int64_t total_bound_count(const nn::Module& root) {
   std::int64_t n = 0;
   for (const auto& act : collect_activations(root)) n += act->bound_count();
   return n;
-}
-
-void reset_clamp_counters(
-    const std::vector<std::shared_ptr<BoundedActivation>>& sites) {
-  for (const auto& site : sites) site->reset_clamp_counter();
-}
-
-double peak_site_clamp_rate(
-    const std::vector<std::shared_ptr<BoundedActivation>>& sites) {
-  double rate = 0.0;
-  for (const auto& site : sites) {
-    if (site->clamp_total() == 0) continue;
-    rate = std::max(rate, static_cast<double>(site->clamp_events()) /
-                              static_cast<double>(site->clamp_total()));
-  }
-  return rate;
 }
 
 }  // namespace fitact::core

@@ -15,9 +15,13 @@
 // Bound storage is materialised lazily on the first forward pass (the
 // per-neuron extent depends on the activation-map shape, which the model
 // does not know at construction time).
+//
+// A site holds configuration only, nothing a forward writes at serve time:
+// a planned forward reads the site's scheme, bounds and geometry, and the
+// clamp-event counts the serving fault detector thresholds belong to the
+// nn::InferencePlan that produced them (InferencePlan::clamp_counts).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,9 +64,9 @@ class BoundedActivation final : public nn::Module {
   Variable forward(const Variable& x) override;
 
   /// Records this site as a planned activation op (nn/plan.h). The op holds
-  /// a pointer back to this site and reads scheme/bounds/steepness/counting
-  /// state at execute time, so re-protection (set_scheme/set_bounds) and
-  /// clamp-counting toggles stay visible to a compiled plan. Recording fails
+  /// a const pointer back to this site and reads its scheme, bounds and
+  /// steepness at execute time, so re-protection (set_scheme/set_bounds)
+  /// stays visible to a compiled plan. Recording fails
   /// while profiling or with an input corruptor installed (plans are clean
   /// inference programs), and for a bounded scheme whose bounds were never
   /// initialised.
@@ -90,7 +94,6 @@ class BoundedActivation final : public nn::Module {
   [[nodiscard]] bool has_profile() const noexcept {
     return profile_max_.defined();
   }
-  void clear_profile() { profile_max_ = Tensor(); }
 
   // -- bounds ---------------------------------------------------------------
   /// Initialise bound storage from the recorded profile at the configured
@@ -126,48 +129,6 @@ class BoundedActivation final : public nn::Module {
     return geometry_.feat;
   }
 
-  // -- clamp-event counting -------------------------------------------------
-  /// Opt-in counter of activations that hit their bound. While enabled, this
-  /// site's activation step inside an nn::InferencePlan adds the number of
-  /// pre-activation values above their bound (or NaN) to clamp_events() and
-  /// the number of values inspected to clamp_total(); eager forward() never
-  /// counts. A saturated clamp is an observable symptom of an underlying
-  /// parameter fault (the bounded activation is *doing its job* confining
-  /// the excursion), so the ratio events/total is an online fault detector —
-  /// see serve::InferenceServer, and ev::peak_clean_clamp_rate for its
-  /// calibration. Counting never changes the computed output. Counters are
-  /// plain (not atomic): a model instance must be driven from one thread at
-  /// a time, which is already the Module contract. The single-writer rule is
-  /// what lets the serve detector trust the counters — if one model were
-  /// ever shared by two lanes, concurrent executions would corrupt (or
-  /// double-count) the per-batch rates and the detector would silently
-  /// mis-fire. Debug builds enforce it: add_clamp_counts asserts that no two
-  /// deposits overlap (see clamp_busy_ below), so a shared model trips an
-  /// assert instead of corrupting detection. Enable counting only on
-  /// per-lane replicas, never on a model other threads can reach.
-  void set_clamp_counting(bool on) noexcept { clamp_counting_ = on; }
-  [[nodiscard]] bool clamp_counting() const noexcept { return clamp_counting_; }
-  /// Activations observed above their bound (or NaN) since the last reset.
-  [[nodiscard]] std::uint64_t clamp_events() const noexcept {
-    return clamp_events_;
-  }
-  /// Activations inspected since the last reset (0 while the site has no
-  /// bounds: an unbounded site cannot clamp, so it contributes to neither
-  /// numerator nor denominator of a model-wide clamp rate).
-  [[nodiscard]] std::uint64_t clamp_total() const noexcept {
-    return clamp_total_;
-  }
-  void reset_clamp_counter() noexcept {
-    clamp_events_ = 0;
-    clamp_total_ = 0;
-  }
-
-  /// Fold externally counted clamp statistics into this site's counters.
-  /// Planned execution fuses the event count into the activation kernel's
-  /// pass over the data (autograd/op_kernels.h) and deposits it here, under
-  /// the single-writer contract above.
-  void add_clamp_counts(std::uint64_t events, std::uint64_t total) noexcept;
-
   // -- transient activation faults ------------------------------------------
   /// Mutates a *copy* of the pre-activation input tensor. Used by the
   /// transient-fault ablation to model soft errors in computed activations
@@ -190,14 +151,6 @@ class BoundedActivation final : public nn::Module {
   ActivationConfig config_;
   InputCorruptor corruptor_;
   bool profiling_ = false;
-  bool clamp_counting_ = false;
-  std::uint64_t clamp_events_ = 0;
-  std::uint64_t clamp_total_ = 0;
-  /// Debug-build detector for the single-writer contract above: set for the
-  /// duration of each add_clamp_counts; a second thread finding it set means
-  /// the model is shared across lanes. Atomic so the check itself is not a
-  /// data race under TSan; it carries no synchronisation duty beyond that.
-  std::atomic<bool> clamp_busy_{false};
   ag::FeatureBroadcast geometry_{};
   Tensor profile_max_;  // per-neuron, extent geometry_.feat
   Variable bounds_;     // extent per granularity
@@ -210,19 +163,5 @@ collect_activations(const nn::Module& root);
 
 /// Total bound-parameter count across a model (Table I memory accounting).
 [[nodiscard]] std::int64_t total_bound_count(const nn::Module& root);
-
-/// Zero every site's clamp counters (start of a counted forward).
-void reset_clamp_counters(
-    const std::vector<std::shared_ptr<BoundedActivation>>& sites);
-
-/// The clamp-based fault-detection statistic: the maximum over sites of
-/// clamp_events() / clamp_total(), from the counters as they stand (sites
-/// that inspected nothing are skipped; 0 when nothing was inspected).
-/// serve::InferenceServer thresholds it per batch and
-/// ev::peak_clean_clamp_rate calibrates against it per sample — one
-/// definition so the calibrated threshold and the served statistic cannot
-/// drift apart.
-[[nodiscard]] double peak_site_clamp_rate(
-    const std::vector<std::shared_ptr<BoundedActivation>>& sites);
 
 }  // namespace fitact::core

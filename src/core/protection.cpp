@@ -57,10 +57,6 @@ void replicate_protection(const nn::Module& src, nn::Module& dst) {
     d.set_granularity(s.granularity());
     d.set_steepness(s.steepness());
     d.set_profiling(s.profiling());
-    // Counting is stateless configuration (unlike a corruptor closure), so
-    // it replicates; the replica starts from fresh counters.
-    d.set_clamp_counting(s.clamp_counting());
-    d.reset_clamp_counter();
     if (s.has_bounds()) {
       d.set_bounds(s.bounds().value(), s.bounds().requires_grad());
     }

@@ -225,9 +225,7 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
   return [&pm, subset, ec, prefix](std::size_t lane) {
     auto ctx = std::make_shared<CampaignLane>();
     ctx->model = lane == 0 ? pm.model : replicate_model(pm);
-    ctx->image =
-        std::make_unique<quant::ParamImage>(*ctx->model,
-                                            /*include_buffers=*/false);
+    ctx->image = std::make_unique<quant::ParamImage>(*ctx->model);
     ctx->injector = std::make_unique<fault::Injector>(*ctx->image);
     if (lane == 0 || !*prefix) {
       // The restored image holds the parameters a zero-flip trial
@@ -288,24 +286,6 @@ double clean_subset_accuracy(PreparedModel& pm, const ExperimentScale& scale) {
   EvalConfig ec;
   ec.max_samples = scale.eval_samples;
   return evaluate_accuracy(*pm.model, *pm.test, ec);
-}
-
-double full_scale_rate_factor(const std::string& model_name,
-                              std::int64_t num_classes,
-                              const ExperimentScale& scale) {
-  const float width = scale.width_for(model_name);
-  if (width >= 1.0f) return 1.0;
-  models::ModelConfig cfg;
-  cfg.num_classes = num_classes;
-  cfg.seed = 1;
-  cfg.width_mult = 1.0f;
-  const std::int64_t full = models::make_model(model_name, cfg)
-                                ->parameter_count();
-  cfg.width_mult = width;
-  const std::int64_t small = models::make_model(model_name, cfg)
-                                 ->parameter_count();
-  return small > 0 ? static_cast<double>(full) / static_cast<double>(small)
-                   : 1.0;
 }
 
 std::string paper_label(core::Scheme scheme) {

@@ -197,17 +197,4 @@ class CampaignSession {
 /// Human-readable scheme labels matching the paper's legends.
 [[nodiscard]] std::string paper_label(core::Scheme scheme);
 
-/// Ratio of full-width to scaled-width parameter counts for a model.
-///
-/// The bit error rate itself is scale-invariant (it fixes the *fraction* of
-/// corrupted parameters, which is what drives accuracy degradation), so the
-/// fig5/fig6 benches inject at the paper's rates unmodified by default.
-/// This factor is exposed for sensitivity studies via their --rate-scale
-/// option: multiplying by it reproduces an "equal absolute flip count"
-/// mapping instead, which concentrates the same number of flips in a much
-/// smaller network and is correspondingly more destructive.
-[[nodiscard]] double full_scale_rate_factor(const std::string& model_name,
-                                            std::int64_t num_classes,
-                                            const ExperimentScale& scale);
-
 }  // namespace fitact::ev

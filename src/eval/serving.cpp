@@ -60,12 +60,11 @@ double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
         "peak_clean_clamp_rate: samples must be positive, got " +
         std::to_string(samples));
   }
-  // Count where lanes count: the activation step of an fp32 batch-1 plan
-  // over a replica, so the threshold is calibrated on the statistic the
-  // lanes serve and pm.model's counters and counting flags stay untouched.
+  // Count where lanes count: the activation steps of an fp32 batch-1 plan,
+  // so the threshold is calibrated on the statistic the lanes serve. The
+  // plan is compiled over a replica, so pm.model's training mode stays
+  // untouched.
   const auto replica = replicate_model(pm);
-  const auto sites = core::collect_activations(*replica);
-  for (const auto& site : sites) site->set_clamp_counting(true);
   const auto plan =
       nn::InferencePlan::compile(replica, sample_shape_of(*pm.test), 1);
   float* const input = plan->input_view(1).data();
@@ -78,9 +77,8 @@ double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
     const Tensor x = pm.test->batch(i, 1, nullptr);
     std::memcpy(input, x.data(),
                 static_cast<std::size_t>(x.numel()) * sizeof(float));
-    core::reset_clamp_counters(sites);
     (void)plan->execute(1);
-    peak = std::max(peak, core::peak_site_clamp_rate(sites));
+    peak = std::max(peak, plan->peak_clamp_rate());
   }
   return peak;
 }
@@ -159,9 +157,9 @@ std::unique_ptr<serve::InferenceServer> make_server(
                    << input_range << " over " << total << " samples";
   }
 
-  // The server itself enables clamp counting on lane sites when detection
-  // is on, so the factory only assembles the lane anatomy. A model that
-  // cannot be recorded fails here with the PlanError naming its module.
+  // The factory assembles the lane anatomy; each lane's plan counts its
+  // clamps. A model that cannot be recorded fails here with the PlanError
+  // naming its module.
   serve::LaneFactory factory = [&pm, &config, &sample_shape,
                                 input_range](std::size_t index) {
     serve::Lane lane;

@@ -46,8 +46,8 @@ struct ServeOptions {
 /// `samples` test samples (clean traffic) — the detection statistic
 /// serve::InferenceServer thresholds, counted the way lanes count it: each
 /// sample runs alone through an fp32 batch-1 nn::InferencePlan over a
-/// replica (replicate_model) whose sites count clamp events. pm.model is
-/// left untouched, counters and counting flags included. `samples` must be
+/// replica (replicate_model), and the plan's peak_clamp_rate() is read
+/// after each. pm.model is left untouched. `samples` must be
 /// positive (throws std::invalid_argument otherwise; ServeOptions::validate()
 /// rejects the value before it gets here) and is clamped to the test split
 /// size. Throws std::invalid_argument when pm has no model or an empty test
@@ -65,7 +65,7 @@ struct ServeOptions {
 ///      options ask for it (threshold < 0), through peak_clean_clamp_rate's
 ///      fp32 plan whatever the lanes' precision;
 ///   3. builds `lanes` independent replicas, each with its own clean
-///      ParamImage, clamp counting enabled when detection is on;
+///      ParamImage;
 ///   4. compiles a fused nn::InferencePlan per lane for the test split's
 ///      sample shape, so lanes serve through recorded zero-allocation
 ///      execution.

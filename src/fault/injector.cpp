@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "quant/fixed_point.h"
 
@@ -78,6 +79,13 @@ std::vector<std::uint64_t> Injector::draw(const FaultModel& model,
   if (model.bit_lo < 0 || model.bit_hi > 31 || model.bit_lo > model.bit_hi) {
     throw std::invalid_argument("Injector: invalid fault-model bit range");
   }
+  // Written so that NaN fails: a NaN rate would reach the binomial's normal
+  // approximation and cast a NaN to an integer.
+  if (!(model.bit_error_rate >= 0.0 && model.bit_error_rate <= 1.0)) {
+    throw std::invalid_argument("Injector: bit error rate " +
+                                std::to_string(model.bit_error_rate) +
+                                " outside [0, 1]");
+  }
   const std::uint64_t eligible =
       image_->word_count() * static_cast<std::uint64_t>(model.range_width());
   const std::uint64_t k = rng.binomial(eligible, model.bit_error_rate);
@@ -123,7 +131,7 @@ InjectionRecord Injector::inject_exact(std::uint64_t count, ut::Rng& rng) {
   for (const auto pos : positions) {
     apply_event(pos / 32, static_cast<int>(pos % 32), flip);
   }
-  return commit_trial(count);
+  return commit_trial(positions.size());
 }
 
 InjectionRecord Injector::inject_exact_at_bit(std::uint64_t count, int bit,
@@ -136,7 +144,7 @@ InjectionRecord Injector::inject_exact_at_bit(std::uint64_t count, int bit,
   begin_trial();
   const FaultModel flip;
   for (const auto word : words) apply_event(word, bit, flip);
-  return commit_trial(count);
+  return commit_trial(words.size());
 }
 
 InjectionRecord Injector::inject_at(std::uint64_t word, int bit) {

@@ -39,16 +39,23 @@ class Injector {
   /// Apply a binomial number of fault events under the given model and
   /// write the faulty parameters into the model. The event count is
   /// Binomial(eligible_bits, bit_error_rate) over the model's bit range.
+  /// Throws std::invalid_argument, before any word is written, for a bit
+  /// range outside [0, 31] or a bit_error_rate that is NaN or outside
+  /// [0, 1].
   InjectionRecord inject(const FaultModel& model, ut::Rng& rng);
 
   /// The paper's model: uniform bit flips over the whole image.
   InjectionRecord inject(double bit_error_rate, ut::Rng& rng);
 
-  /// Flip exactly `count` distinct, uniformly chosen bits (whole range).
+  /// Flip exactly `count` distinct, uniformly chosen bits (whole range);
+  /// a count above bit_count() flips every bit. fault_events reports the
+  /// bits flipped.
   InjectionRecord inject_exact(std::uint64_t count, ut::Rng& rng);
 
   /// Flip exactly `count` distinct uniformly chosen *words* at one fixed
-  /// bit position (the bit-criticality sweep used by bench/bit_sensitivity).
+  /// bit position (the bit-criticality sweep used by bench/bit_sensitivity);
+  /// a count above word_count() flips the bit in every word. fault_events
+  /// reports the words flipped.
   InjectionRecord inject_exact_at_bit(std::uint64_t count, int bit,
                                       ut::Rng& rng);
 

@@ -30,6 +30,15 @@ constexpr std::int32_t kLiveForever = std::numeric_limits<std::int32_t>::max();
 constexpr std::size_t kAlignFloats = 16;
 constexpr std::align_val_t kArenaAlign{kAlignFloats * sizeof(float)};
 
+/// `bytes` zeroed bytes at kArenaAlign (at least one, so the pointer is
+/// never null); InferencePlan::AlignedFree releases them.
+void* zeroed_aligned(std::size_t bytes) {
+  bytes = std::max<std::size_t>(bytes, 1);
+  void* p = ::operator new[](bytes, kArenaAlign);
+  std::memset(p, 0, bytes);
+  return p;
+}
+
 std::size_t align_up(std::size_t n) {
   return (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
 }
@@ -42,8 +51,9 @@ Shape batched(std::int64_t batch, const Shape& sample) {
   return Shape(std::move(dims));
 }
 
-/// Int8 scratch offsets are 64-byte aligned (vector load friendliness; the
-/// buffers themselves come from operator new[], which is already aligned).
+/// Int8 scratch offsets are 64-byte aligned (vector load friendliness); the
+/// scratch itself comes from zeroed_aligned, so its sub-buffers start on a
+/// cache line whatever the heap's history.
 std::size_t align_up_bytes(std::size_t n) { return (n + 63) / 64 * 64; }
 
 /// True when the scheme's forward is the clip cascade, whose [0, bound]
@@ -128,11 +138,12 @@ void im2row_i8(const Conv2dGeometry& g, const std::int8_t* hwc,
 }
 
 /// The activation step an activation epilogue runs: the site's scheme over
-/// n elements from x into o (in place when x == o), clamp counts deposited
-/// on the site. Scheme, bounds and geometry are read from the site on every
+/// n elements from x into o (in place when x == o), its clamp counts added
+/// to `entry`. Scheme, bounds and geometry are read from the site on every
 /// call, so re-protection after compile stays visible.
-void activation_step(core::BoundedActivation& site, const std::string& label,
-                     const float* x, float* o, std::int64_t n) {
+void activation_step(const core::BoundedActivation& site,
+                     const std::string& label, const float* x, float* o,
+                     std::int64_t n, InferencePlan::ClampCount& entry) {
   if (site.profiling() || site.has_input_corruptor()) {
     throw std::logic_error(
         "InferencePlan: activation site '" + label +
@@ -151,17 +162,16 @@ void activation_step(core::BoundedActivation& site, const std::string& label,
   const Tensor& bt = site.bounds().value();
   const ag::FeatureBroadcast& fb = site.geometry();
   fb.validate_bound(bt.numel());
-  const bool count = site.clamp_counting();
-  const std::uint64_t events =
+  entry.events +=
       scheme == core::Scheme::fitrelu
           ? ag::fitrelu_forward(x, bt.data(), bt.numel(), fb, site.steepness(),
-                                o, n, count)
+                                o, n, /*count=*/true)
           : ag::clipped_relu_forward(x, bt.data(), bt.numel(), fb,
                                      scheme == core::Scheme::ranger
                                          ? ag::ClipMode::saturate
                                          : ag::ClipMode::zero_above,
-                                     o, n, count);
-  if (count) site.add_clamp_counts(events, static_cast<std::uint64_t>(n));
+                                     o, n, /*count=*/true);
+  entry.total += static_cast<std::uint64_t>(n);
 }
 
 }  // namespace
@@ -352,7 +362,7 @@ PlanValueId PlanBuilder::flatten(PlanValueId in) {
   return new_value(Shape{v.sample_numel}, v.root);
 }
 
-PlanValueId PlanBuilder::activation(core::BoundedActivation* site,
+PlanValueId PlanBuilder::activation(const core::BoundedActivation* site,
                                     PlanValueId in) {
   if (site == nullptr) fail("activation: null site");
   const Value& v = value(in);
@@ -431,6 +441,17 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   }
   plan->finalize_liveness();
 
+  // One clamp-count entry per distinct site, in the order the final program
+  // first reaches it; a site two ops reach keeps one entry.
+  std::vector<const core::BoundedActivation*> sites;
+  for (auto& op : plan->ops_) {
+    if (op.site == nullptr) continue;
+    const auto it = std::find(sites.begin(), sites.end(), op.site);
+    op.clamp_entry = static_cast<std::size_t>(it - sites.begin());
+    if (it == sites.end()) sites.push_back(op.site);
+  }
+  plan->clamp_counts_.resize(sites.size());
+
   // Int8 scratch high-water mark (the fp32 scratch block is part of the
   // arena, see plan_arena).
   std::size_t scratch_i8 = 0;
@@ -451,7 +472,8 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
     }
   }
   if (scratch_i8 > 0) {
-    plan->scratch_i8_ = std::make_unique<std::int8_t[]>(scratch_i8);
+    plan->scratch_i8_.reset(
+        static_cast<std::int8_t*>(zeroed_aligned(scratch_i8)));
   }
 
   plan->plan_arena();
@@ -713,11 +735,8 @@ void InferencePlan::plan_arena() {
     v.offset = values_[static_cast<std::size_t>(v.root)].offset;
   }
 
-  const std::size_t arena_alloc_bytes =
-      std::max<std::size_t>(arena_floats_, 1) * sizeof(float);
-  arena_.reset(static_cast<float*>(
-      ::operator new[](arena_alloc_bytes, kArenaAlign)));
-  std::memset(arena_.get(), 0, arena_alloc_bytes);
+  arena_.reset(
+      static_cast<float*>(zeroed_aligned(arena_floats_ * sizeof(float))));
 
   // Pre-built per-batch-size views: execute() and input_view() hand out
   // references to these, so steady state constructs no Shapes (a Shape copy
@@ -736,7 +755,7 @@ void InferencePlan::plan_arena() {
   }
 }
 
-void InferencePlan::ArenaFree::operator()(float* p) const noexcept {
+void InferencePlan::AlignedFree::operator()(void* p) const noexcept {
   ::operator delete[](p, kArenaAlign);
 }
 
@@ -764,6 +783,7 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   // a thread-per-lane server, and inline kernels are also what keeps the
   // steady state allocation-free (pool dispatch allocates task state).
   ut::InlineKernelScope inline_scope;
+  std::fill(clamp_counts_.begin(), clamp_counts_.end(), ClampCount{});
   float* const base = arena_.get();
   float* const scratch = base;  // plan_arena pins the scratch block at 0
   const auto ptr = [&](PlanValueId v) {
@@ -776,8 +796,8 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   // it carries one, then the activation step when it carries a site. After
   // a producer x is that slot, so the epilogue runs in place; a standalone
   // batch_norm2d or activation op is an epilogue over its input. Fused,
-  // unfused and eager forwards therefore run one kernel sequence, and
-  // outputs and clamp counts stay bit-identical.
+  // unfused and eager forwards therefore run one kernel sequence: outputs
+  // stay bit-identical, and fused and unfused plans count alike.
   const auto epilogue = [&](const Op& op, const float* x) {
     float* const o = ptr(op.out);
     if (op.gamma.defined()) {
@@ -789,7 +809,8 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
       x = o;
     }
     if (op.site != nullptr) {
-      activation_step(*op.site, op.label, x, o, numel(op.out));
+      activation_step(*op.site, op.label, x, o, numel(op.out),
+                      clamp_counts_[op.clamp_entry]);
     }
   };
 
@@ -833,6 +854,16 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
     }
   }
   return output_views_[static_cast<std::size_t>(batch - 1)];
+}
+
+double InferencePlan::peak_clamp_rate() const noexcept {
+  double rate = 0.0;
+  for (const ClampCount& c : clamp_counts_) {
+    if (c.total == 0) continue;
+    rate = std::max(rate, static_cast<double>(c.events) /
+                              static_cast<double>(c.total));
+  }
+  return rate;
 }
 
 void InferencePlan::int8_producer(const Op& op, std::int64_t batch,

@@ -25,6 +25,15 @@
 //             bit-identical; the activation site is read at execute time,
 //             so re-protection after compile stays visible exactly as on
 //             the unfused path.
+//   count     compile gives every distinct activation site one clamp-count
+//             entry, in the order the program first reaches it. Each
+//             execute zeroes the entries, and every activation step adds
+//             the elements above their bound (or NaN) and the elements it
+//             inspected to its site's entry, in the same pass as the
+//             clamp. peak_clamp_rate() is the serving fault detector's
+//             statistic over them. The counts are the plan's: executing a
+//             plan only reads the model, so two plans over one model never
+//             see each other's counts.
 //   plan      A liveness pass gives every value a live range over the final
 //             op list, and the arena planner places each value once, sized
 //             for max_batch, in one pre-sized activation arena (first-fit
@@ -44,8 +53,9 @@
 // (BatchNorm2d in training mode). Every recorded op writes a value of its
 // own; only flatten records no op (its output aliases its input).
 //
-// Thread safety: a plan is mutable state (its arena); drive it from one
-// thread at a time. Serving lanes hold their lane mutex across execute.
+// Thread safety: a plan is mutable state (its arena and clamp counts);
+// drive it from one thread at a time. Serving lanes hold their lane mutex
+// across execute.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +135,8 @@ class PlanBuilder {
   /// the data. The site is captured by pointer and its scheme/bounds are
   /// read at execute time, so re-protection (set_bounds replaces the bound
   /// storage) stays visible to the plan.
-  PlanValueId activation(core::BoundedActivation* site, PlanValueId in);
+  PlanValueId activation(const core::BoundedActivation* site,
+                         PlanValueId in);
   /// Elementwise sum (residual shortcuts).
   PlanValueId add(PlanValueId a, PlanValueId b);
 
@@ -198,8 +209,10 @@ class PlanBuilder {
     Tensor gamma, beta, running_mean, running_var;
     float eps = 0.0f;
     // Epilogue: the bounded activation site, whose scheme, bounds and
-    // geometry are read at execute time.
-    core::BoundedActivation* site = nullptr;
+    // geometry are read at execute time, and the index of its entry in the
+    // plan's clamp counts.
+    const core::BoundedActivation* site = nullptr;
+    std::size_t clamp_entry = 0;
     // int8 producer: block-quantized weights + scales (quantization pass
     // product); the op runs fp32 when null.
     std::shared_ptr<quant::Int8Weights> q8;
@@ -229,6 +242,14 @@ class PlanBuilder {
 /// the file comment for the lifecycle.
 class InferencePlan {
  public:
+  /// One activation site's clamp events (elements above their bound, or
+  /// NaN) and the elements it inspected, over the last execute. An
+  /// unbounded (relu) site cannot clamp and keeps both at 0.
+  struct ClampCount {
+    std::uint64_t events = 0;
+    std::uint64_t total = 0;
+  };
+
   /// Record `model`'s inference op sequence for per-sample inputs of shape
   /// `sample_shape` ([C,H,W]) and batches of 1..max_batch, run the fusion
   /// peephole (unless `fuse` is false: tests compare the unfused program,
@@ -262,7 +283,22 @@ class InferencePlan {
   /// [batch, classes]; the view's contents are valid until the next
   /// execute/input_view fill. Performs zero heap allocations in steady
   /// state (after each thread's first GEMM warmed its pack buffer).
+  /// Replaces clamp_counts() with this batch's counts.
   Tensor& execute(std::int64_t batch);
+
+  /// The last execute's clamp counts: one entry per distinct activation
+  /// site, in the order the program first reaches it (all zero before the
+  /// first execute).
+  [[nodiscard]] const std::vector<ClampCount>& clamp_counts() const noexcept {
+    return clamp_counts_;
+  }
+  /// The clamp-based fault-detection statistic of the last execute: the
+  /// largest events / total over entries that inspected anything, 0 when
+  /// none did. Per site, not pooled: a saturating fault in a 64-neuron head
+  /// would drown in the tens of thousands of activations the early conv
+  /// maps contribute. serve::InferenceServer thresholds it per batch and
+  /// ev::peak_clean_clamp_rate calibrates against it per sample.
+  [[nodiscard]] double peak_clamp_rate() const noexcept;
 
   [[nodiscard]] std::int64_t max_batch() const noexcept { return max_batch_; }
   [[nodiscard]] const Shape& sample_shape() const;
@@ -328,14 +364,15 @@ class InferencePlan {
   std::size_t int8_ops_ = 0;
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;
-  std::unique_ptr<std::int8_t[]> scratch_i8_;
-  /// Releases the 64-byte aligned arena plan_arena allocates.
-  struct ArenaFree {
-    void operator()(float* p) const noexcept;
+  std::vector<ClampCount> clamp_counts_;  ///< sized at compile
+  /// Releases the 64-byte aligned buffers (arena and int8 scratch).
+  struct AlignedFree {
+    void operator()(void* p) const noexcept;
   };
+  std::unique_ptr<std::int8_t[], AlignedFree> scratch_i8_;
 
   std::size_t arena_floats_ = 0;
-  std::unique_ptr<float[], ArenaFree> arena_;
+  std::unique_ptr<float[], AlignedFree> arena_;
   std::vector<Tensor> input_views_;   ///< per batch size 1..max_batch
   std::vector<Tensor> output_views_;  ///< per batch size 1..max_batch
 };

@@ -3,8 +3,8 @@
 // biases of different layers, as well as parameters of activation
 // functions").
 //
-// The image snapshots the module's parameters (and optionally its buffers,
-// e.g. BatchNorm running statistics) at construction. restore() writes the
+// The image snapshots the module's parameters (buffers such as BatchNorm
+// running statistics stay outside it) at construction. restore() writes the
 // decoded clean image back into the module; a fault injector writes the
 // words it corrupts one by one (write_word) and later rewrites them clean.
 #pragma once
@@ -24,11 +24,9 @@ class ParamImage {
   using NameFilter = std::function<bool(const std::string&)>;
 
   /// Snapshot the current parameter values of `m` into fixed point.
-  /// include_buffers adds named buffers (BN running stats) to the image.
   /// `filter` restricts the image to matching parameter names (used by the
   /// Fig. 1 reproduction, which injects faults into specific layers only).
-  explicit ParamImage(nn::Module& m, bool include_buffers = false,
-                      NameFilter filter = nullptr);
+  explicit ParamImage(nn::Module& m, NameFilter filter = nullptr);
 
   /// Total number of 32-bit words in the image.
   [[nodiscard]] std::size_t word_count() const noexcept {
@@ -71,8 +69,8 @@ class ParamImage {
     return generation_;
   }
 
-  /// One named parameter (or buffer) tensor of the image, in the order
-  /// named_parameters() lists them, buffers after.
+  /// One named parameter tensor of the image, in the order
+  /// named_parameters() lists them.
   struct Segment {
     std::string name;
     Tensor target;       ///< shares storage with the module's tensor
@@ -84,7 +82,6 @@ class ParamImage {
 
  private:
   nn::Module* module_;
-  bool include_buffers_;
   NameFilter filter_;
   std::vector<Segment> segments_;
   std::vector<std::int32_t> clean_;

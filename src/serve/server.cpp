@@ -67,13 +67,6 @@ InferenceServer::InferenceServer(const LaneFactory& factory,
           lane.plan->sample_shape().str() + " samples, lane 0's " +
           sample_shape_.str());
     }
-    state->sites = core::collect_activations(*lane.model);
-    // Detection is thresholded on the sites' clamp counters; a lane whose
-    // sites never count would make the detector silently inert, so the
-    // server owns enabling it (a factory may still have done so already).
-    if (options_.detection) {
-      for (const auto& site : state->sites) site->set_clamp_counting(true);
-    }
     lanes_.push_back(std::move(state));
   }
   threads_.reserve(options_.lanes);
@@ -226,21 +219,12 @@ void InferenceServer::process_batch(std::size_t index,
                   static_cast<std::size_t>(sample_numel) * sizeof(float));
     }
 
-    // Detection statistic: the *peak per-site* clamp rate
-    // (core::peak_site_clamp_rate). Pooling all sites into one ratio would
-    // let the large early conv maps (tens of thousands of activations)
-    // drown out a saturating fault in a small late layer (a 64-neuron head
-    // contributes at most 64 events). The plan's bound-clamp ops fuse the
-    // counting into their kernel pass.
-    const auto forward_once = [&]() -> std::pair<Tensor, double> {
-      core::reset_clamp_counters(state.sites);
-      const Tensor& out = plan.execute(b);
-      return {out, core::peak_site_clamp_rate(state.sites)};
-    };
-
-    std::pair<Tensor, double> fwd = forward_once();
+    // Detection statistic: the plan's peak per-site clamp rate over its
+    // last execute (nn::InferencePlan::peak_clamp_rate).
+    const Tensor* logits = &plan.execute(b);
     const bool recovered =
-        options_.detection && fwd.second > options_.clamp_rate_threshold;
+        options_.detection &&
+        plan.peak_clamp_rate() > options_.clamp_rate_threshold;
     if (recovered) {
       // Memory scrubbing: write the clean image back over the (presumed
       // faulty) live parameters, then re-run the batch on clean state. An
@@ -248,9 +232,9 @@ void InferenceServer::process_batch(std::size_t index,
       // own (fp32 scrubs don't reach them), so they get their own scrub.
       state.lane.image->restore();
       plan.restore_int8_weights();
-      fwd = forward_once();
+      logits = &plan.execute(b);
     }
-    const auto& [logits, rate] = fwd;
+    const double rate = plan.peak_clamp_rate();
     const bool post_recovery_alarm =
         recovered && rate > options_.clamp_rate_threshold;
 
@@ -263,12 +247,12 @@ void InferenceServer::process_batch(std::size_t index,
       stats_.post_recovery_alarms += post_recovery_alarm ? 1 : 0;
     }
 
-    const std::int64_t classes = logits.numel() / b;
-    const auto predicted = argmax_rows(logits);
+    const std::int64_t classes = logits->numel() / b;
+    const auto predicted = argmax_rows(*logits);
     for (std::int64_t i = 0; i < b; ++i) {
       RequestResult r;
       r.logits = Tensor(Shape{classes});
-      std::memcpy(r.logits.data(), logits.data() + i * classes,
+      std::memcpy(r.logits.data(), logits->data() + i * classes,
                   static_cast<std::size_t>(classes) * sizeof(float));
       r.predicted = predicted[static_cast<std::size_t>(i)];
       r.batch_id = batch_id;

@@ -10,15 +10,17 @@
 // Fault detection exploits the dual of the paper's core observation:
 // bounded activations confine fault propagation, so a *saturated clamp at
 // inference time* is an observable symptom of an underlying parameter
-// fault. Every lane forward counts clamp events (BoundedActivation's
-// opt-in counter) per activation site; when the peak per-site clamp rate
-// of a batch crosses the configured threshold, the lane declares a fault,
-// scrubs its parameters by restoring the clean image, and re-runs the
-// batch once. (Per-site, not pooled: a saturating fault in a 64-neuron head
-// would otherwise drown in the tens of thousands of activations the early
-// conv maps contribute.) The re-run's answer stands even if its rate is
-// still above threshold: a lane's parameters change only under its lane
-// mutex, which the lane holds for the whole batch, so a second re-run would
+// fault. Every lane forward counts clamp events per activation site: the
+// lane's plan counts them in its activation steps and reduces them to the
+// peak per-site clamp rate (nn::InferencePlan::peak_clamp_rate), which
+// every result reports. With detection on, a batch whose rate crosses the
+// configured threshold makes the lane declare a fault, scrub its
+// parameters by restoring the clean image, and re-run the batch once.
+// (Per-site, not pooled: a saturating fault in a 64-neuron head would
+// otherwise drown in the tens of thousands of activations the early conv
+// maps contribute.) The re-run's answer stands even if its rate is still
+// above threshold: a lane's parameters change only under its lane mutex,
+// which the lane holds for the whole batch, so a second re-run would
 // repeat the first bit for bit. A persistent alarm on clean parameters
 // means the threshold is miscalibrated for this traffic and is counted as
 // a post-recovery alarm. Clean traffic clamps at a low, calibratable
@@ -33,10 +35,11 @@
 //
 // Locking discipline (machine-checked under clang -Wthread-safety): the
 // request queue and shutdown flag live under queue_mutex_; aggregate
-// counters under stats_mutex_; and each lane's model/image/plan/sites under
-// that lane's own mutex (held for the whole batch, and by with_lane). Lock
-// order: a lane mutex is acquired before queue_mutex_/stats_mutex_ and the
-// two global mutexes are never held together.
+// counters under stats_mutex_; and each lane's model/image/plan, the plan's
+// clamp counts included, under that lane's own mutex (held for the whole
+// batch, and by with_lane). Lock order: a lane mutex is acquired before
+// queue_mutex_/stats_mutex_ and the two global mutexes are never held
+// together.
 //
 // Output contract: per-request results are bit-identical to running the
 // sample alone through the lane model — every op computes each batch row
@@ -55,7 +58,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/activation.h"
 #include "nn/module.h"
 #include "nn/plan.h"
 #include "quant/param_image.h"
@@ -106,7 +108,8 @@ struct RequestResult {
   std::size_t lane = 0;
   std::int64_t batch_size = 0; ///< how many requests shared the batch
   bool recovered = false;      ///< batch was re-run after a detection
-  /// Peak per-site clamp rate of the forward that produced this result.
+  /// Peak per-site clamp rate of the forward that produced this result
+  /// (nn::InferencePlan::peak_clamp_rate), whether detection is on or off.
   double clamp_rate = 0.0;
 };
 
@@ -121,9 +124,8 @@ struct ServerStats {
   std::uint64_t post_recovery_alarms = 0;
 };
 
-/// Everything one serving lane is made of. The server collects the model's
-/// BoundedActivation sites itself, and enables clamp counting on them when
-/// detection is configured.
+/// Everything one serving lane is made of. The lane's clamp counts live in
+/// its plan, which counts on every execute.
 struct Lane {
   std::shared_ptr<nn::Module> model;
   std::shared_ptr<quant::ParamImage> image;
@@ -193,9 +195,6 @@ class InferenceServer {
   struct LaneState {
     ut::Mutex mutex;  ///< held while the lane processes a batch
     Lane lane FITACT_GUARDED_BY(mutex);
-    /// The lane model's activation sites: the detector's clamp counters.
-    std::vector<std::shared_ptr<core::BoundedActivation>> sites
-        FITACT_GUARDED_BY(mutex);
   };
 
   void lane_loop(std::size_t index);

@@ -163,7 +163,7 @@ TEST(CampaignSession, EvalSubsetIsBuiltOncePerSession) {
 
   // Same results as the legacy single-injector overload, which evaluates
   // straight from the dataset on every trial.
-  quant::ParamImage image(*legacy_pm.model, /*include_buffers=*/false);
+  quant::ParamImage image(*legacy_pm.model);
   fault::Injector injector(image);
   EvalConfig ec;
   ec.max_samples = scale.eval_samples;
@@ -512,8 +512,7 @@ TEST(CampaignSession, RestoredLanesReencodeToTheirCleanWords) {
         const fault::CampaignResult result = session.run(cc);
         ASSERT_EQ(lanes.size(), 4u);
         for (std::size_t l = 0; l < lanes.size(); ++l) {
-          const quant::ParamImage fresh(*lanes[l]->model,
-                                        /*include_buffers=*/false);
+          const quant::ParamImage fresh(*lanes[l]->model);
           EXPECT_EQ(fresh.clean_words(), lanes[l]->image->clean_words())
               << name << " " << core::to_string(scheme) << ", seed "
               << seed << ", lane " << l;

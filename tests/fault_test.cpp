@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -81,6 +82,45 @@ TEST(Injector, ZeroRateInjectsNothing) {
   ut::Rng rng(7);
   const InjectionRecord rec = inj.inject(0.0, rng);
   EXPECT_EQ(rec.fault_events, 0u);
+}
+
+// A rate that is NaN or outside [0, 1] is rejected before any word is
+// written: a NaN (or a rate of 2) would otherwise flip every bit, and a
+// negative rate silently inject nothing. The model of a fresh injector
+// still holds its original values after the throw, unrounded.
+TEST(Injector, RejectsRatesOutsideTheUnitInterval) {
+  for (const double rate :
+       {std::numeric_limits<double>::quiet_NaN(), -1e-6, 1.5}) {
+    ut::Rng init(14);
+    nn::Linear lin(8, 4, true, init);
+    const auto values = [&] {
+      std::vector<float> out;
+      for (auto& p : lin.named_parameters()) {
+        for (const float v : p.var.value().span()) out.push_back(v);
+      }
+      return out;
+    };
+    const std::vector<float> before = values();
+    quant::ParamImage img(lin);
+    Injector inj(img);
+    ut::Rng rng(15);
+    EXPECT_THROW((void)inj.inject(rate, rng), std::invalid_argument) << rate;
+    EXPECT_EQ(values(), before) << rate;
+  }
+}
+
+// The exact injectors report the positions they drew: a count above the
+// fault space flips all of it, and fault_events says how much that was.
+TEST(Injector, ExactCountsAboveTheFaultSpaceReportWhatTheyFlipped) {
+  ut::Rng init(16);
+  nn::Linear lin(8, 4, true, init);
+  quant::ParamImage img(lin);
+  Injector inj(img);
+  ut::Rng rng(17);
+  EXPECT_EQ(inj.inject_exact(inj.bit_count() + 5, rng).fault_events,
+            inj.bit_count());
+  EXPECT_EQ(inj.inject_exact_at_bit(inj.word_count() + 3, 7, rng).fault_events,
+            inj.word_count());
 }
 
 TEST(Injector, FlipCountConcentratesAroundExpectation) {
@@ -194,9 +234,8 @@ TEST(Injector, SparseWritesMatchFullWriteBack) {
   for (const bool filtered : {false, true}) {
     const auto net = small_net(3);
     const auto twin = small_net(3);
-    quant::ParamImage image(*net, false, filtered ? second_layer : nullptr);
-    quant::ParamImage twin_image(*twin, false,
-                                 filtered ? second_layer : nullptr);
+    quant::ParamImage image(*net, filtered ? second_layer : nullptr);
+    quant::ParamImage twin_image(*twin, filtered ? second_layer : nullptr);
     Injector inj(image);
     ut::Rng rng(11);
     bool shared_word = false;

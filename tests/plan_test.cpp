@@ -143,6 +143,17 @@ void expect_bit_identical(const Tensor& got, const Tensor& want,
   }
 }
 
+/// Stage batch `x` ([b, C, H, W]) into `plan`, execute it, and return a copy
+/// of the plan's clamp counts for that execute.
+std::vector<nn::InferencePlan::ClampCount> execute_counts(
+    nn::InferencePlan& plan, const Tensor& x) {
+  const std::int64_t b = x.shape()[0];
+  std::memcpy(plan.input_view(b).data(), x.data(),
+              sizeof(float) * static_cast<std::size_t>(x.numel()));
+  (void)plan.execute(b);
+  return plan.clamp_counts();
+}
+
 // Acceptance contract: for every zoo model, planned execution reproduces
 // the eager forward bit-for-bit at batch sizes 1 / 3 / 8 (smaller batches
 // use the first rows of each max_batch arena slot), including on repeated
@@ -252,15 +263,15 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
 }
 
 // Fused clamp-event counting must tally exactly what the standalone
-// activation op would have: same per-site events, same inspected totals.
-// Inputs are drawn wider than the profiling pass so some pre-activations
-// genuinely exceed their bounds and the event comparison is non-trivial.
-// Plain ReLU has no bound and counts nothing on either plan.
+// activation op would have: same per-site events, same inspected totals,
+// one entry per activation site on both plans. Inputs are drawn wider than
+// the profiling pass so some pre-activations genuinely exceed their bounds
+// and the event comparison is non-trivial. Plain ReLU has no bound and
+// counts nothing on either plan.
 TEST_P(PlanFusion, FusedClampCountsEqualUnfused) {
   const auto model =
       zoo_model(std::get<0>(GetParam()), std::get<1>(GetParam()), 47);
-  const auto sites = core::collect_activations(*model);
-  for (const auto& site : sites) site->set_clamp_counting(true);
+  const std::size_t sites = core::collect_activations(*model).size();
   const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
                                                 /*fuse=*/true);
   const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
@@ -268,30 +279,19 @@ TEST_P(PlanFusion, FusedClampCountsEqualUnfused) {
   ASSERT_GT(fused->fused_op_count(), 0u);
   ut::Rng rng(53);
   const Tensor x = Tensor::rand_uniform(Shape{3, 3, 32, 32}, rng, -4.0f, 4.0f);
-  const auto run = [&](nn::InferencePlan& plan) {
-    core::reset_clamp_counters(sites);
-    std::memcpy(plan.input_view(3).data(), x.data(),
-                sizeof(float) * static_cast<std::size_t>(x.numel()));
-    (void)plan.execute(3);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-    counts.reserve(sites.size());
-    for (const auto& site : sites) {
-      counts.emplace_back(site->clamp_events(), site->clamp_total());
-    }
-    return counts;
-  };
-  const auto fused_counts = run(*fused);
-  const auto unfused_counts = run(*unfused);
-  ASSERT_EQ(fused_counts.size(), unfused_counts.size());
+  const auto fused_counts = execute_counts(*fused, x);
+  const auto unfused_counts = execute_counts(*unfused, x);
+  ASSERT_EQ(fused_counts.size(), sites);
+  ASSERT_EQ(unfused_counts.size(), sites);
   std::uint64_t events = 0;
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < fused_counts.size(); ++i) {
-    EXPECT_EQ(fused_counts[i].first, unfused_counts[i].first)
+  for (std::size_t i = 0; i < sites; ++i) {
+    EXPECT_EQ(fused_counts[i].events, unfused_counts[i].events)
         << "site " << i << " events";
-    EXPECT_EQ(fused_counts[i].second, unfused_counts[i].second)
+    EXPECT_EQ(fused_counts[i].total, unfused_counts[i].total)
         << "site " << i << " total";
-    events += fused_counts[i].first;
-    total += fused_counts[i].second;
+    events += fused_counts[i].events;
+    total += fused_counts[i].total;
   }
   if (std::get<1>(GetParam()).scheme == core::Scheme::relu) {
     EXPECT_EQ(events, 0u);
@@ -300,8 +300,6 @@ TEST_P(PlanFusion, FusedClampCountsEqualUnfused) {
     EXPECT_GT(events, 0u) << "inputs wide enough to clamp somewhere";
     EXPECT_GT(total, 0u);
   }
-  for (const auto& site : sites) site->set_clamp_counting(false);
-  core::reset_clamp_counters(sites);
 }
 
 // A NaN reaching a clamp is a clamp event (kernels.h): one NaN pixel in the
@@ -314,8 +312,7 @@ TEST(PlanFusion, NanInputRaisesFirstSiteClampEvents) {
         Protect{core::Scheme::ranger, core::Granularity::per_channel},
         Protect{core::Scheme::fitrelu, core::Granularity::per_neuron}}) {
     const auto model = zoo_model("tinycnn", protect, 61);
-    const auto sites = core::collect_activations(*model);
-    for (const auto& site : sites) site->set_clamp_counting(true);
+    const std::size_t sites = core::collect_activations(*model).size();
     const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
                                                   /*fuse=*/true);
     const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32},
@@ -323,11 +320,9 @@ TEST(PlanFusion, NanInputRaisesFirstSiteClampEvents) {
     ut::Rng rng(67);
     Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
     const auto first_site_events = [&](nn::InferencePlan& plan) {
-      core::reset_clamp_counters(sites);
-      std::memcpy(plan.input_view(2).data(), x.data(),
-                  sizeof(float) * static_cast<std::size_t>(x.numel()));
-      (void)plan.execute(2);
-      return sites.front()->clamp_events();
+      const auto counts = execute_counts(plan, x);
+      EXPECT_EQ(counts.size(), sites);
+      return counts.front().events;
     };
     for (const kern::Backend backend :
          {kern::Backend::scalar, kern::avx2_supported()
@@ -346,8 +341,33 @@ TEST(PlanFusion, NanInputRaisesFirstSiteClampEvents) {
       EXPECT_EQ(first_site_events(*unfused), poisoned) << context;
       pixel = saved;
     }
-    for (const auto& site : sites) site->set_clamp_counting(false);
-    core::reset_clamp_counters(sites);
+  }
+}
+
+// The counts belong to the plan, not the model: a fused and an unfused plan
+// over one model keep separate tables, so executing one on a NaN-poisoned
+// input leaves the other's counts as its own last execute left them.
+TEST(PlanFusion, PlansOverOneModelKeepSeparateClampCounts) {
+  const auto model = zoo_model(
+      "tinycnn", Protect{core::Scheme::clip_act, core::Granularity::per_layer},
+      71);
+  const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                                /*fuse=*/true);
+  const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                                  /*fuse=*/false);
+  ut::Rng rng(73);
+  Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const auto fused_clean = execute_counts(*fused, x);
+  x.data()[10 * 32 + 10] = std::numeric_limits<float>::quiet_NaN();
+  const auto unfused_poisoned = execute_counts(*unfused, x);
+  ASSERT_EQ(fused_clean.size(), core::collect_activations(*model).size());
+  ASSERT_EQ(unfused_poisoned.size(), fused_clean.size());
+  EXPECT_GT(unfused_poisoned.front().events, fused_clean.front().events);
+  const auto& fused_now = fused->clamp_counts();
+  ASSERT_EQ(fused_now.size(), fused_clean.size());
+  for (std::size_t i = 0; i < fused_clean.size(); ++i) {
+    EXPECT_EQ(fused_now[i].events, fused_clean[i].events) << "site " << i;
+    EXPECT_EQ(fused_now[i].total, fused_clean[i].total) << "site " << i;
   }
 }
 
@@ -556,8 +576,7 @@ TEST(PlanInt8, RejectsUnboundedModelsAndUnfusedPlans) {
 // to the clean run.
 TEST(PlanInt8, WeightCorruptionRaisesClampEventsAndRestoreRecovers) {
   const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 47);
-  const auto sites = core::collect_activations(*model);
-  for (const auto& site : sites) site->set_clamp_counting(true);
+  const std::size_t sites = core::collect_activations(*model).size();
   ut::Rng rng(83);
   const NoGradGuard no_grad;
   const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
@@ -567,12 +586,12 @@ TEST(PlanInt8, WeightCorruptionRaisesClampEventsAndRestoreRecovers) {
                                                max_abs(x));
   ASSERT_GT(plan->int8_op_count(), 0u);
   const auto run = [&] {
-    core::reset_clamp_counters(sites);
     std::memcpy(plan->input_view(4).data(), x.data(),
                 sizeof(float) * static_cast<std::size_t>(x.numel()));
     const Tensor out = plan->execute(4).clone();
+    EXPECT_EQ(plan->clamp_counts().size(), sites);
     std::uint64_t events = 0;
-    for (const auto& site : sites) events += site->clamp_events();
+    for (const auto& c : plan->clamp_counts()) events += c.events;
     return std::make_pair(out, events);
   };
   const auto [clean, clean_events] = run();
@@ -591,8 +610,6 @@ TEST(PlanInt8, WeightCorruptionRaisesClampEventsAndRestoreRecovers) {
   EXPECT_EQ(recovered_events, clean_events);
   EXPECT_THROW((void)plan->int8_weight_span(plan->int8_op_count()),
                std::out_of_range);
-  for (const auto& site : sites) site->set_clamp_counting(false);
-  core::reset_clamp_counters(sites);
 }
 
 // Unbounded ReLU models plan too (no bounds required at record time).
@@ -627,7 +644,8 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
 #if FITACT_COUNT_ALLOCS
 // Acceptance contract: steady-state execute performs zero heap
 // allocations, at max_batch and at smaller batches over the same arena
-// layout. Per batch size, two warm-up executes pay the one-time lazy costs
+// layout, clamp counting included (compile sizes the count table). Per
+// batch size, two warm-up executes pay the one-time lazy costs
 // (the GEMM pack buffer is thread_local), then eight measured executes
 // must leave the global allocation counter untouched. The models cover
 // every conv route (ag::conv2d_route): tinycnn's and vgg16's stride-1 convs
